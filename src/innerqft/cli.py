@@ -22,6 +22,14 @@ class ConfigError(Exception):
     pass
 
 
+def _number(convert, text: str, where: str):
+    """convert(text), with a malformed number reported as a ConfigError."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{where}: bad number '{text}'") from exc
+
+
 def load_config(path: str) -> dict:
     """Flat key=value file; '#' starts a comment."""
     values: dict = {}
@@ -42,10 +50,9 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key == "format":
             values[key] = val
-        elif key == "seed":
-            values[key] = int(val)
         else:
-            values[key] = float(val)
+            convert = int if key == "seed" else float
+            values[key] = _number(convert, val, f"{path}:{lineno}")
     return values
 
 
@@ -142,13 +149,17 @@ def cmd_vev(args: argparse.Namespace) -> int:
 
 _LEG_FIELDS = {"scalar": opalg.SCALAR, "dirac": opalg.DIRAC_PARTICLE,
                "antidirac": opalg.DIRAC_ANTIPARTICLE, "gauge": opalg.GAUGE}
+# optional leg tokens: key -> (Leg field, number type)
+_LEG_KEYS = {"s": ("spin", int), "g": ("pol", int), "G": ("ipol", int),
+             "E": ("energy", float)}
 
 
-def _parse_vec3(text: str) -> tuple:
+def _parse_vec3(text: str, where: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated components: '{text}'")
-    return tuple(Fraction(p) for p in parts)
+        raise ConfigError(f"{where}: expected three comma-separated "
+                          f"components: '{text}'")
+    return tuple(_number(Fraction, p, where) for p in parts)
 
 
 def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
@@ -162,37 +173,33 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         tokens = line.split()
         if len(tokens) < 3 or tokens[0] not in ("in", "out") \
                 or tokens[1] not in _LEG_FIELDS:
             raise ConfigError(
-                f"{path}:{lineno}: expected "
+                f"{where}: expected "
                 "'<in|out> <scalar|dirac|antidirac|gauge> p=x,y,z [...]'")
         direction, field = tokens[0], _LEG_FIELDS[tokens[1]]
         mom = None
         extra: dict = {}
         for tok in tokens[2:]:
             if "=" not in tok:
-                raise ConfigError(f"{path}:{lineno}: bad token '{tok}'")
+                raise ConfigError(f"{where}: bad token '{tok}'")
             key, _, val = tok.partition("=")
             if key == "p":
-                mom = _parse_vec3(val)
-            elif key == "s":
-                extra["spin"] = int(val)
-            elif key == "g":
-                extra["pol"] = int(val)
-            elif key == "G":
-                extra["ipol"] = int(val)
-            elif key == "E":
-                extra["energy"] = float(val)
+                mom = _parse_vec3(val, where)
+            elif key in _LEG_KEYS:
+                name, convert = _LEG_KEYS[key]
+                extra[name] = _number(convert, val, where)
             else:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+                raise ConfigError(f"{where}: unknown key '{key}'")
         if mom is None:
-            raise ConfigError(f"{path}:{lineno}: missing momentum p=x,y,z")
+            raise ConfigError(f"{where}: missing momentum p=x,y,z")
         try:
             legs.append(smatrix.Leg(direction, field, mom, **extra))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
     if not legs:
         raise ConfigError(f"{path}: no legs defined")
     return tuple(legs)
@@ -209,12 +216,13 @@ def load_greens(path: str) -> tuple[smatrix.VertexRule, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         tokens = line.split()
         if tokens[0] != "vertex" or len(tokens) not in (2, 3):
             raise ConfigError(
-                f"{path}:{lineno}: expected 'vertex <re> [<im>]'")
-        re = float(tokens[1])
-        im = float(tokens[2]) if len(tokens) == 3 else 0.0
+                f"{where}: expected 'vertex <re> [<im>]'")
+        re = _number(float, tokens[1], where)
+        im = _number(float, tokens[2], where) if len(tokens) == 3 else 0.0
         vertices.append(smatrix.VertexRule(complex(re, im)))
     return tuple(vertices)
 

@@ -549,8 +549,6 @@ class OperatorExpr:
 # ---------------------------------------------------------------------------
 # Normal-form reduction
 
-_CONTACT_SPECIES = {SCALAR, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, GAUGE}
-
 
 def _contact_factors(lo: LadderOperator, hi: LadderOperator):
     """Contact term of annihilator*creator for one species.
@@ -615,10 +613,6 @@ def normal_order(e: OperatorExpr) -> OperatorExpr:
     return reduce_to_normal_form(e, keep_contact=False)
 
 
-def multiply(lhs: OperatorExpr, rhs: OperatorExpr) -> OperatorExpr:
-    return lhs * rhs
-
-
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return reduce_to_normal_form(a * b - b * a)
 
@@ -628,9 +622,46 @@ def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
 
 
 def vev(e: OperatorExpr) -> OperatorExpr:
-    """Vacuum expectation value: the operator-free part of the normal form."""
-    reduced = reduce_to_normal_form(e)
-    return OperatorExpr.from_monomials(m for m in reduced.terms if not m.ops)
+    """Vacuum expectation value by direct Wick contraction.
+
+    Equals the operator-free part of the normal form, without building it.
+    A product whose leftmost operator is a creator has zero vev; otherwise
+    its leftmost annihilator is contracted with each creator of the same
+    field to its right (the contact factor of `_contact_factors`, one sign
+    flip per fermionic operator a fermionic annihilator crosses), and the
+    remaining operators are contracted in turn. Each partial coefficient is
+    canonicalized as it is built, so a false delta prunes every pairing
+    below it. The cost is the number of surviving partial pairings, not
+    the size of the normal form.
+    """
+    done: list[Monomial] = []
+    # (coefficient, operators still to contract); the coefficient's own
+    # operators are ignored
+    stack = [(m, m.ops) for m in e.terms]
+    while stack:
+        m, ops = stack.pop()
+        if not ops:
+            done.append(m)
+            continue
+        x = ops[0]
+        if x.dagger:
+            continue
+        crossed = 0
+        for j in range(1, len(ops)):
+            y = ops[j]
+            if y.dagger and y.field == x.field:
+                rest = ops[1:j] + ops[j + 1:]
+                # a remainder that starts with a creator has zero vev
+                if not rest or not rest[0].dagger:
+                    cs, clam, ctp, catoms = _contact_factors(x, y)
+                    if x.fermionic and crossed % 2:
+                        cs = -cs
+                    c = make_monomial(m.scalar * cs, m.lam + clam,
+                                      m.twopi + ctp, m.vreg, m.atoms + catoms)
+                    if c is not None:
+                        stack.append((c, rest))
+            crossed += y.fermionic
+    return OperatorExpr.from_monomials(done)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .kinematics import (DEFAULT_TOL, ETA, FourVector, MassShellMomentum,
                          build_spacetime_polarizations, build_inner_polarizations,
                          minkowski_dot, slash, spin_sum)
 from .opalg import (GAUGE, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, SCALAR,
-                    ERatioPow, Metric, OmegaPow, OnShell, OperatorExpr,
-                    delta_resolve, make_monomial, vev)
+                    Delta3, ERatioPow, Metric, OmegaPow, OnShell,
+                    OperatorExpr, SpinDelta, delta_resolve, make_monomial, vev)
 
 # ---------------------------------------------------------------------------
 # Propagators
@@ -343,40 +343,48 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
 
 def wick_pairing_oracle(legs: Sequence[Leg], masses: FieldMasses,
                         cfg: RegularizationConfig) -> OperatorExpr:
-    """Brute-force enumeration of out-against-in pairings (bosonic legs).
+    """Brute-force enumeration of out-against-in pairings.
 
-    Independent of the normal-form reduction path: builds each pairing's
-    contact factor directly from the printed relations.
+    Independent of the normal-form reduction and of `vev`: builds each
+    pairing's gravitational-limit contact factor directly from the printed
+    relations. The overlap orders the out legs before the in legs, each in
+    the given order; a pairing's sign is the parity of the permutation that
+    brings every fermionic leg of that order next to its partner.
     """
     ins = [l for l in legs if l.direction == "in"]
     outs = [l for l in legs if l.direction == "out"]
     if len(ins) != len(outs):
         return OperatorExpr.zero()
-    if any(l.field in (DIRAC_PARTICLE, DIRAC_ANTIPARTICLE) for l in legs):
-        raise NotImplementedError("oracle covers bosonic legs only")
-    total = OperatorExpr.zero()
+    fermionic = [l.field in (DIRAC_PARTICLE, DIRAC_ANTIPARTICLE)
+                 for l in outs + ins]
+    monos = []
     for perm in itertools.permutations(range(len(ins))):
-        term = OperatorExpr.number(1)
-        for oi, ii in enumerate(perm):
-            lo, li = outs[oi], ins[ii]
-            if lo.field != li.field:
-                term = OperatorExpr.zero()
-                break
+        pairs = [(outs[oi], ins[ii]) for oi, ii in enumerate(perm)]
+        if any(lo.field != li.field for lo, li in pairs):
+            continue
+        # fermionic legs, each out leg followed by its in partner
+        order = [k for oi, ii in enumerate(perm) for k in (oi, len(outs) + ii)
+                 if fermionic[k]]
+        inversions = sum(x > y for x, y in itertools.combinations(order, 2))
+        scalar, lam, atoms = (-1) ** inversions * cfg.ratio ** len(pairs), 0, []
+        for lo, li in pairs:
             mo = tuple(float(c) for c in lo.mom)
             mi = tuple(float(c) for c in li.mom)
-            atoms = [OmegaPow(mi), opalg.Delta3(mo, mi)]
-            lam = 0
+            # the d4(0) -> Vreg/(2pi)^4 rewrite and the Vreg -> ratio*L^4
+            # reduction are built into each pair's factor
+            if lo.field in (DIRAC_PARTICLE, DIRAC_ANTIPARTICLE):
+                atoms += [ERatioPow(mi), SpinDelta(lo.spin, li.spin)]
+            else:
+                scalar *= 2
+                atoms.append(OmegaPow(mi))
             if lo.field == GAUGE:
                 atoms += [Metric(True, lo.pol, li.pol),
                           Metric(False, lo.ipol, li.ipol)]
-                lam = 2
-            factor = OperatorExpr.from_monomials(
-                [make_monomial(2, lam=lam, twopi=3, atoms=tuple(atoms))])
-            term = term * factor
-        total = total + term
-    # Vreg never appears here: the d4(0) -> Vreg/(2pi)^4 rewrite and the
-    # ratio reduction are built into the per-pair factor above.
-    return total
+                lam += 2
+            atoms.append(Delta3(mo, mi))
+        monos.append(make_monomial(scalar, lam=lam, twopi=3 * len(pairs),
+                                   atoms=atoms))
+    return OperatorExpr.from_monomials(monos)
 
 
 # ---------------------------------------------------------------------------

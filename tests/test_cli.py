@@ -34,13 +34,31 @@ def test_symbolic_suites_ignore_tolerance():
         assert main(["verify", "--suite", suite, "--tol", "1e-30"]) == 0
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     proc = run("verify", "--suite", "nonsense")
     assert proc.returncode == 2
     proc = run("verify")
     assert proc.returncode == 2
     proc = run()
     assert proc.returncode == 2
+    # malformed numbers in input files are usage errors, not tracebacks
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = x\n")
+    legs = tmp_path / "legs.txt"
+    legs.write_text("in dirac p=1,0,0 s=x\nout dirac p=1,0,0 s=1\n")
+    good_legs = tmp_path / "good_legs.txt"
+    good_legs.write_text("in scalar p=1,0,0\nout scalar p=1,0,0\n")
+    greens = tmp_path / "greens.txt"
+    greens.write_text("vertex abc\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    for args in (("verify", "--suite", "ccr", "--config", str(cfg)),
+                 ("reduce", str(empty), "--legs", str(legs)),
+                 ("reduce", str(greens), "--legs", str(good_legs))):
+        proc = run(*args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "bad number" in proc.stderr
 
 
 def test_json_schema(capsys):

@@ -162,3 +162,27 @@ def test_conjugate_symmetry_of_overlaps():
     lhs = opalg.delta_resolve(fock.inner_product(s1, s2))
     rhs = opalg.delta_resolve(fock.inner_product(s2, s1)).dagger()
     assert lhs == rhs
+
+
+def test_diagonal_actions_case_compares_kets(monkeypatch):
+    from innerqft import suites
+
+    def passed(seed):
+        cases = suites.suite_fock(suites.RunConfig(seed=seed))
+        return next(c.passed for c in cases
+                    if c.name == "fock.diagonal_actions_commute")
+
+    seeds = range(4)
+    assert all(passed(seed) for seed in seeds)
+    real = fock.momentum_action
+
+    def misassigned(which, s, masses=FieldMasses()):
+        # P assigns its eigenvalues to rescaled copies of the kets
+        out = real(which, s, masses)
+        if which == "P":
+            out = [(make_monomial(m.scalar * opalg.CRat.of(2), ops=m.ops), v)
+                   for m, v in out]
+        return out
+
+    monkeypatch.setattr(fock, "momentum_action", misassigned)
+    assert not any(passed(seed) for seed in seeds)

@@ -234,6 +234,69 @@ def test_vev_two_point_ordering():
     assert not vev(opalg.a("k", "K") * opalg.a("h", "H", dagger=True)).is_zero()
 
 
+# -- vev against the full-normal-form oracle -----------------------------------
+
+
+def vev_oracle(e):
+    """The operator-free part of the full normal form."""
+    return OperatorExpr.from_monomials(
+        m for m in reduce_to_normal_form(e).terms if not m.ops)
+
+
+def random_sum(r, allow_onshell):
+    e = OperatorExpr.zero()
+    for _ in range(r.randint(1, 3)):
+        e = e + random_product(r, max_ops=5, allow_onshell=allow_onshell)
+    return e
+
+
+def balanced_product(r, allow_onshell):
+    """A shuffled product in which every annihilator stands left of a
+    partner creator of its own field: its adjoint, or another creator of
+    that field. Pairs nest and cross at random."""
+    ops = []
+    for _ in range(r.randint(1, 4)):
+        x = random_ladder(r, dagger=False, allow_onshell=allow_onshell)
+        y = x.adjoint()
+        if r.random() < 0.5:
+            y = random_ladder(r, dagger=True, allow_onshell=allow_onshell)
+            while y.field != x.field:
+                y = random_ladder(r, dagger=True, allow_onshell=allow_onshell)
+        i = r.randint(0, len(ops))
+        ops.insert(i, x)
+        ops.insert(r.randint(i + 1, len(ops)), y)
+    return OperatorExpr.from_monomials(
+        [make_monomial(CRat(Fraction(r.randint(1, 3)), Fraction(r.randint(-2, 2))),
+                       ops=tuple(ops))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_vev_matches_normal_form_oracle(r, allow_onshell):
+    e = random_sum(r, allow_onshell)
+    assert vev(e) == vev_oracle(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_vev_matches_oracle_on_balanced_products(r, allow_onshell):
+    e = balanced_product(r, allow_onshell)
+    if r.random() < 0.3:
+        e = e + balanced_product(r, allow_onshell)
+    assert vev(e) == vev_oracle(e)
+
+
+def test_scalar_ladder_vev_matches_oracle():
+    e = OperatorExpr.number(1)
+    for i in range(5):
+        e = e * opalg.a(f"k{i}", f"K{i}")
+    for i in range(5):
+        e = e * opalg.a(f"h{i}", f"H{i}", dagger=True)
+    got = vev(e)
+    assert len(got.terms) == 120
+    assert got == vev_oracle(e)
+
+
 # -- delta resolution ----------------------------------------------------------
 
 

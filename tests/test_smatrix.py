@@ -152,6 +152,55 @@ def test_gauge_elastic_matches_oracle():
                                               RegularizationConfig())
 
 
+_D, _A, _S = opalg.DIRAC_PARTICLE, opalg.DIRAC_ANTIPARTICLE, opalg.SCALAR
+_P, _Q, _R = (1.0, 2.0, 2.0), (0.5, 0.0, -1.0), (Fraction(2, 3), 0, 1)
+
+# (legs as (direction, field, momentum, spin), whether the overlap vanishes)
+FERMIONIC_ELASTIC = {
+    "2-leg": ([("in", _D, _P, 1), ("out", _D, _P, 1)], False),
+    "2-leg spin flip": ([("in", _A, _P, 1), ("out", _A, _P, 2)], True),
+    "4-leg distinct": ([("in", _D, _P, 1), ("in", _A, _Q, 2),
+                        ("out", _A, _Q, 2), ("out", _D, _P, 1)], False),
+    "4-leg distinct same species": ([("in", _D, _P, 1), ("in", _D, _Q, 1),
+                                     ("out", _D, _P, 1), ("out", _D, _Q, 1)],
+                                    False),
+    "4-leg coincident": ([("in", _D, _P, 1), ("in", _D, _P, 2),
+                          ("out", _D, _P, 2), ("out", _D, _P, 1)], False),
+    "4-leg coincident Pauli": ([("in", _A, _P, 1), ("in", _A, _P, 1),
+                                ("out", _A, _P, 1), ("out", _A, _P, 1)], True),
+    "6-leg distinct": ([("in", _D, _P, 1), ("in", _D, _Q, 1), ("in", _A, _R, 2),
+                        ("out", _A, _R, 2), ("out", _D, _Q, 1),
+                        ("out", _D, _P, 1)], False),
+    "6-leg coincident": ([("in", _D, _P, 1), ("in", _D, _P, 2), ("in", _A, _P, 1),
+                          ("out", _D, _P, 2), ("out", _A, _P, 1),
+                          ("out", _D, _P, 1)], False),
+    "6-leg with a scalar": ([("in", _D, _P, 1), ("in", _S, _P, None),
+                             ("in", _A, _Q, 1), ("out", _S, _P, None),
+                             ("out", _A, _Q, 1), ("out", _D, _P, 1)], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FERMIONIC_ELASTIC))
+def test_fermionic_elastic_matches_pairing_oracle(name):
+    spec, vanishes = FERMIONIC_ELASTIC[name]
+    legs = tuple(Leg(d, f, p, spin=s) for d, f, p, s in spec)
+    amp = lsz_reduce(GreenFunction(legs), recipe(), RegularizationConfig())
+    oracle = wick_pairing_oracle(legs, masses(), RegularizationConfig())
+    assert amp.elastic == oracle
+    assert oracle.is_zero() == vanishes
+
+
+@pytest.mark.parametrize("name", ["4-leg coincident", "6-leg with a scalar"])
+def test_pairing_oracle_carries_volume_ratio(name):
+    spec, _ = FERMIONIC_ELASTIC[name]
+    legs = tuple(Leg(d, f, p, spin=s) for d, f, p, s in spec)
+    reg = RegularizationConfig(2.0, 1.0)
+    amp = lsz_reduce(GreenFunction(legs), recipe(), reg)
+    assert amp.elastic == wick_pairing_oracle(legs, masses(), reg)
+    assert amp.elastic != wick_pairing_oracle(legs, masses(),
+                                              RegularizationConfig())
+
+
 def test_zero_vertex_factors_give_zero_connected():
     p, q = (1.0, 2.0, 2.0), (0.5, 0.0, -1.0)
     legs = (Leg("in", opalg.SCALAR, p), Leg("in", opalg.SCALAR, q),
