@@ -8,8 +8,6 @@ import sys
 from fractions import Fraction
 
 from . import grammar, opalg, smatrix
-from .fock import FieldMasses
-from .gravlimit import RegularizationConfig
 from .suites import Case, RunConfig, SUITES, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -30,29 +28,35 @@ def _number(convert, text: str, where: str):
         raise ConfigError(f"{where}: bad number '{text}'") from exc
 
 
-def load_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment."""
-    values: dict = {}
+def _read_lines(path: str, what: str):
+    """Yield ('path:lineno', line) for each line of a text input file, with
+    '#' comments and surrounding blanks stripped and empty lines skipped."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield f"{path}:{lineno}", line
+
+
+def load_config(path: str) -> dict:
+    """Flat key=value file; '#' starts a comment."""
+    values: dict = {}
+    for where, line in _read_lines(path, "config"):
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
+            raise ConfigError(f"{where}: expected key=value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            raise ConfigError(f"{where}: unknown key '{key}'")
         if key == "format":
             values[key] = val
         else:
             convert = int if key == "seed" else float
-            values[key] = _number(convert, val, f"{path}:{lineno}")
+            values[key] = _number(convert, val, where)
     return values
 
 
@@ -74,15 +78,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
         values["fmt"] = args.format
     try:
-        cfg = RunConfig(**values)
-        RegularizationConfig(cfg.lam, cfg.v_reg)
-        for name in ("z", "z2", "z3"):
-            v = getattr(cfg, name)
-            if not 0 < v <= 1:
-                raise ValueError(f"{name} must lie in (0, 1]")
+        return RunConfig(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def _report(suite: str, cfg: RunConfig, cases: list[Case]) -> tuple[str, bool]:
@@ -164,16 +162,7 @@ def _parse_vec3(text: str, where: str) -> tuple:
 
 def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
     legs = []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read legs file: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
+    for where, line in _read_lines(path, "legs"):
         tokens = line.split()
         if len(tokens) < 3 or tokens[0] not in ("in", "out") \
                 or tokens[1] not in _LEG_FIELDS:
@@ -207,16 +196,7 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
 
 def load_greens(path: str) -> tuple[smatrix.VertexRule, ...]:
     vertices = []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read green-function file: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
+    for where, line in _read_lines(path, "green-function"):
         tokens = line.split()
         if tokens[0] != "vertex" or len(tokens) not in (2, 3):
             raise ConfigError(
@@ -235,10 +215,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    recipe = smatrix.LSZRecipe(cfg.z, cfg.z2, cfg.z3, FieldMasses())
     try:
         amp = smatrix.lsz_reduce(smatrix.GreenFunction(legs, vertices),
-                                 recipe, cfg.reg())
+                                 cfg.recipe(), cfg.reg())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

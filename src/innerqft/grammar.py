@@ -28,9 +28,8 @@ import re
 from fractions import Fraction
 
 from . import opalg
-from .opalg import (CRat, Delta3, Delta3Zero, Delta4, Delta4Zero, ERatioPow,
-                    LadderOperator, Metric, Monomial, OmegaPow, OnShell,
-                    OperatorExpr, SpinDelta, make_monomial)
+from .opalg import (ATOMS, Atom, CRat, LadderOperator, Monomial, OnShell,
+                    OperatorExpr, make_monomial)
 
 
 class ParseError(ValueError):
@@ -49,7 +48,6 @@ _TOKEN_RE = re.compile(r"""
 
 _HEADS = {"a": opalg.SCALAR, "b": opalg.DIRAC_PARTICLE,
           "d": opalg.DIRAC_ANTIPARTICLE, "A": opalg.GAUGE}
-_COEFF_IDENTS = {"L", "Vreg", "w", "E", "d3", "d4", "kd", "eta", "ETA"}
 
 
 def _tokenize(src: str):
@@ -64,6 +62,21 @@ def _tokenize(src: str):
         pos = m.end()
     tokens.append(("eof", "", len(src)))
     return tokens
+
+
+def _atom_heads() -> dict:
+    """Atom kinds that take arguments, by the identifier that starts their
+    printed head, with the tokens that complete it ("E/m": "/", "m")."""
+    heads = {}
+    for kind, spec in ATOMS.items():
+        if spec.arity:
+            first, *rest, _eof = _tokenize(kind)
+            heads[first[1]] = (kind, [tok[:2] for tok in rest])
+    return heads
+
+
+_ATOM_HEADS = _atom_heads()
+_COEFF_IDENTS = {"L", "Vreg"} | set(_ATOM_HEADS)
 
 
 class _Parser:
@@ -175,7 +188,7 @@ class _Parser:
         return 1
 
     def parse_coeff(self) -> OperatorExpr:
-        kind, name, pos = self.next()
+        _, name, _ = self.next()
         if name == "L":
             self.expect("sym", "^")
             return OperatorExpr.from_monomials(
@@ -183,46 +196,23 @@ class _Parser:
         if name == "Vreg":
             return OperatorExpr.from_monomials(
                 [make_monomial(1, vreg=self._opt_power())])
-        if name in ("w", "E"):
-            if name == "E":
-                self.expect("sym", "/")
-                self.expect("ident", "m")
-            self.expect("sym", "(")
-            mom = self.parse_label(3)
-            self.expect("sym", ")")
-            power = self._opt_power()
-            atom = OmegaPow(mom, power) if name == "w" else ERatioPow(mom, power)
-            return OperatorExpr.from_monomials([make_monomial(1, atoms=(atom,))])
-        if name in ("d3", "d4"):
-            self.expect("sym", "(")
-            if self.peek()[:2] == ("number", "0"):
-                self.next()
-                self.expect("sym", ")")
-                atom = Delta3Zero() if name == "d3" else Delta4Zero()
-                return OperatorExpr.from_monomials([make_monomial(1, atoms=(atom,))])
-            size = 3 if name == "d3" else 4
-            first = self.parse_label(size)
-            self.expect("sym", "-")
-            second = self.parse_label(size)
-            self.expect("sym", ")")
-            atom = (Delta3 if name == "d3" else Delta4)(first, second)
-            return OperatorExpr.from_monomials([make_monomial(1, atoms=(atom,))])
-        if name == "kd":
-            self.expect("sym", "(")
-            a = self.parse_disc()
-            self.expect("sym", ",")
-            b = self.parse_disc()
-            self.expect("sym", ")")
-            return OperatorExpr.from_monomials(
-                [make_monomial(1, atoms=(SpinDelta(a, b),))])
-        # eta / ETA metric factors
-        self.expect("sym", "[")
-        a = self.parse_disc()
-        self.expect("sym", ",")
-        b = self.parse_disc()
-        self.expect("sym", "]")
+        kind, rest = _ATOM_HEADS[name]
+        for tok in rest:
+            self.expect(*tok)
+        spec = ATOMS[kind]
+        self.expect("sym", spec.brackets[0])
+        if spec.collapse and self.peek()[:2] == ("number", "0"):
+            self.next()
+            kind, args = spec.collapse, ()
+        else:
+            args = (self.parse_arg(spec.arg),)
+            while len(args) < spec.arity:
+                self.expect("sym", spec.sep)
+                args += (self.parse_arg(spec.arg),)
+        self.expect("sym", spec.brackets[1])
+        power = self._opt_power() if ATOMS[kind].merges else 1
         return OperatorExpr.from_monomials(
-            [make_monomial(1, atoms=(Metric(name == "eta", a, b),))])
+            [make_monomial(1, atoms=(Atom(kind, args, power),))])
 
     def parse_operator(self) -> OperatorExpr:
         kind, head, pos = self.next()
@@ -280,6 +270,12 @@ class _Parser:
                 raise ParseError(f"expected a {size}-component bound label", pos)
             return tuple(comps)
         raise ParseError("expected a label symbol or bound vector", pos)
+
+    def parse_arg(self, arg: str):
+        """One atom argument of the given ATOMS argument type."""
+        if arg == opalg.DISC:
+            return self.parse_disc()
+        return self.parse_label(3 if arg == opalg.MOM else 4)
 
     def parse_number(self) -> Fraction:
         negate = False

@@ -8,14 +8,14 @@ substitution, never a floating-point infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import opalg
 from .fock import FieldMasses, FockState
 from .kinematics import on_shell_energy
-from .opalg import (CRat, Delta3, Delta4, Delta4Zero, Label, OnShell,
-                    OperatorExpr, make_monomial)
+from .opalg import CRat, Label, OnShell, OperatorExpr, make_monomial
 
 
 class UnresolvedInnerLabel(ValueError):
@@ -28,8 +28,9 @@ class RegularizationConfig:
     v_reg: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.v_reg <= 0:
-            raise ValueError("lambda and v_reg must be positive")
+        for name, value in (("lambda", self.lam), ("v_reg", self.v_reg)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def ratio(self) -> Fraction:
@@ -93,8 +94,8 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
     for m in e.terms:
         uf = _UnionFind()
         for a in m.atoms:
-            if isinstance(a, Delta3):
-                uf.union(a.a, a.b)
+            if a.kind == "d3":
+                uf.union(*a.args)
         inner_to_mom: dict = {}
         ops = []
         for op in m.ops:
@@ -107,9 +108,8 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
         atoms = []
         dead = False
         for a in m.atoms:
-            if isinstance(a, Delta4):
-                ra = _resolve_inner(a.a, uf, inner_to_mom)
-                rb = _resolve_inner(a.b, uf, inner_to_mom)
+            if a.kind == "d4":
+                ra, rb = (_resolve_inner(x, uf, inner_to_mom) for x in a.args)
                 if ra == rb:
                     vreg += 1
                     twopi -= 4
@@ -118,8 +118,8 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
                     break
                 else:
                     raise UnresolvedInnerLabel(
-                        f"d4 over {a.a!r}, {a.b!r} does not collapse")
-            elif isinstance(a, Delta4Zero):
+                        f"d4 over {a.args[0]!r}, {a.args[1]!r} does not collapse")
+            elif a.kind == "d4(0)":
                 vreg += 1
                 twopi -= 4
             else:
@@ -136,8 +136,7 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
     return OperatorExpr.from_monomials(monos)
 
 
-def project_state(s: FockState, cfg: RegularizationConfig = RegularizationConfig(),
-                  masses: FieldMasses = FieldMasses()) -> FockState:
+def project_state(s: FockState, masses: FieldMasses = FieldMasses()) -> FockState:
     """Set every quantum's inner label to its on-shell inertial four-vector.
 
     The energy uses the mass of the quantum's own field. Idempotent: an

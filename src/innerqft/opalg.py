@@ -11,9 +11,10 @@ All arithmetic in this layer is exact; identity checks never see floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Union
 
 # ---------------------------------------------------------------------------
 # Exact complex-rational scalars
@@ -203,153 +204,149 @@ class LadderOperator:
 
 # ---------------------------------------------------------------------------
 # Coefficient atoms
+#
+# Every coefficient factor of the (anti)commutation relations is one Atom:
+# a kind, a tuple of arguments and an integer power. A kind's row in ATOMS
+# decides everything that depends on the kind:
+#   rank       position in the canonical order of a monomial's atoms;
+#   arg        what each argument is: a momentum label (MOM), an inner
+#              label (INNER), a discrete spin/polarization index (DISC), or
+#              nothing (NONE);
+#   arity      how many arguments the atom takes;
+#   symmetric  whether the two arguments are unordered (stored by key);
+#   merges     whether atoms with equal arguments multiply by adding powers
+#              (all other kinds take power 1 and repeat instead);
+#   sign       for a Kronecker/metric pair: the factor left by two equal
+#              bound indices (two distinct ones kill the monomial);
+#   collapse   for a delta over labels: the argument-free kind that two
+#              equal bound labels become (two distinct ones kill it);
+#   sifted     whether delta_resolve consumes the atom by unification;
+#   brackets, sep  how the arguments print after the kind's name.
+# The kind's name is its printed head, and the grammar parses atoms from
+# the same rows.
+
+MOM, INNER, DISC, NONE = "mom", "inner", "disc", "none"
 
 
 @dataclass(frozen=True)
-class OmegaPow:
-    """omega_k to an integer power, for a momentum label."""
-    mom: Label
-    power: int = 1
+class AtomSpec:
+    rank: int
+    arg: str = NONE
+    arity: int = 0
+    symmetric: bool = False
+    merges: bool = False
+    sign: Callable[[int], int] | None = None
+    collapse: str | None = None
+    sifted: bool = False
+    brackets: str = "()"
+    sep: str = ","
 
 
-@dataclass(frozen=True)
-class ERatioPow:
-    """(k0/m) to an integer power, for a momentum label."""
-    mom: Label
-    power: int = 1
-
-
-@dataclass(frozen=True)
-class Delta3:
-    """(2pi)-free spatial delta over two momentum labels, symmetric."""
-    a: Label
-    b: Label
-
-    def __post_init__(self):
-        if label_key(self.a) > label_key(self.b):
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-
-@dataclass(frozen=True)
-class Delta4:
-    """Inner-space delta over two inner labels, symmetric."""
-    a: Label
-    b: Label
-
-    def __post_init__(self):
-        if label_key(self.a) > label_key(self.b):
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-
-@dataclass(frozen=True)
-class Delta3Zero:
-    pass
-
-
-@dataclass(frozen=True)
-class Delta4Zero:
-    pass
-
-
-@dataclass(frozen=True)
-class SpinDelta:
-    """Kronecker delta over two spin labels, symmetric."""
-    a: Union[int, str]
-    b: Union[int, str]
-
-    def __post_init__(self):
-        if _disc_key(self.a) > _disc_key(self.b):
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-
-@dataclass(frozen=True)
-class Metric:
-    """eta^{gg'} factor; space=True for spacetime, False for inner indices."""
-    space: bool
-    a: Union[int, str]
-    b: Union[int, str]
-
-    def __post_init__(self):
-        if _disc_key(self.a) > _disc_key(self.b):
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-
-Atom = Union[OmegaPow, ERatioPow, Delta3, Delta4, Delta3Zero, Delta4Zero,
-             SpinDelta, Metric]
-
-_ATOM_RANK = {OmegaPow: 0, ERatioPow: 1, SpinDelta: 2, Metric: 3,
-              Delta3: 4, Delta4: 5, Delta3Zero: 6, Delta4Zero: 7}
+ATOMS = {
+    "w": AtomSpec(0, MOM, 1, merges=True),
+    "E/m": AtomSpec(1, MOM, 1, merges=True),
+    "kd": AtomSpec(2, DISC, 2, symmetric=True, sign=lambda idx: 1, sifted=True),
+    "eta": AtomSpec(3, DISC, 2, symmetric=True,
+                    sign=lambda idx: 1 if idx == 0 else -1, brackets="[]"),
+    # inner polarization indices run over 1..3 only
+    "ETA": AtomSpec(4, DISC, 2, symmetric=True, sign=lambda idx: -1,
+                    brackets="[]"),
+    "d3": AtomSpec(5, MOM, 2, symmetric=True, collapse="d3(0)", sifted=True,
+                   sep="-"),
+    "d4": AtomSpec(6, INNER, 2, symmetric=True, collapse="d4(0)", sifted=True,
+                   sep="-"),
+    "d3(0)": AtomSpec(7),
+    "d4(0)": AtomSpec(8),
+}
 
 
 def _disc_key(v):
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
 
 
-def atom_key(a: Atom):
-    r = _ATOM_RANK[type(a)]
-    if isinstance(a, (OmegaPow, ERatioPow)):
-        return (r, label_key(a.mom), a.power)
-    if isinstance(a, (Delta3, Delta4)):
-        return (r, label_key(a.a), label_key(a.b))
-    if isinstance(a, (SpinDelta,)):
-        return (r, _disc_key(a.a), _disc_key(a.b))
-    if isinstance(a, Metric):
-        return (r, not a.space, _disc_key(a.a), _disc_key(a.b))
-    return (r,)
+@dataclass(frozen=True, slots=True)
+class Atom:
+    """One coefficient factor; `key` is its place in the canonical order."""
+    kind: str
+    args: tuple = ()
+    power: int = 1
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        spec = ATOMS[self.kind]
+        if len(self.args) != spec.arity:
+            raise ValueError(f"{self.kind} takes {spec.arity} arguments")
+        arg_key = _disc_key if spec.arg == DISC else label_key
+        keys = [arg_key(x) for x in self.args]
+        if spec.symmetric and keys[0] > keys[1]:
+            object.__setattr__(self, "args", self.args[::-1])
+            keys.reverse()
+        object.__setattr__(self, "key", (spec.rank, *keys, self.power))
+
+    def substitute(self, mapping: Mapping[str, Label]) -> "Atom":
+        if ATOMS[self.kind].arg == DISC:
+            args = tuple(mapping.get(x, x) if isinstance(x, str) else x
+                         for x in self.args)
+        else:
+            args = tuple(substitute_label(x, mapping) for x in self.args)
+        return Atom(self.kind, args, self.power)
+
+    def __str__(self) -> str:
+        spec = ATOMS[self.kind]
+        s = self.kind
+        if self.args:
+            text = str if spec.arg == DISC else label_str
+            s += (spec.brackets[0] + spec.sep.join(text(x) for x in self.args)
+                  + spec.brackets[1])
+        return s if self.power == 1 else f"{s}^{self.power}"
 
 
-def _atom_substitute(a: Atom, mapping: Mapping[str, Label]) -> Atom:
-    if isinstance(a, OmegaPow):
-        return OmegaPow(substitute_label(a.mom, mapping), a.power)
-    if isinstance(a, ERatioPow):
-        return ERatioPow(substitute_label(a.mom, mapping), a.power)
-    if isinstance(a, Delta3):
-        return Delta3(substitute_label(a.a, mapping), substitute_label(a.b, mapping))
-    if isinstance(a, Delta4):
-        return Delta4(substitute_label(a.a, mapping), substitute_label(a.b, mapping))
-    if isinstance(a, SpinDelta):
-        sub = lambda v: mapping.get(v, v) if isinstance(v, str) else v
-        return SpinDelta(sub(a.a), sub(a.b))
-    if isinstance(a, Metric):
-        sub = lambda v: mapping.get(v, v) if isinstance(v, str) else v
-        return Metric(a.space, sub(a.a), sub(a.b))
-    return a
+_ATOM_KEY = attrgetter("key")
 
 
-def atom_str(a: Atom) -> str:
-    if isinstance(a, OmegaPow):
-        base = f"w({label_str(a.mom)})"
-        return base if a.power == 1 else f"{base}^{a.power}"
-    if isinstance(a, ERatioPow):
-        base = f"E/m({label_str(a.mom)})"
-        return base if a.power == 1 else f"{base}^{a.power}"
-    if isinstance(a, Delta3):
-        return f"d3({label_str(a.a)}-{label_str(a.b)})"
-    if isinstance(a, Delta4):
-        return f"d4({label_str(a.a)}-{label_str(a.b)})"
-    if isinstance(a, Delta3Zero):
-        return "d3(0)"
-    if isinstance(a, Delta4Zero):
-        return "d4(0)"
-    if isinstance(a, SpinDelta):
-        return f"kd({a.a},{a.b})"
-    if isinstance(a, Metric):
-        return f"eta[{a.a},{a.b}]" if a.space else f"ETA[{a.a},{a.b}]"
-    raise TypeError(a)  # pragma: no cover
+def OmegaPow(mom: Label, power: int = 1) -> Atom:
+    """omega_k to an integer power, for a momentum label."""
+    return Atom("w", (mom,), power)
 
 
-def _metric_sign(space: bool, idx: int) -> int:
-    if space:
-        return 1 if idx == 0 else -1
-    return -1  # inner indices run over 1..3 only
+def ERatioPow(mom: Label, power: int = 1) -> Atom:
+    """(k0/m) to an integer power, for a momentum label."""
+    return Atom("E/m", (mom,), power)
+
+
+def Delta3(a: Label, b: Label) -> Atom:
+    """(2pi)-free spatial delta over two momentum labels, symmetric."""
+    return Atom("d3", (a, b))
+
+
+def Delta4(a: Label, b: Label) -> Atom:
+    """Inner-space delta over two inner labels, symmetric."""
+    return Atom("d4", (a, b))
+
+
+def Delta3Zero() -> Atom:
+    return Atom("d3(0)")
+
+
+def Delta4Zero() -> Atom:
+    return Atom("d4(0)")
+
+
+def SpinDelta(a: Union[int, str], b: Union[int, str]) -> Atom:
+    """Kronecker delta over two spin labels, symmetric."""
+    return Atom("kd", (a, b))
+
+
+def Metric(space: bool, a: Union[int, str], b: Union[int, str]) -> Atom:
+    """eta^{gg'} factor; space=True for spacetime, False for inner indices."""
+    return Atom("eta" if space else "ETA", (a, b))
+
+
+def _bound_equal(spec: AtomSpec, a, b):
+    """Tri-state equality of a pair's arguments: True/False if decidable."""
+    if spec.arg == DISC:
+        return a == b if isinstance(a, int) and isinstance(b, int) else None
+    return _labels_bound_equal(a, b)
 
 
 def _labels_bound_equal(a: Label, b: Label):
@@ -380,7 +377,7 @@ class Monomial:
 
     def sort_key(self):
         return (tuple(op.sort_key() for op in self.ops),
-                tuple(atom_key(a) for a in self.atoms),
+                tuple(a.key for a in self.atoms),
                 self.lam, self.twopi, self.vreg)
 
     def structure_key(self):
@@ -395,7 +392,7 @@ class Monomial:
             parts.append(f"(2pi)^{self.twopi}")
         if self.vreg:
             parts.append("Vreg" if self.vreg == 1 else f"Vreg^{self.vreg}")
-        parts.extend(atom_str(a) for a in self.atoms)
+        parts.extend(str(a) for a in self.atoms)
         return "*".join(parts)
 
     def __str__(self) -> str:
@@ -416,45 +413,28 @@ def make_monomial(scalar, lam=0, twopi=0, vreg=0,
     if not scalar:
         return None
     kept: list[Atom] = []
-    omega: dict[Label, int] = {}
-    eratio: dict[Label, int] = {}
+    merged: dict = {}
     for a in atoms:
-        if isinstance(a, OmegaPow):
-            omega[a.mom] = omega.get(a.mom, 0) + a.power
-        elif isinstance(a, ERatioPow):
-            eratio[a.mom] = eratio.get(a.mom, 0) + a.power
-        elif isinstance(a, SpinDelta):
-            if isinstance(a.a, int) and isinstance(a.b, int):
-                if a.a != a.b:
-                    return None
-            else:
-                kept.append(a)
-        elif isinstance(a, Metric):
-            if isinstance(a.a, int) and isinstance(a.b, int):
-                if a.a != a.b:
-                    return None
-                scalar = scalar * CRat.of(_metric_sign(a.space, a.a))
-            else:
-                kept.append(a)
-        elif isinstance(a, (Delta3, Delta4)):
-            eq = _labels_bound_equal(a.a, a.b)
-            if eq is True:
-                kept.append(Delta3Zero() if isinstance(a, Delta3) else Delta4Zero())
-            elif eq is False:
+        spec = ATOMS[a.kind]
+        if spec.merges:
+            k = (a.kind, a.args)
+            prev = merged.get(k)
+            merged[k] = a if prev is None else Atom(a.kind, prev.args,
+                                                     prev.power + a.power)
+            continue
+        if spec.sign or spec.collapse:
+            eq = _bound_equal(spec, *a.args)
+            if eq is False:
                 return None
-            else:
-                kept.append(a)
-        else:
-            kept.append(a)
-    if not scalar:
-        return None
-    for mom, p in omega.items():
-        if p:
-            kept.append(OmegaPow(mom, p))
-    for mom, p in eratio.items():
-        if p:
-            kept.append(ERatioPow(mom, p))
-    kept.sort(key=atom_key)
+            if eq is True:
+                if spec.collapse:
+                    kept.append(Atom(spec.collapse))
+                elif spec.sign(a.args[0]) < 0:
+                    scalar = -scalar
+                continue
+        kept.append(a)
+    kept.extend(a for a in merged.values() if a.power)
+    kept.sort(key=_ATOM_KEY)
     return Monomial(scalar, lam, twopi, vreg, tuple(kept), tuple(ops))
 
 
@@ -536,7 +516,7 @@ class OperatorExpr:
         for m in self.terms:
             monos.append(make_monomial(
                 m.scalar, m.lam, m.twopi, m.vreg,
-                tuple(_atom_substitute(a, mapping) for a in m.atoms),
+                tuple(a.substitute(mapping) for a in m.atoms),
                 tuple(op.substitute(mapping) for op in m.ops)))
         return OperatorExpr.from_monomials(monos)
 
@@ -693,15 +673,14 @@ def delta_resolve(e: OperatorExpr, bindings: Mapping[str, Label] | None = None
             if cur.is_zero():
                 break
             (mm,) = cur.terms
-            delta = next((a for a in mm.atoms
-                          if isinstance(a, (Delta3, Delta4, SpinDelta))
-                          and (isinstance(a.a, str) or isinstance(a.b, str))),
-                         None)
+            delta = next((a for a in mm.atoms if ATOMS[a.kind].sifted
+                          and any(isinstance(x, str) for x in a.args)), None)
             if delta is None:
                 break
             rest = tuple(at for at in mm.atoms if at is not delta)
-            sym, val = ((delta.a, delta.b) if isinstance(delta.a, str)
-                        else (delta.b, delta.a))
+            sym, val = delta.args
+            if not isinstance(sym, str):
+                sym, val = val, sym
             base = OperatorExpr.from_monomials(
                 [make_monomial(mm.scalar, mm.lam, mm.twopi, mm.vreg, rest, mm.ops)])
             cur = base.substitute({sym: val}) if sym != val else base

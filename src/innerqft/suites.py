@@ -7,6 +7,7 @@ against cfg.tolerance.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
@@ -34,14 +35,23 @@ class RunConfig:
     fmt: str = "text"
 
     def __post_init__(self):
-        for name in ("tolerance", "i_epsilon", "lam", "v_reg"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("tolerance", "i_epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.fmt not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
+        # the regularization and LSZ types check their own fields
+        self.reg()
+        self.recipe()
 
     def reg(self) -> RegularizationConfig:
         return RegularizationConfig(self.lam, self.v_reg)
+
+    def recipe(self) -> smatrix.LSZRecipe:
+        return smatrix.LSZRecipe(self.z, self.z2, self.z3)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -383,11 +393,11 @@ def suite_gravlimit(cfg: RunConfig) -> list[Case]:
     ]
     op = opalg.LadderOperator(opalg.SCALAR, True, (2, 2, 0), (9, 0, 0, 0))
     state = FockState.ket(op)
-    once = gravlimit.project_state(state, reg)
-    twice = gravlimit.project_state(once, reg)
+    once = gravlimit.project_state(state)
+    twice = gravlimit.project_state(once)
     cases.append(_exact("gravlimit.projection_idempotent", twice.expr, once.expr))
     cases.append(_exact("gravlimit.vacuum_projects_to_vacuum",
-                        gravlimit.project_state(FockState.vacuum(), reg).expr,
+                        gravlimit.project_state(FockState.vacuum()).expr,
                         FockState.vacuum().expr))
     ((_, inner),) = [(m, m.ops[0].inner) for m in once.expr.terms]
     cases.append(Case("gravlimit.projection_on_shell",
@@ -433,7 +443,7 @@ def suite_propagators(cfg: RunConfig) -> list[Case]:
 def suite_lsz(cfg: RunConfig) -> list[Case]:
     reg = cfg.reg()
     masses = FieldMasses()
-    recipe = smatrix.LSZRecipe(cfg.z, cfg.z2, cfg.z3, masses)
+    recipe = cfg.recipe()
     p = (1.0, 2.0, 2.0)
     legs2 = (smatrix.Leg("in", opalg.SCALAR, p), smatrix.Leg("out", opalg.SCALAR, p))
     amp2 = smatrix.lsz_reduce(smatrix.GreenFunction(legs2), recipe, reg)

@@ -59,6 +59,18 @@ def test_usage_errors(tmp_path):
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "bad number" in proc.stderr
+    # out-of-range values are usage errors too, not tracebacks or failures
+    inf_cfg = tmp_path / "inf.cfg"
+    inf_cfg.write_text("lambda = inf\n")
+    nan_cfg = tmp_path / "nan.cfg"
+    nan_cfg.write_text("v_reg = nan\n")
+    for args in (("verify", "--suite", "unitarity", "--seed", "-1"),
+                 ("verify", "--suite", "gravlimit", "--config", str(inf_cfg)),
+                 ("verify", "--suite", "gravlimit", "--config", str(nan_cfg)),
+                 ("verify", "--suite", "kinematics", "--tol", "nan")):
+        proc = run(*args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 def test_json_schema(capsys):

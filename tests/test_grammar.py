@@ -70,9 +70,10 @@ def test_parse_remaining_atoms():
     e = parse_expression("E/m(k)*kd(s,t)*eta[g,g2]*ETA[G,G2]*Vreg^2*d3(0)*d4(0)")
     ((m,),) = [e.terms]
     assert m.vreg == 2
-    kinds = {type(a) for a in m.atoms}
-    assert {opalg.ERatioPow, opalg.SpinDelta, opalg.Metric,
-            opalg.Delta3Zero, opalg.Delta4Zero} <= kinds
+    assert m.atoms == (opalg.ERatioPow("k"), opalg.SpinDelta("s", "t"),
+                       opalg.Metric(True, "g", "g2"),
+                       opalg.Metric(False, "G", "G2"),
+                       opalg.Delta3Zero(), opalg.Delta4Zero())
 
 
 def test_parse_ket():
@@ -125,3 +126,40 @@ def test_round_trip_reduced_products(r):
         expr = expr * OperatorExpr.from_op(random_ladder(r))
     reduced = opalg.reduce_to_normal_form(expr)
     assert parse_expression(print_expression(reduced)) == reduced
+
+
+# coefficient atoms of every kind, over symbolic and exact bound arguments
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_moms = st.one_of(st.sampled_from(["k", "h", "q"]),
+                  st.tuples(_fractions, _fractions, _fractions))
+_ARG_STRATEGIES = {
+    opalg.MOM: _moms,
+    opalg.INNER: st.one_of(st.sampled_from(["K", "H"]),
+                           st.tuples(_fractions, _fractions, _fractions,
+                                     _fractions),
+                           st.builds(opalg.OnShell, _moms)),
+    opalg.DISC: st.one_of(st.integers(0, 3), st.sampled_from(["s", "t", "g2"])),
+}
+
+
+@st.composite
+def _atoms(draw):
+    kind = draw(st.sampled_from(sorted(opalg.ATOMS)))
+    spec = opalg.ATOMS[kind]
+    args = tuple(draw(_ARG_STRATEGIES[spec.arg]) for _ in range(spec.arity))
+    power = draw(st.integers(-3, 3)) if spec.merges else 1
+    return opalg.Atom(kind, args, power)
+
+
+_monomials = st.builds(
+    lambda re, im, atoms: opalg.make_monomial(CRat(re, im) or opalg.ONE,
+                                              atoms=atoms),
+    _fractions, _fractions, st.lists(_atoms(), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_monomials, min_size=1, max_size=3))
+def test_round_trip_atoms(monos):
+    expr = OperatorExpr.from_monomials(monos)
+    text = print_expression(expr)
+    assert parse_expression(text) == expr, text

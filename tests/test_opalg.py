@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -307,14 +308,16 @@ def test_delta_resolve_substitutes_symbols():
                                        Fraction(0))})
     ((m,),) = [resolved.terms]
     # the deltas are consumed: k and K are unified with the bound values
-    assert not any(isinstance(a, (Delta3, Delta4)) for a in m.atoms)
-    atom_moms = [a.mom for a in m.atoms if isinstance(a, OmegaPow)]
+    assert not any(a.kind in ("d3", "d4") for a in m.atoms)
+    atom_moms = [a.args[0] for a in m.atoms if a.kind == "w"]
     assert atom_moms == [(Fraction(1), Fraction(2), Fraction(2))]
 
 
 def test_delta_resolve_conflicting_deltas_kill_monomial():
     m = make_monomial(1, atoms=(Delta3("k", (Fraction(1), Fraction(0), Fraction(0))),
                                 Delta3("k", (Fraction(2), Fraction(0), Fraction(0)))))
+    assert delta_resolve(expr_of(m)).is_zero()
+    m = make_monomial(1, atoms=(SpinDelta("s", 1), SpinDelta("s", 2)))
     assert delta_resolve(expr_of(m)).is_zero()
 
 
@@ -328,6 +331,24 @@ def test_delta_symmetry_canonicalizes():
     assert Delta3("k", "h") == Delta3("h", "k")
     assert Delta4("K", "H") == Delta4("H", "K")
     assert SpinDelta(2, 1) == SpinDelta(1, 2)
+    assert Metric(True, "g", 0) == Metric(True, 0, "g")
+    assert Metric(False, "G2", "G") == Metric(False, "G", "G2")
+
+
+def test_atoms_print_in_canonical_order():
+    # all nine kinds, w twice; kinds order as
+    # w < E/m < kd < eta < ETA < d3 < d4 < d3(0) < d4(0), and within a kind
+    # symbols < on-shell labels < bound labels, integers < symbols
+    atoms = [opalg.Delta4Zero(), Metric(False, "G2", "G"), OmegaPow((1, 2, 3)),
+             SpinDelta("t", 1), Delta3((1, 0, 0), "k"), ERatioPow("q", -1),
+             Metric(True, "g", 0), opalg.Delta3Zero(),
+             Delta4(opalg.OnShell("k"), "K"), OmegaPow("k", 2)]
+    want = ("1*w(k)^2*w([1,2,3])*E/m(q)^-1*kd(1,t)*eta[0,g]*ETA[G,G2]"
+            "*d3(k-[1,0,0])*d4(K-~k)*d3(0)*d4(0)")
+    rng = random.Random(5)
+    for _ in range(20):
+        rng.shuffle(atoms)
+        assert str(make_monomial(1, atoms=atoms)) == want
 
 
 def test_monomial_merge_cancels():
