@@ -8,11 +8,10 @@ drops every monomial that still contains an annihilator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import opalg
 from .kinematics import FourVector, cone_classify, ConeClass, on_shell_energy
-from .opalg import (GAUGE, LadderOperator, Monomial, OperatorExpr,
+from .opalg import (GAUGE, LadderOperator, Monomial, OnShell, OperatorExpr,
                     reduce_to_normal_form, vev)
 
 
@@ -136,7 +135,10 @@ def momentum_action(which: str, s: FockState,
     """Per-ket eigenvalues of the inertial (p) or inner (P) momentum.
 
     Returns [(monomial, eigenvalue 4-tuple), ...]; gauge quanta contribute
-    with their eta^{gg} eta^{GG} weight. Labels must be bound.
+    with their eta^{gg} eta^{GG} weight. Labels must be bound. A quantum's p
+    is the on-shell four-vector ~k of its momentum, so the p action of a ket
+    is the P action of its barred ket (gravlimit.project_state); an on-shell
+    inner label ~k takes its energy from the mass of the quantum's field.
     """
     if which not in ("p", "P"):
         raise ValueError("which must be 'p' or 'P'")
@@ -145,16 +147,11 @@ def momentum_action(which: str, s: FockState,
         total = [0, 0, 0, 0]
         for op in m.ops:
             w = _quantum_weight(op)
-            if which == "p":
-                if not isinstance(op.mom, tuple):
-                    raise ValueError("eigenvalues need bound momentum labels")
-                energy = on_shell_energy(op.mom, masses.of(op.field))
-                vec = (energy,) + tuple(Fraction(c) if isinstance(c, (int, Fraction))
-                                        else float(c) for c in op.mom)
-            else:
-                if not isinstance(op.inner, tuple):
-                    raise ValueError("eigenvalues need bound inner labels")
-                vec = op.inner
+            vec = OnShell(op.mom) if which == "p" else op.inner
+            if isinstance(vec, OnShell) and isinstance(vec.mom, tuple):
+                vec = (on_shell_energy(vec.mom, masses.of(op.field)),) + vec.mom
+            if not isinstance(vec, tuple):
+                raise ValueError("eigenvalues need bound labels")
             for i in range(4):
                 total[i] = total[i] + w * vec[i]
         out.append((m, tuple(total)))

@@ -103,18 +103,15 @@ class _Parser:
     # -- grammar rules ------------------------------------------------------
 
     def parse_expr(self) -> OperatorExpr:
-        negate = False
-        if self.peek()[:2] == ("sym", "-"):
-            self.next()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
-        while self.peek()[1] in ("+", "-") and self.peek()[0] == "sym":
-            op = self.next()[1]
+        # the terms are merged once at the end, so a sum parses in linear time
+        monos = []
+        op = self.next()[1] if self.peek()[:2] == ("sym", "-") else "+"
+        while True:
             term = self.parse_term()
-            result = result + (-term if op == "-" else term)
-        return result
+            monos.extend((-term if op == "-" else term).terms)
+            if self.peek()[0] != "sym" or self.peek()[1] not in ("+", "-"):
+                return OperatorExpr.from_monomials(monos)
+            op = self.next()[1]
 
     def _starts_factor(self) -> bool:
         kind, text, _ = self.peek()

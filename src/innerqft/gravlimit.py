@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import opalg
-from .fock import FieldMasses, FockState
-from .kinematics import on_shell_energy
+from .fock import FockState
 from .opalg import CRat, Label, OnShell, OperatorExpr, make_monomial
 
 
@@ -76,7 +75,7 @@ def _resolve_inner(label: Label, uf: _UnionFind, inner_to_mom: dict):
     if isinstance(label, OnShell):
         return ("onshell", uf.find(label.mom))
     if isinstance(label, tuple):
-        return ("bound", tuple(float(c) for c in label))
+        return ("bound", label)
     if label in inner_to_mom:
         return ("onshell", uf.find(inner_to_mom[label]))
     raise UnresolvedInnerLabel(f"inner label {label!r} is not tied to any momentum")
@@ -86,9 +85,9 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
                     ) -> OperatorExpr:
     """Collapse inner momenta onto inertial ones monomial by monomial.
 
-    Every operator's inner label becomes OnShell(its momentum label); every
-    d4 atom whose two arguments collapse to the same value becomes
-    Vreg/(2pi)^4; remaining Vreg powers reduce via cfg.ratio.
+    Every d4 atom whose two arguments collapse to the same value becomes
+    Vreg/(2pi)^4; remaining Vreg powers reduce via cfg.ratio; the result is
+    barred, so every operator's inner label becomes OnShell(its momentum).
     """
     monos = []
     for m in e.terms:
@@ -97,13 +96,9 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
             if a.kind == "d3":
                 uf.union(*a.args)
         inner_to_mom: dict = {}
-        ops = []
         for op in m.ops:
-            if isinstance(op.inner, (str,)):
+            if isinstance(op.inner, str):
                 inner_to_mom.setdefault(op.inner, op.mom)
-            ops.append(opalg.LadderOperator(op.field, op.dagger, op.mom,
-                                            OnShell(op.mom), op.spin, op.pol,
-                                            op.ipol))
         scalar, lam, twopi, vreg = m.scalar, m.lam, m.twopi, m.vreg
         atoms = []
         dead = False
@@ -132,26 +127,17 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
             lam += 4 * vreg
             vreg = 0
         monos.append(make_monomial(scalar, lam, twopi, vreg, tuple(atoms),
-                                   tuple(ops)))
-    return OperatorExpr.from_monomials(monos)
+                                   m.ops))
+    return barred(OperatorExpr.from_monomials(monos))
 
 
-def project_state(s: FockState, masses: FieldMasses = FieldMasses()) -> FockState:
+def project_state(s: FockState) -> FockState:
     """Set every quantum's inner label to its on-shell inertial four-vector.
 
-    The energy uses the mass of the quantum's own field. Idempotent: an
-    already-projected state maps to itself.
+    This is `barred` on a state with bound momenta: each inner label becomes
+    ~k, whose energy uses the mass of the quantum's own field wherever it is
+    evaluated (fock.momentum_action). Idempotent.
     """
-    monos = []
-    for m in s.expr.terms:
-        ops = []
-        for op in m.ops:
-            if not isinstance(op.mom, tuple):
-                raise ValueError("projection needs bound momentum labels")
-            energy = on_shell_energy(op.mom, masses.of(op.field))
-            inner = (energy,) + tuple(op.mom)
-            ops.append(opalg.LadderOperator(op.field, op.dagger, op.mom, inner,
-                                            op.spin, op.pol, op.ipol))
-        monos.append(make_monomial(m.scalar, m.lam, m.twopi, m.vreg, m.atoms,
-                                   tuple(ops)))
-    return FockState(OperatorExpr.from_monomials(monos))
+    if any(not isinstance(op.mom, tuple) for m in s.expr.terms for op in m.ops):
+        raise ValueError("projection needs bound momentum labels")
+    return FockState(barred(s.expr))

@@ -68,10 +68,13 @@ I = CRat(Fraction(0), Fraction(1))
 # ---------------------------------------------------------------------------
 # Labels
 #
-# A momentum label is a symbol (str) or a bound 3-tuple of Fractions/floats.
+# A momentum label is a symbol (str) or a bound 3-tuple of numbers.
 # An inner label is a symbol, a bound 4-tuple, or OnShell(mom): the barred
 # operators of the gravitational limit carry OnShell inner labels, meaning
-# "the on-shell four-vector of this operator's own momentum".
+# "the on-shell four-vector of this operator's own momentum"; its energy is
+# evaluated only where a number is needed (fock.momentum_action). Bound
+# components compare by exact value (int, Fraction and float alike), so two
+# bound labels are equal exactly when their tuples are.
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def label_key(l: Label):
         return (0, l)
     if isinstance(l, OnShell):
         return (1,) + label_key(l.mom)
-    return (2, tuple(float(c) for c in l))
+    return (2, l)
 
 
 def label_str(l: Label) -> str:
@@ -350,15 +353,16 @@ def _bound_equal(spec: AtomSpec, a, b):
 
 
 def _labels_bound_equal(a: Label, b: Label):
-    """Tri-state equality for delta arguments: True/False if decidable."""
+    """Tri-state equality for delta arguments: True/False if decidable.
+
+    Two on-shell labels are equal exactly when their momenta are.
+    """
+    if isinstance(a, OnShell) and isinstance(b, OnShell):
+        a, b = a.mom, b.mom
     if a == b:
         return True
-    ab = isinstance(a, tuple)
-    bb = isinstance(b, tuple)
-    if ab and bb:
-        return all(float(x) == float(y) for x, y in zip(a, b))
-    if isinstance(a, OnShell) and isinstance(b, OnShell):
-        return None if a.mom != b.mom else True
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return False
     return None
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import opalg
-from .fock import FieldMasses, FockState
+from .fock import FieldMasses
 from .gravlimit import RegularizationConfig, grav_limit_expr
 from .kinematics import (DEFAULT_TOL, ETA, FourVector, MassShellMomentum,
                          build_spacetime_polarizations, build_inner_polarizations,

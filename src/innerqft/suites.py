@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 import numpy as np
 
-from . import fock, grammar, gravlimit, kinematics, opalg, smatrix
+from . import fock, gravlimit, kinematics, opalg, smatrix
 from .fock import FieldMasses, FockState
 from .gravlimit import RegularizationConfig, barred, grav_limit_expr
 from .kinematics import FourVector, MassShellMomentum
@@ -399,11 +399,14 @@ def suite_gravlimit(cfg: RunConfig) -> list[Case]:
     cases.append(_exact("gravlimit.vacuum_projects_to_vacuum",
                         gravlimit.project_state(FockState.vacuum()).expr,
                         FockState.vacuum().expr))
-    ((_, inner),) = [(m, m.ops[0].inner) for m in once.expr.terms]
+    # the symbolic label ~k, and its P eigenvalue evaluated at unit mass
+    ((m, P),) = fock.momentum_action("P", once)
+    inner = m.ops[0].inner
     cases.append(Case("gravlimit.projection_on_shell",
-                      inner == (3.0, 2, 2, 0),
+                      inner == opalg.OnShell((2, 2, 0)) and P == (3.0, 2, 2, 0),
                       "inner label collapses to (omega_k, k) at unit mass",
-                      str(inner), "(3.0, 2, 2, 0)"))
+                      f"{opalg.label_str(inner)} P={P}",
+                      "~[2,2,0] P=(3.0, 2, 2, 0)"))
     return sorted(cases, key=lambda c: c.name)
 
 

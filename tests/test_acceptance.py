@@ -189,7 +189,8 @@ def test_06_on_shell_reduction():
     op = opalg.LadderOperator(opalg.SCALAR, True, (2, 2, 0), (9, 0, 0, 0))
     once = gravlimit.project_state(FockState.ket(op))
     ok &= gravlimit.project_state(once).expr == once.expr
-    ok &= once.expr.terms[0].ops[0].inner == (3.0, 2, 2, 0)
+    ok &= once.expr.terms[0].ops[0].inner == opalg.OnShell((2, 2, 0))
+    ok &= fock.momentum_action("P", once)[0][1] == (3.0, 2, 2, 0)
     report(6, "on-shell reduction limit", ok)
 
 

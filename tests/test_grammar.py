@@ -163,3 +163,26 @@ def test_round_trip_atoms(monos):
     expr = OperatorExpr.from_monomials(monos)
     text = print_expression(expr)
     assert parse_expression(text) == expr, text
+
+
+def test_parse_merges_a_sum_once(monkeypatch):
+    """Parsing an N-term sum feeds O(N) monomials to from_monomials."""
+    real = OperatorExpr.from_monomials.__func__
+    fed = [0]
+
+    def counting(cls, monos):
+        monos = list(monos)
+        fed[0] += len(monos)
+        return real(cls, monos)
+
+    monkeypatch.setattr(OperatorExpr, "from_monomials", classmethod(counting))
+
+    def fed_for(n):
+        text = " - ".join(f"{i}*w(k{i})*a'(k{i};K{i})" for i in range(1, n + 1))
+        fed[0] = 0
+        assert len(parse_expression(text).terms) == n
+        return fed[0]
+
+    # equal steps in N add equal numbers of monomials
+    counts = [fed_for(n) for n in (100, 200, 300)]
+    assert counts[2] - counts[1] == counts[1] - counts[0] <= 10 * 100

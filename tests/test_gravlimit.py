@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from innerqft import gravlimit, opalg
+from innerqft import fock, gravlimit, opalg
 from innerqft.fock import FieldMasses, FockState
 from innerqft.gravlimit import (RegularizationConfig, barred, grav_limit_expr,
                                 project_state)
@@ -84,10 +84,11 @@ def test_unresolved_inner_label_raises():
 
 def test_projection_sets_on_shell_inner():
     op = opalg.LadderOperator(opalg.SCALAR, True, (2, 2, 0), (9, 1, 1, 1))
-    projected = project_state(FockState.ket(op),
-                              masses=FieldMasses(scalar=1.0))
+    projected = project_state(FockState.ket(op))
     ((m,),) = [projected.expr.terms]
-    assert m.ops[0].inner == (3.0, 2, 2, 0)
+    assert m.ops[0].inner == OnShell((2, 2, 0))
+    ((_, P),) = fock.momentum_action("P", projected, FieldMasses(scalar=1.0))
+    assert P == (3.0, 2, 2, 0)
 
 
 def test_projection_idempotent():

@@ -1,0 +1,45 @@
+"""The benchmark workloads run through the CLI and pass the benchmark's own
+output checks, so a change to printed output that would make benchmark
+operations fail shows up in the test suite.
+
+`perfbench/workloads.py` and `perfbench/checks.py` are imported by path and
+only read.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from innerqft import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["verify-all", "vev-ladder", "lsz-legs"])
+def test_workload_outputs_pass_checks(name, tmp_path, monkeypatch):
+    workloads = _load("workloads", monkeypatch)
+    checks = _load("checks", monkeypatch)
+    wl = workloads.generate(name, 0, tmp_path, smoke=True)
+    checker = checks.Checker(wl)
+    assert wl.invocations
+    for i, inv in enumerate(wl.invocations):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(inv.argv))
+        checker.check(i, code, out.getvalue().encode())
+    assert not checker.failures
