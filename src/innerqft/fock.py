@@ -7,10 +7,10 @@ drops every monomial that still contains an annihilator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import opalg
-from .kinematics import FourVector, cone_classify, ConeClass, on_shell_energy
 from .opalg import (GAUGE, LadderOperator, Monomial, OnShell, OperatorExpr,
                     reduce_to_normal_form, vev)
 
@@ -20,10 +20,13 @@ class SupportError(ValueError):
 
 
 def _check_support(op: LadderOperator) -> None:
+    """Bound inner labels must satisfy t >= 0 and t^2 >= |K|^2, decided
+    exactly in integers: the components times a common denominator."""
     if isinstance(op.inner, tuple):
-        K = FourVector.of(op.inner)
-        if cone_classify(K) not in (ConeClass.TIMELIKE_PLUS,
-                                    ConeClass.LIGHTLIKE_PLUS):
+        ratios = [c.as_integer_ratio() for c in op.inner]
+        den = math.prod(d for _, d in ratios)
+        t, x, y, z = (n * (den // d) for n, d in ratios)
+        if t < 0 or t * t < x * x + y * y + z * z:
             raise SupportError(f"inner momentum {op.inner} lies outside "
                                "the closed forward cone")
 
@@ -138,10 +141,12 @@ def momentum_action(which: str, s: FockState,
     with their eta^{gg} eta^{GG} weight. Labels must be bound. A quantum's p
     is the on-shell four-vector ~k of its momentum, so the p action of a ket
     is the P action of its barred ket (gravlimit.project_state); an on-shell
-    inner label ~k takes its energy from the mass of the quantum's field.
+    inner label ~k takes its energy from the mass of the quantum's field; an
+    energy beyond float range raises ValueError.
     """
     if which not in ("p", "P"):
         raise ValueError("which must be 'p' or 'P'")
+    from .kinematics import on_shell_energy
     out = []
     for m in s.expr.terms:
         total = [0, 0, 0, 0]
@@ -149,7 +154,14 @@ def momentum_action(which: str, s: FockState,
             w = _quantum_weight(op)
             vec = OnShell(op.mom) if which == "p" else op.inner
             if isinstance(vec, OnShell) and isinstance(vec.mom, tuple):
-                vec = (on_shell_energy(vec.mom, masses.of(op.field)),) + vec.mom
+                try:
+                    energy = on_shell_energy(vec.mom, masses.of(op.field))
+                except OverflowError:
+                    energy = math.inf
+                if not math.isfinite(energy):
+                    raise ValueError(f"on-shell energy of {opalg.label_str(vec)} "
+                                     "is beyond float range")
+                vec = (energy,) + vec.mom
             if not isinstance(vec, tuple):
                 raise ValueError("eigenvalues need bound labels")
             for i in range(4):

@@ -7,54 +7,19 @@ against cfg.tolerance.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import fock, gravlimit, kinematics, opalg, smatrix
+from . import fock, gravlimit, kinematics, numeric, opalg, smatrix
+from .config import RunConfig
 from .fock import FieldMasses, FockState
 from .gravlimit import RegularizationConfig, barred, grav_limit_expr
 from .kinematics import FourVector, MassShellMomentum
 from .opalg import (Delta3, Delta4, ERatioPow, Metric, OmegaPow, OperatorExpr,
                     SpinDelta, anticommutator, commutator, make_monomial, vev)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = 1e-12
-    i_epsilon: float = 1e-8
-    seed: int = 0
-    lam: float = 1.0
-    v_reg: float = 1.0
-    z: float = 1.0
-    z2: float = 1.0
-    z3: float = 1.0
-    fmt: str = "text"
-
-    def __post_init__(self):
-        for name in ("tolerance", "i_epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.fmt not in ("text", "json"):
-            raise ValueError("format must be 'text' or 'json'")
-        # the regularization and LSZ types check their own fields
-        self.reg()
-        self.recipe()
-
-    def reg(self) -> RegularizationConfig:
-        return RegularizationConfig(self.lam, self.v_reg)
-
-    def recipe(self) -> smatrix.LSZRecipe:
-        return smatrix.LSZRecipe(self.z, self.z2, self.z3)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -72,8 +37,24 @@ class Case:
 
 
 def _exact(name: str, got: OperatorExpr, want: OperatorExpr) -> Case:
-    return Case(name, got == want, "exact term equality",
+    ok = got == want
+    return Case(name, ok, "exact term equality" if ok else _term_diff(got, want),
                 str(got), str(want), None)
+
+
+def _term_diff(got: OperatorExpr, want: OperatorExpr) -> str:
+    """The monomials `got` lacks, those it has in excess, and those whose
+    coefficient differs (with the wanted one), matched by structure."""
+    have = {m.structure_key(): m for m in got.terms}
+    need = {m.structure_key(): m for m in want.terms}
+    sections = (
+        ("missing", [str(m) for k, m in need.items() if k not in have]),
+        ("extra", [str(m) for k, m in have.items() if k not in need]),
+        ("wrong coefficient", [f"{have[k]} (want {m.scalar})"
+                               for k, m in need.items()
+                               if k in have and have[k].scalar != m.scalar]))
+    return "; ".join(f"{label}: {', '.join(items)}"
+                     for label, items in sections if items)
 
 
 def _numeric(name: str, value: float, tol: float, detail: str = "") -> Case:
@@ -414,14 +395,14 @@ def suite_propagators(cfg: RunConfig) -> list[Case]:
     tol = cfg.tolerance
     cases = []
     for kind in ("scalar", "dirac", "gauge"):
-        check = smatrix.wick_two_point(kind, tol=tol)
+        check = numeric.wick_two_point(kind, tol=tol)
         cases.append(Case(f"propagators.wick_{kind}", check.passed,
                           check.mismatch() or "structure and numerators match",
                           str(check.residue), str(check.residue_expected),
                           tol))
-    spec = smatrix.PropagatorSpec("scalar", 1.0, cfg.i_epsilon)
+    spec = numeric.PropagatorSpec("scalar", 1.0, cfg.i_epsilon)
     k = FourVector(2.0, 0.0, 0.0, 0.0)
-    val = smatrix.propagator_eval(spec, k)
+    val = numeric.propagator_eval(spec, k)
     cases.append(_numeric("propagators.scalar_kernel_value",
                           abs(val - 1 / (3 + 1j * cfg.i_epsilon)), 1e-15,
                           "1/(k^2 - m^2 + ie) at k=(2,0,0,0), m=1"))
@@ -429,7 +410,7 @@ def suite_propagators(cfg: RunConfig) -> list[Case]:
     worst = 0.0
     for _ in range(100):
         K = _random_timelike(rng)
-        proj = smatrix.inner_transversal_projector(K)
+        proj = numeric.inner_transversal_projector(K)
         worst = max(worst, float(np.max(np.abs(K.as_array() @ proj))))
     cases.append(_numeric("propagators.gauge_inner_transversality", worst, tol))
     worst = 0.0
@@ -478,7 +459,7 @@ def suite_lsz(cfg: RunConfig) -> list[Case]:
     return sorted(cases, key=lambda c: c.name)
 
 
-def random_toy_instance(rng: np.random.Generator, dim: int) -> smatrix.ToySMatrix:
+def random_toy_instance(rng: np.random.Generator, dim: int) -> numeric.ToySMatrix:
     """Block-diagonal unitary commuting with a diagonal projector."""
     phys = int(rng.integers(1, dim))
     diag = np.zeros(dim)
@@ -494,7 +475,7 @@ def random_toy_instance(rng: np.random.Generator, dim: int) -> smatrix.ToySMatri
     s[:phys, :phys] = haar(phys)
     if dim - phys:
         s[phys:, phys:] = haar(dim - phys)
-    return smatrix.ToySMatrix(s, p)
+    return numeric.ToySMatrix(s, p)
 
 
 def suite_unitarity(cfg: RunConfig) -> list[Case]:
@@ -506,7 +487,7 @@ def suite_unitarity(cfg: RunConfig) -> list[Case]:
         ok = True
         for _ in range(100):
             t = random_toy_instance(rng, dim)
-            rep = smatrix.toy_unitarity_check(t, tol)
+            rep = numeric.toy_unitarity_check(t, tol)
             if not rep.passed:
                 ok = False
             if rep.conclusion_norm is not None:
@@ -514,35 +495,35 @@ def suite_unitarity(cfg: RunConfig) -> list[Case]:
         cases.append(Case(f"unitarity.projected_dim{dim:02d}", ok,
                           "100 random admissible instances",
                           f"{worst:.3e}", f"<= {tol:.3e}", tol))
-    ident = smatrix.ToySMatrix(np.eye(4, dtype=complex),
+    ident = numeric.ToySMatrix(np.eye(4, dtype=complex),
                                np.diag([1.0, 1.0, 0.0, 0.0]),
                                vacuum_index=0, one_particle_indices=(1,))
     cases.append(Case("unitarity.identity_smatrix",
-                      smatrix.toy_unitarity_check(ident, tol).passed, ""))
+                      numeric.toy_unitarity_check(ident, tol).passed, ""))
     cases.append(Case("unitarity.vacuum_one_particle_identity",
-                      smatrix.vacuum_and_one_particle_checks(ident, tol).passed,
+                      numeric.vacuum_and_one_particle_checks(ident, tol).passed,
                       ""))
     # S unitary but SP != PS: precondition reported, conclusion not claimed
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    bad = smatrix.ToySMatrix(had, np.diag([1.0, 0.0]))
-    rep = smatrix.toy_unitarity_check(bad, tol)
+    bad = numeric.ToySMatrix(had, np.diag([1.0, 0.0]))
+    rep = numeric.toy_unitarity_check(bad, tol)
     cases.append(Case("unitarity.noncommuting_precondition_reported",
                       bool(rep.precondition_failures)
                       and rep.conclusion_norm is None,
                       "; ".join(rep.precondition_failures)))
-    phase = smatrix.ToySMatrix(np.diag([np.exp(0.3j), 1.0, 1.0, 1.0]),
+    phase = numeric.ToySMatrix(np.diag([np.exp(0.3j), 1.0, 1.0, 1.0]),
                                np.eye(4), vacuum_index=0,
                                one_particle_indices=(1, 2))
     cases.append(Case("unitarity.vacuum_phase_reported",
-                      not smatrix.vacuum_and_one_particle_checks(phase, tol).passed,
+                      not numeric.vacuum_and_one_particle_checks(phase, tol).passed,
                       "nontrivial vacuum phase flagged"))
     mixing = np.eye(4, dtype=complex)
     mixing[1, 1] = mixing[3, 3] = 0
     mixing[1, 3] = mixing[3, 1] = 1
-    mix = smatrix.ToySMatrix(mixing, np.eye(4), vacuum_index=0,
+    mix = numeric.ToySMatrix(mixing, np.eye(4), vacuum_index=0,
                              one_particle_indices=(1,))
     cases.append(Case("unitarity.sector_mixing_reported",
-                      not smatrix.vacuum_and_one_particle_checks(mix, tol).passed,
+                      not numeric.vacuum_and_one_particle_checks(mix, tol).passed,
                       "one-particle/two-particle mixing flagged"))
     return sorted(cases, key=lambda c: c.name)
 

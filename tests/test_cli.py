@@ -1,16 +1,27 @@
+import argparse
+import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from innerqft.cli import main
+import innerqft
+from innerqft import suites
+from innerqft.cli import build_parser, main
 
+ROOT = Path(__file__).resolve().parent.parent
 CMD = [sys.executable, "-m", "innerqft.cli"]
+# children find the package in src/ whether or not PYTHONPATH names it
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run(*args, **kw):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, **kw)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+                          env=ENV, **kw)
 
 
 def test_verify_pass_exit_code():
@@ -196,3 +207,81 @@ def test_console_entry_point():
     proc = run("verify", "--suite", "ccr")
     assert proc.returncode == 0
     assert "passed" in proc.stdout
+
+
+# Which steps leave numpy loaded, in one fresh interpreter: the exact
+# commands and the benchmark's output checks must not import it.
+NUMPY_STEPS = r"""
+import contextlib, importlib.util, io, json, sys
+steps = []
+
+def step(name):
+    steps.append([name, "numpy" in sys.modules])
+
+import innerqft.cli
+step("import innerqft.cli")
+spec = importlib.util.spec_from_file_location("perfbench_checks", sys.argv[1])
+checks = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = checks
+spec.loader.exec_module(checks)
+step("import perfbench/checks.py")
+for argv in (["vev", "T a(k;K) a'(h;H) b(q,s=1;Q) b'(p,s=2;P)"],
+             ["commutator", "a(k;K)", "a'(h;H)"],
+             ["reduce", sys.argv[2], "--legs", sys.argv[3], "--format", "json"],
+             ["verify", "--suite", "ccr"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert innerqft.cli.main(argv) == 0, argv
+    step(argv[0])
+print(json.dumps(steps))
+"""
+
+
+def test_only_verify_imports_numpy(tmp_path):
+    legs = tmp_path / "legs.txt"
+    legs.write_text("in dirac p=1,2,2 s=1\nin gauge p=0,1,0 g=1 G=2\n"
+                    "out dirac p=1,2,2 s=1\nout gauge p=0,1,0 g=1 G=2\n")
+    greens = tmp_path / "greens.txt"
+    greens.write_text("vertex 2.0 0.5\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_STEPS, str(ROOT / "perfbench" / "checks.py"),
+         str(greens), str(legs)], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import innerqft.cli", False], ["import perfbench/checks.py", False],
+        ["vev", False], ["commutator", False], ["reduce", False],
+        ["verify", True]]
+
+
+def test_package_names_resolve_lazily():
+    for name, module in innerqft._MODULE_OF.items():
+        home = importlib.import_module(f"innerqft.{module}")
+        assert getattr(innerqft, name) is getattr(home, name)
+    assert innerqft.numeric is importlib.import_module("innerqft.numeric")
+    with pytest.raises(AttributeError):
+        innerqft.no_such_name
+
+
+def test_suite_choices_are_the_suites():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert list(suite.choices) == sorted(suites.SUITES) + ["all"]
+
+
+def test_failed_exact_case_lists_term_differences(monkeypatch):
+    right = suites.scalar_contact()
+    extra = suites.dirac_contact()
+    # twice the right coefficient, plus a monomial the result lacks
+    monkeypatch.setattr(suites, "scalar_contact",
+                        lambda *a, **kw: right.scale(2) + extra)
+    cases = {c.name: c for c in suites.suite_ccr(suites.RunConfig())}
+    (term,) = right.terms
+    (absent,) = extra.terms
+    want = f"missing: {absent}; wrong coefficient: {term} (want 4)"
+    assert cases["ccr.a_adag_contact"].detail == want
+    assert cases["ccr.vev_normalization"].detail == want
+    assert not cases["ccr.a_adag_contact"].passed
+    assert cases["ccr.aa_vanishes"].detail == "exact term equality"
+    both = right + extra
+    got = suites._exact("x", both, suites.OperatorExpr.zero())
+    assert got.detail == "extra: " + ", ".join(str(m) for m in both.terms)

@@ -1,13 +1,15 @@
 """Bound labels compare by exact value.
 
-Regression tests for three float-label defects (near-equal large momenta
+Regression tests for float-label defects (near-equal large momenta
 collapsing to d3(0), undecided deltas between distinct on-shell labels,
-projected kets that did not parse back), and properties over large,
+projected kets that did not parse back, a forward-cone check made in
+floats, on-shell energies that overflowed), and properties over large,
 negative and fractional bound labels.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +44,39 @@ def test_projected_ket_round_trips():
     ket = FockState.ket(LadderOperator(opalg.SCALAR, True, (1, 1, 0), "K"))
     projected = project_state(ket).expr
     assert parse_state(print_expression(projected)) == projected
+
+
+@pytest.mark.parametrize("inner", [
+    (BIG, BIG + 1, 0, 0),                      # k^2 = -2*10^17 - 1, spacelike
+    (10 ** 400, 10 ** 400 + 1, 0, 0),          # beyond float range
+    (-10 ** 400, 0, 0, 0),                     # backward cone
+    (Fraction(5, 3), Fraction(4, 3), 1, Fraction(1, 10 ** 30)),
+])
+def test_support_outside_forward_cone_rejected(inner):
+    with pytest.raises(fock.SupportError):
+        FockState.ket(LadderOperator(opalg.SCALAR, True, (0, 0, 0), inner))
+
+
+@pytest.mark.parametrize("inner", [
+    (BIG + 1, BIG, 0, 0),
+    (10 ** 400, 10 ** 400, 0, 0),              # lightlike beyond float range
+    (10 ** 400, 3, 4, 0),
+    (Fraction(5, 3), Fraction(4, 3), 1, 0),    # exactly lightlike
+    (0, 0, 0, 0),
+])
+def test_support_inside_forward_cone_accepted(inner):
+    ket = FockState.ket(LadderOperator(opalg.SCALAR, True, (0, 0, 0), inner))
+    assert not ket.is_zero()
+
+
+@pytest.mark.parametrize("mom", [(10 ** 400, 0, 0), (0, 0, 10 ** 200)])
+def test_on_shell_energy_beyond_float_range_names_label(mom):
+    ket = FockState.ket(LadderOperator(opalg.SCALAR, True, mom, (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="beyond float range") as err:
+        fock.momentum_action("p", ket)
+    assert opalg.label_str(OnShell(mom)) in str(err.value)
+    ((_, P),) = fock.momentum_action("P", ket)
+    assert P == (1, 0, 0, 0)
 
 
 # -- properties over large, negative and fractional components ---------------
@@ -124,3 +159,15 @@ def test_inertial_action_is_inner_action_of_projection(ops):
     p = [v for _, v in fock.momentum_action("p", ket)]
     P = [v for _, v in fock.momentum_action("P", project_state(ket))]
     assert p == P
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_components, _components, _components, _components))
+def test_support_is_the_exact_forward_cone(inner):
+    t, x, y, z = (Fraction(c) for c in inner)
+    op = LadderOperator(opalg.SCALAR, True, (0, 0, 0), inner)
+    if t >= 0 and t * t >= x * x + y * y + z * z:
+        FockState.ket(op)
+    else:
+        with pytest.raises(fock.SupportError):
+            FockState.ket(op)
