@@ -122,14 +122,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _parse_expr_arg(src: str) -> opalg.OperatorExpr:
-    return grammar.parse_expression(src)
-
-
 def cmd_bracket(args: argparse.Namespace, anti: bool) -> int:
     try:
-        lhs = _parse_expr_arg(args.lhs)
-        rhs = _parse_expr_arg(args.rhs)
+        lhs = grammar.parse_expression(args.lhs)
+        rhs = grammar.parse_expression(args.rhs)
     except grammar.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -143,7 +139,7 @@ def cmd_vev(args: argparse.Namespace) -> int:
     if src.startswith("T ") or src.startswith("T\t"):
         src = src[1:].lstrip()
     try:
-        expr = _parse_expr_arg(src)
+        expr = grammar.parse_expression(src)
     except grammar.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -72,6 +72,16 @@ def inner_product(bra: FockState, ket: FockState) -> OperatorExpr:
     return vev(bra.expr.dagger() * ket.expr)
 
 
+def _quantum_weight(op: LadderOperator) -> int:
+    """eta^{gg} eta^{GG} of a gauge quantum (eta^{GG} = -1, G in 1..3);
+    +1 for matter."""
+    if op.field != GAUGE:
+        return 1
+    if not isinstance(op.pol, int) or not isinstance(op.ipol, int):
+        raise ValueError("gauge quanta need bound polarization labels here")
+    return (1 if op.pol == 0 else -1) * (-1)
+
+
 @dataclass(frozen=True)
 class NormSign:
     sign: int
@@ -83,13 +93,7 @@ def norm_sign(ket: Monomial | FockState) -> NormSign:
         if len(ket.expr.terms) != 1:
             raise ValueError("norm sign is defined for basis kets")
         (ket,) = ket.expr.terms
-    sign = 1
-    for op in ket.ops:
-        if op.field == GAUGE:
-            if not isinstance(op.pol, int) or not isinstance(op.ipol, int):
-                raise ValueError("norm sign needs bound polarization labels")
-            sign *= (1 if op.pol == 0 else -1) * (-1)  # eta^{GG} = -1, G in 1..3
-    return NormSign(sign)
+    return NormSign(math.prod(_quantum_weight(op) for op in ket.ops))
 
 
 def physical_filter(s: FockState) -> FockState:
@@ -123,14 +127,6 @@ class FieldMasses:
         if field == opalg.GAUGE:
             return self.gauge
         return self.dirac
-
-
-def _quantum_weight(op: LadderOperator) -> int:
-    if op.field != GAUGE:
-        return 1
-    if not isinstance(op.pol, int) or not isinstance(op.ipol, int):
-        raise ValueError("eigen-actions need bound polarization labels")
-    return (1 if op.pol == 0 else -1) * (-1)
 
 
 def momentum_action(which: str, s: FockState,

@@ -18,8 +18,15 @@
 
 The dagger is the apostrophe suffix; numbers are exact rationals
 (`2`, `-3/2`, `0.25`); `~k` marks an inner label pinned to the on-shell
-four-vector of momentum `k`. The printer emits canonical text and
-parse(print(e)) == e holds for every expression.
+four-vector of momentum `k`. Malformed text, a zero denominator included,
+raises ParseError.
+
+There is one printer: `str(e)`, defined in `opalg`, which
+`print_expression` returns. It emits canonical text, and
+parse_expression(str(e)) == e holds for every exact expression. The one
+exception is the leg operators that `smatrix.lsz_reduce` builds for
+`reduce`: their momentum labels carry float components, which print in
+Python's float notation and need not parse back.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import re
 from fractions import Fraction
 
 from . import opalg
-from .opalg import (ATOMS, Atom, CRat, LadderOperator, Monomial, OnShell,
+from .opalg import (ATOMS, FIELD_HEAD, Atom, CRat, LadderOperator, OnShell,
                     OperatorExpr, make_monomial)
 
 
@@ -46,8 +53,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<sym>[-+*()\[\],;='^/~])
 """, re.VERBOSE)
 
-_HEADS = {"a": opalg.SCALAR, "b": opalg.DIRAC_PARTICLE,
-          "d": opalg.DIRAC_ANTIPARTICLE, "A": opalg.GAUGE}
+_HEADS = {head: field for field, head in FIELD_HEAD.items()}
 
 
 def _tokenize(src: str):
@@ -153,8 +159,7 @@ class _Parser:
         if kind == "ident" and text in _COEFF_IDENTS:
             return self.parse_coeff()
         if kind == "number":
-            self.next()
-            value = Fraction(text)
+            value = self.parse_literal()
             if self.peek()[:2] == ("ident", "i"):
                 self.next()
                 return OperatorExpr.number(CRat(Fraction(0), value))
@@ -166,17 +171,25 @@ class _Parser:
             return self.parse_operator()
         raise ParseError(f"expected a scalar, operator or '(', found {text!r}", pos)
 
-    def parse_int(self) -> int:
-        negate = False
+    def parse_literal(self) -> Fraction:
+        """The next number token, exactly; every number literal is read here."""
+        _, text, pos = self.expect("number")
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad number {text!r}", pos) from None
+
+    def parse_number(self) -> Fraction:
         if self.peek()[:2] == ("sym", "-"):
             self.next()
-            negate = True
-        text = self.expect("number")[1]
-        value = Fraction(text)
+            return -self.parse_literal()
+        return self.parse_literal()
+
+    def parse_int(self, what: str = "an integer exponent") -> int:
+        value = self.parse_number()
         if value.denominator != 1:
-            raise ParseError("expected an integer exponent",
-                             self.tokens[self.i - 1][2])
-        return -int(value) if negate else int(value)
+            raise ParseError(f"expected {what}", self.tokens[self.i - 1][2])
+        return int(value)
 
     def _opt_power(self) -> int:
         if self.peek()[:2] == ("sym", "^"):
@@ -274,74 +287,38 @@ class _Parser:
             return self.parse_disc()
         return self.parse_label(3 if arg == opalg.MOM else 4)
 
-    def parse_number(self) -> Fraction:
-        negate = False
-        if self.peek()[:2] == ("sym", "-"):
-            self.next()
-            negate = True
-        text = self.expect("number")[1]
-        value = Fraction(text)
-        return -value if negate else value
-
     def parse_disc(self):
-        kind, text, _ = self.next()
+        kind, text, pos = self.peek()
         if kind == "number":
-            return int(text)
+            return self.parse_int("an integer discrete label")
         if kind == "ident":
+            self.next()
             return text
-        raise ParseError("expected a discrete label", self.tokens[self.i - 1][2])
+        raise ParseError("expected a discrete label", pos)
 
 
-def parse_expression(src: str) -> OperatorExpr:
-    """Parse an operator expression in the grammar above."""
+def _parse(src: str, ket: bool) -> OperatorExpr:
     p = _Parser(src)
-    expr = p.parse_expr()
-    p.expect("eof")
-    return expr
-
-
-def parse_state(src: str):
-    """Parse `expr |0>` (or a bare expression, treated as a ket prefix)."""
-    p = _Parser(src)
-    expr = p.parse_expr()
-    if p.peek()[0] == "ket":
+    try:
+        expr = p.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", p.peek()[2]) from None
+    if ket and p.peek()[0] == "ket":
         p.next()
     p.expect("eof")
     return expr
 
 
-# ---------------------------------------------------------------------------
-# Canonical printer
+def parse_expression(src: str) -> OperatorExpr:
+    """Parse an operator expression in the grammar above."""
+    return _parse(src, ket=False)
 
 
-def _scalar_str(c: CRat) -> str:
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    istr = "i" if mag == 1 else f"{mag}*i"
-    return f"({c.re}{sign}{istr})"
-
-
-def print_monomial(m: Monomial) -> str:
-    parts = []
-    if m.lam or m.twopi or m.vreg or m.atoms:
-        parts.append(m.coeff_str())
-    elif m.scalar != opalg.ONE or not m.ops:
-        parts.append(_scalar_str(m.scalar))
-    parts.extend(str(op) for op in m.ops)
-    return "*".join(parts)
+def parse_state(src: str):
+    """Parse `expr |0>` (or a bare expression, treated as a ket prefix)."""
+    return _parse(src, ket=True)
 
 
 def print_expression(e: OperatorExpr) -> str:
-    """Canonical text; parse_expression(print_expression(e)) == e."""
-    if e.is_zero():
-        return "0"
-    return " + ".join(print_monomial(m) for m in e.terms)
+    """Canonical text, `str(e)`; parse_expression(print_expression(e)) == e."""
+    return str(e)

@@ -38,25 +38,6 @@ class FourVector:
         """Covariant components a_mu = eta_{mu nu} a^nu."""
         return ETA @ self.as_array()
 
-    def dot(self, other: "FourVector") -> float:
-        return minkowski_dot(self, other)
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t + other.t, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t - other.t, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __mul__(self, c: float) -> "FourVector":
-        return FourVector(self.t * c, self.x * c, self.y * c, self.z * c)
-
-    __rmul__ = __mul__
-
-    def spatial(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 def minkowski_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z

@@ -6,6 +6,9 @@ volume Vreg, a multiset of symbolic coefficient atoms (energies, deltas,
 metric factors), and an ordered product of ladder operators.
 
 All arithmetic in this layer is exact; identity checks never see floats.
+`str()` of a scalar, label, operator, atom, monomial or expression is its
+canonical text in the grammar of `innerqft.grammar`; this is the library's
+one printer.
 """
 
 from __future__ import annotations
@@ -52,14 +55,15 @@ class CRat:
         return bool(self.re) or bool(self.im)
 
     def __str__(self) -> str:
+        """Canonical text: `3/2`, `i`, `-2i`, `(1-i)`."""
         if not self.im:
             return str(self.re)
-        if not self.re:
-            return f"{self.im}i" if self.im != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
-        istr = "i" if mag == 1 else f"{mag}i"
-        return f"({self.re}{sign}{istr})"
+        imag = "i" if mag == 1 else f"{mag}i"
+        sign = "-" if self.im < 0 else "+"
+        if not self.re:
+            return imag if sign == "+" else sign + imag
+        return f"({self.re}{sign}{imag})"
 
 
 ONE = CRat(Fraction(1))
@@ -119,7 +123,7 @@ GAUGE = "gauge"
 
 FIELDS = (SCALAR, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, GAUGE)
 _FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
-_FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
+FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,7 @@ class LadderOperator:
                               sub_disc(self.ipol))
 
     def __str__(self) -> str:
-        head = _FIELD_HEAD[self.field] + ("'" if self.dagger else "")
+        head = FIELD_HEAD[self.field] + ("'" if self.dagger else "")
         parts = [label_str(self.mom)]
         if self.spin is not None:
             parts.append(f"s={self.spin}")
@@ -388,8 +392,11 @@ class Monomial:
         """Everything but the scalar; monomials merge on this key."""
         return (self.ops, self.atoms, self.lam, self.twopi, self.vreg)
 
-    def coeff_str(self) -> str:
-        parts = [str(self.scalar)]
+    def __str__(self) -> str:
+        """Canonical text: the scalar, the coefficient factors, the
+        operators, joined by `*`; a unit scalar is left out only before a
+        bare operator product."""
+        parts = []
         if self.lam:
             parts.append(f"L^{self.lam}")
         if self.twopi:
@@ -397,13 +404,10 @@ class Monomial:
         if self.vreg:
             parts.append("Vreg" if self.vreg == 1 else f"Vreg^{self.vreg}")
         parts.extend(str(a) for a in self.atoms)
+        if parts or not self.ops or self.scalar != ONE:
+            parts.insert(0, str(self.scalar))
+        parts.extend(str(op) for op in self.ops)
         return "*".join(parts)
-
-    def __str__(self) -> str:
-        s = self.coeff_str()
-        if self.ops:
-            s += "*" + "*".join(str(op) for op in self.ops)
-        return s
 
 
 def make_monomial(scalar, lam=0, twopi=0, vreg=0,
@@ -525,6 +529,7 @@ class OperatorExpr:
         return OperatorExpr.from_monomials(monos)
 
     def __str__(self) -> str:
+        """Canonical text; grammar.parse_expression(str(e)) == e."""
         if not self.terms:
             return "0"
         return " + ".join(str(m) for m in self.terms)

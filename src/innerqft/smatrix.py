@@ -8,6 +8,7 @@ on first use.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,23 +46,16 @@ class Leg:
     energy: float | None = None    # optional, validated against the shell
 
     def __post_init__(self):
+        """The field, discrete labels and momentum are checked by building
+        the leg's operator; only the rules of legs are checked here."""
         if self.direction not in ("in", "out"):
             raise ValueError("leg direction must be 'in' or 'out'")
-        if self.field not in opalg.FIELDS:
-            raise ValueError(f"unknown leg field {self.field!r}")
-        if len(self.mom) != 3:
-            raise ValueError("leg momentum is a spatial 3-vector")
-        dirac = self.field in (opalg.DIRAC_PARTICLE, opalg.DIRAC_ANTIPARTICLE)
-        if dirac and self.spin not in (1, 2):
-            raise ValueError("fermionic legs need spin 1 or 2")
-        if self.field == opalg.GAUGE:
-            if self.pol not in (0, 1, 2, 3) or self.ipol not in (1, 2, 3):
-                raise ValueError("gauge legs need pol in 0..3 and ipol in 1..3")
-        if not dirac and self.spin is not None:
-            raise ValueError("only fermionic legs carry spin")
-        if self.field != opalg.GAUGE and (self.pol is not None
-                                          or self.ipol is not None):
-            raise ValueError("only gauge legs carry polarizations")
+        if any(v is not None and not isinstance(v, int)
+               for v in (self.spin, self.pol, self.ipol)):
+            raise ValueError("leg spin and polarizations are bound integers")
+        if self.energy is not None and not math.isfinite(self.energy):
+            raise ValueError("leg energy must be finite")
+        _leg_operator(self)
 
 
 @dataclass(frozen=True)
@@ -110,18 +104,28 @@ class Amplitude:
 
 
 def _leg_operator(leg: Leg) -> opalg.LadderOperator:
-    mom = tuple(float(c) for c in leg.mom)
+    try:
+        mom = tuple(float(c) for c in leg.mom)
+    except OverflowError:
+        mom = None
+    if mom is None or not all(map(math.isfinite, mom)):
+        raise ValueError("leg momentum components must be finite and "
+                         "within float range")
     return opalg.LadderOperator(leg.field, True, mom, OnShell(mom), leg.spin,
                                 leg.pol, leg.ipol)
 
 
 def _check_on_shell(leg: Leg, masses: FieldMasses, tol: float) -> None:
+    """k^2 = m^2 within tol, in exact arithmetic, so that no square
+    overflows."""
     if leg.energy is None:
         return
     m = masses.of(leg.field)
-    k2 = leg.energy**2 - sum(float(c)**2 for c in leg.mom)
-    if abs(k2 - m * m) > tol * max(1.0, m * m):
-        raise ValueError(f"off-shell leg: k^2 = {k2}, expected {m * m}")
+    m2 = Fraction(m) ** 2
+    k2 = Fraction(leg.energy) ** 2 - sum(Fraction(c) ** 2 for c in leg.mom)
+    if abs(k2 - m2) > tol * max(1, m2):
+        raise ValueError(f"off-shell leg: E^2 - |p|^2 differs from "
+                         f"m^2 = {m * m}")
 
 
 def elastic_overlap(legs: Sequence[Leg], masses: FieldMasses,
@@ -153,7 +157,6 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
     """
     for leg in g.legs:
         _check_on_shell(leg, recipe.masses, shell_tol)
-    elastic = elastic_overlap(g.legs, recipe.masses, cfg)
     vertex_sum = sum((v.value(g.legs) for v in g.vertices), 0j)
     if vertex_sum == 0:
         connected = 0j
@@ -162,6 +165,9 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
         for leg in g.legs:
             prefactor *= 1j / math.sqrt(recipe.z_of(leg.field))
         connected = prefactor * vertex_sum
+    if not cmath.isfinite(connected):
+        raise ValueError(f"connected amplitude {connected} is not finite")
+    elastic = elastic_overlap(g.legs, recipe.masses, cfg)
     invariance = None
     ins = [l for l in g.legs if l.direction == "in"]
     outs = [l for l in g.legs if l.direction == "out"]

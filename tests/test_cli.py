@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import innerqft
 from innerqft import suites
@@ -285,3 +290,76 @@ def test_failed_exact_case_lists_term_differences(monkeypatch):
     both = right + extra
     got = suites._exact("x", both, suites.OperatorExpr.zero())
     assert got.detail == "extra: " + ", ".join(str(m) for m in both.terms)
+
+
+# Random token strings: an expression command exits 0 or 2, never through
+# an exception.
+_TOKENS = ["a", "a'", "b", "d", "A'", "(", ")", "[", "]", ";", ",", "k", "K",
+           "~", "s=", "g=", "G=", "0", "1", "2", "1/0", "3/2", "0.5", "1.5/2",
+           "-", "+", "*", "i", "L", "^", "(2pi)", "Vreg", "w", "E/m", "kd",
+           "eta", "ETA", "d3", "d4", "|0>", "T", "@", " "]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["vev", "commutator", "anticommutator"]),
+       st.lists(st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join),
+                min_size=2, max_size=2))
+def test_expression_commands_never_raise(command, texts):
+    argv = [command] + (texts[:1] if command == "vev" else texts)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2)
+
+
+def _reduce(tmp_path, legs, greens=""):
+    (tmp_path / "legs.txt").write_text(legs)
+    (tmp_path / "greens.txt").write_text(greens)
+    return main(["reduce", str(tmp_path / "greens.txt"),
+                 "--legs", str(tmp_path / "legs.txt")])
+
+
+@pytest.mark.parametrize("leg", ["p=1e400,0,0", "p=1,0,0 E=1e300",
+                                 "p=1e200,0,0 E=1", "p=1,0,0 E=nan"])
+def test_reduce_rejects_out_of_range_legs(leg, tmp_path, capsys):
+    assert _reduce(tmp_path, f"in scalar {leg}\nout scalar p=1,0,0\n") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("vertex", ["vertex nan", "vertex inf 0",
+                                    "vertex 1e308\nvertex 1e308"])
+def test_reduce_rejects_non_finite_amplitudes(vertex, tmp_path, capsys):
+    legs = "in scalar p=1,0,0\nout scalar p=1,0,0\n"
+    assert _reduce(tmp_path, legs, vertex + "\n") == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+# Random legs and greens files: reduce exits 0 or 2, never through an
+# exception. Most lines are well formed, so that many files load.
+_FIELD_KEYS = {"scalar": "", "dirac": " s=1", "antidirac": " s=2",
+               "gauge": " g=1 G=2"}
+_MOMENTA = ["p=1,0,0"] * 4 + ["p=1/2,0,1", "p=1e400,0,0", "p=1e200,0,0",
+                              "p=1/0,0,0", "p=1,0", "p=nan,0,0"]
+_EXTRAS = [""] * 8 + ["s=3", "s=x", "g=5", "G=0", "E=1.4142135623730951",
+                      "E=1.5", "E=nan", "E=inf", "E=1e300", "q=1"]
+_leg_lines = st.builds(
+    lambda d, f, p, extra: f"{d} {f} {p}{_FIELD_KEYS[f]} {extra}",
+    st.sampled_from(["in", "out"]), st.sampled_from(sorted(_FIELD_KEYS)),
+    st.sampled_from(_MOMENTA), st.sampled_from(_EXTRAS))
+_vertex_lines = st.lists(
+    st.sampled_from(["1", "-2.5", "0"] * 3
+                    + ["1e308", "nan", "inf", "1/0", "x"]),
+    min_size=1, max_size=2).map(lambda nums: " ".join(["vertex"] + nums))
+
+
+def _file(lines, max_size):
+    return st.lists(lines, max_size=max_size).map(
+        lambda ls: "".join(line + "\n" for line in ls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_file(_leg_lines, 4), _file(_vertex_lines, 3))
+def test_reduce_never_raises(legs, greens):
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert _reduce(Path(tmp), legs, greens) in (0, 2)

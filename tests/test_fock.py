@@ -85,6 +85,13 @@ def test_physical_filter():
     assert fock.physical_filter(mixed).expr == FockState.ket(good).expr
 
 
+def test_norm_sign_needs_bound_polarizations():
+    for op in (bound_op(opalg.GAUGE, pol="g", ipol=1),
+               bound_op(opalg.GAUGE, pol=1, ipol="G")):
+        with pytest.raises(ValueError):
+            fock.norm_sign(FockState.ket(op))
+
+
 def test_physical_filter_needs_bound_polarizations():
     symbolic = FockState.ket(bound_op(opalg.GAUGE, pol="g", ipol=1))
     with pytest.raises(ValueError):

@@ -186,3 +186,85 @@ def test_parse_merges_a_sum_once(monkeypatch):
     # equal steps in N add equal numbers of monomials
     counts = [fed_for(n) for n in (100, 200, 300)]
     assert counts[2] - counts[1] == counts[1] - counts[0] <= 10 * 100
+
+
+# ---------------------------------------------------------------------------
+# One printer: str(e) is the canonical text that print_expression returns
+
+
+def test_scalar_text():
+    texts = {(1, 0): "1", (Fraction(-3, 2), 0): "-3/2", (0, 1): "i",
+             (0, -1): "-i", (0, 2): "2i", (0, Fraction(-3, 4)): "-3/4i",
+             (1, 1): "(1+i)", (Fraction(1, 2), -1): "(1/2-i)",
+             (-1, 3): "(-1+3i)"}
+    for (re, im), text in texts.items():
+        c = CRat(Fraction(re), Fraction(im))
+        assert str(c) == text
+        assert parse_expression(text) == OperatorExpr.number(c)
+
+
+def test_unit_scalar_left_out_before_bare_operators_only():
+    op = opalg.a("k", "K", dagger=True)
+    assert str(op) == "a'(k;K)"
+    assert str(op.scale(-1)) == "-1*a'(k;K)"
+    assert str(op.scale(opalg.I)) == "i*a'(k;K)"
+    assert str(OperatorExpr.number(1)) == "1"
+    with_atom = OperatorExpr.from_monomials([opalg.make_monomial(
+        1, atoms=(opalg.OmegaPow("k"),), ops=op.terms[0].ops)])
+    assert str(with_atom) == "1*w(k)*a'(k;K)"
+
+
+_scalars = st.one_of(
+    st.sampled_from([opalg.ONE, -opalg.ONE, opalg.I, -opalg.I]),
+    st.builds(lambda re, im: CRat(re, im) or opalg.ONE, _fractions, _fractions))
+_discs = {"spin": st.sampled_from([1, 2, "s", "t"]),
+          "pol": st.sampled_from([0, 1, 2, 3, "g", "g2"]),
+          "ipol": st.sampled_from([1, 2, 3, "G", "G2"])}
+_FIELD_DISCS = {opalg.SCALAR: (), opalg.DIRAC_PARTICLE: ("spin",),
+                opalg.DIRAC_ANTIPARTICLE: ("spin",),
+                opalg.GAUGE: ("pol", "ipol")}
+
+
+@st.composite
+def _ladders(draw):
+    field = draw(st.sampled_from(opalg.FIELDS))
+    kw = {name: draw(_discs[name]) for name in _FIELD_DISCS[field]}
+    return opalg.LadderOperator(field, draw(st.booleans()), draw(_moms),
+                                draw(_ARG_STRATEGIES[opalg.INNER]), **kw)
+
+
+@st.composite
+def _any_monomials(draw):
+    """Bare operator products (no coefficient factors) half of the time."""
+    ops = draw(st.lists(_ladders(), max_size=3))
+    if draw(st.booleans()):
+        return opalg.make_monomial(draw(_scalars), ops=ops)
+    powers = st.integers(-3, 3)
+    return opalg.make_monomial(draw(_scalars), draw(powers), draw(powers),
+                               draw(powers), draw(st.lists(_atoms(), max_size=4)),
+                               ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_any_monomials(), min_size=1, max_size=4))
+def test_one_printer_round_trip(monos):
+    expr = OperatorExpr.from_monomials(monos)
+    text = str(expr)
+    assert print_expression(expr) == text
+    assert parse_expression(text) == expr, text
+
+
+def test_bad_number_literals_are_parse_errors():
+    for bad in ["2/0*a(k;K)", "a([1/0,0,0];K) a'(h;H)", "L^1/0", "w(k)^2/0",
+                "a([1.5/2,0,0];K)", "1/0i", "b(k,s=1.5;K)", "kd(1/2,s)",
+                "L^1/2", "A(k,g=1;K,G=0.5)"]:
+        with pytest.raises(ParseError):
+            parse_expression(bad)
+    # a number is read by value: 4/2 is the integer 2
+    assert parse_expression("kd(4/2,s)") == parse_expression("kd(2,s)")
+
+
+def test_deep_nesting_is_a_parse_error():
+    for bad in ["(" * 2000 + "1" + ")" * 2000, "-" * 2000 + "1"]:
+        with pytest.raises(ParseError):
+            parse_expression(bad)

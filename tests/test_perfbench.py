@@ -43,3 +43,19 @@ def test_workload_outputs_pass_checks(name, tmp_path, monkeypatch):
             code = cli.main(list(inv.argv))
         checker.check(i, code, out.getvalue().encode())
     assert not checker.failures
+
+
+def test_tracer_patch_points_are_recorded(monkeypatch):
+    """The traced run wraps `grammar.print_expression` and reaches
+    `toy_unitarity_check` through `smatrix`; both must stay patchable."""
+    tracing = _load("tracing", monkeypatch)
+    tracer = tracing.Tracer().install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["vev", "a(k;K) a'(h;H)"]) == 0
+            assert cli.main(["verify", "--suite", "unitarity"]) == 0
+    finally:
+        tracer.remove()
+    spanned = {span[0] for span in tracer.spans}
+    assert {"grammar.print_expression", "smatrix.toy_unitarity_check"} <= spanned
+    assert tracer.counts["grammar.print_expression.chars"] > 0

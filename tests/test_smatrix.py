@@ -123,6 +123,34 @@ def test_leg_attachment_validation():
         Leg("in", opalg.DIRAC_PARTICLE, (1, 0, 0))  # spin required
     with pytest.raises(ValueError):
         Leg("in", opalg.GAUGE, (1, 0, 0), pol=1)    # ipol required
+    # the leg's operator rules: field, label ranges, a 3-vector momentum
+    for bad in [dict(field="tensor"), dict(spin=1),
+                dict(field=opalg.DIRAC_PARTICLE, spin=3),
+                dict(field=opalg.GAUGE, pol=4, ipol=1),
+                dict(field=opalg.GAUGE, pol=0, ipol=0),
+                dict(mom=(1, 0)), dict(mom=(10**400, 0, 0)),
+                dict(mom=(float("nan"), 0, 0))]:
+        kw = dict(field=opalg.SCALAR, mom=(1, 0, 0)) | bad
+        with pytest.raises(ValueError):
+            Leg("in", **kw)
+    # the leg's own rules: bound integer labels, a finite energy
+    with pytest.raises(ValueError):
+        Leg("in", opalg.DIRAC_PARTICLE, (1, 0, 0), spin="s")
+    with pytest.raises(ValueError):
+        Leg("in", opalg.GAUGE, (1, 0, 0), pol="g", ipol=1)
+    with pytest.raises(ValueError):
+        Leg("in", opalg.SCALAR, (1, 0, 0), energy=float("inf"))
+
+
+def test_on_shell_check_is_exact_and_cannot_overflow():
+    masses, shell = FieldMasses(), 1e-9
+    smatrix._check_on_shell(Leg("in", opalg.SCALAR, (0, 0, 0), energy=1.0),
+                            masses, shell)
+    for mom, energy in [((0, 0, 0), 1e300), ((10**200, 0, 0), 1.0),
+                        ((Fraction(10**200), 0, 0), 1e200)]:
+        with pytest.raises(ValueError, match="off-shell"):
+            smatrix._check_on_shell(Leg("in", opalg.SCALAR, mom,
+                                        energy=energy), masses, shell)
 
 
 def test_four_point_elastic_matches_pairing_oracle():
