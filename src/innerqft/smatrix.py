@@ -116,14 +116,16 @@ def _leg_operator(leg: Leg) -> opalg.LadderOperator:
 
 
 def _check_on_shell(leg: Leg, masses: FieldMasses, tol: float) -> None:
-    """k^2 = m^2 within tol, in exact arithmetic, so that no square
-    overflows."""
+    """k^2 = m^2 within tol relative to the largest of 1, m^2 and E^2, in
+    exact arithmetic, so that no square overflows and a correctly rounded
+    energy passes at any |p|."""
     if leg.energy is None:
         return
     m = masses.of(leg.field)
     m2 = Fraction(m) ** 2
-    k2 = Fraction(leg.energy) ** 2 - sum(Fraction(c) ** 2 for c in leg.mom)
-    if abs(k2 - m2) > tol * max(1, m2):
+    e2 = Fraction(leg.energy) ** 2
+    k2 = e2 - sum(Fraction(c) ** 2 for c in leg.mom)
+    if abs(k2 - m2) > Fraction(tol) * max(1, m2, e2):
         raise ValueError(f"off-shell leg: E^2 - |p|^2 differs from "
                          f"m^2 = {m * m}")
 

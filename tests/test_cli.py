@@ -363,3 +363,35 @@ def test_reduce_never_raises(legs, greens):
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert _reduce(Path(tmp), legs, greens) in (0, 2)
+
+
+def test_reduce_accepts_a_rounded_on_shell_energy_at_large_momentum(tmp_path,
+                                                                    capsys):
+    # E is repr(sqrt(1 + 1e10)): on shell relative to E^2, not absolutely
+    legs = "in scalar p=100000,0,0 E=100000.000005\nout scalar p=100000,0,0\n"
+    assert _reduce(tmp_path, legs) == 0
+    assert "invariance: 1" in capsys.readouterr().out
+
+
+def test_reduce_rejects_an_off_shell_energy_at_large_momentum(tmp_path, capsys):
+    legs = "in scalar p=100000,0,0 E=100000.1\nout scalar p=100000,0,0\n"
+    assert _reduce(tmp_path, legs) == 2
+    assert "off-shell" in capsys.readouterr().err
+
+
+# The exact cases of the verify report, pinned per seed. Numeric cases are
+# left out: their residuals depend on the BLAS build. A change to this text
+# is a declared report change and updates the files with it.
+DATA = Path(__file__).resolve().parent / "data"
+_PINNED = ("name", "status", "detail", "lhs", "rhs")
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_exact_cases_match_golden_report(seed, capsys):
+    assert main(["verify", "--suite", "all", "--format", "json",
+                 "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = [{k: c[k] for k in _PINNED} for c in doc["cases"]
+           if c["tolerance"] is None]
+    want = json.loads((DATA / f"verify_exact_seed{seed}.json").read_text())
+    assert got == want

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from innerqft import fock, opalg
 from innerqft.fock import FieldMasses, FockState
 from innerqft.opalg import Delta3, Delta4, LadderOperator, OmegaPow, \
-    OperatorExpr, make_monomial
+    OperatorExpr, make_monomial, reduce_to_normal_form
 
 from conftest import random_bound_mom
 
@@ -193,3 +195,46 @@ def test_diagonal_actions_case_compares_kets(monkeypatch):
 
     monkeypatch.setattr(fock, "momentum_action", misassigned)
     assert not any(passed(seed) for seed in seeds)
+
+
+# Creators for the ket oracle: every species, symbolic, bound and on-shell
+# labels, and bound components given as int and as an equal Fraction, so
+# that equal operators arrive in different spellings.
+_KET_MOMS = ["k", "h", (1, 0, 0), (Fraction(1), 0, 0), (Fraction(1, 2), 0, -1)]
+_KET_INNERS = ["K", (2, 0, 0, 0), (Fraction(2), 0, 0, 0), (3, 1, -2, 2),
+               opalg.OnShell("k"), opalg.OnShell((1, 0, 0))]
+
+
+def _creator(field, mom, inner, spin, pol, ipol):
+    if field in (opalg.DIRAC_PARTICLE, opalg.DIRAC_ANTIPARTICLE):
+        return LadderOperator(field, True, mom, inner, spin=spin)
+    if field == opalg.GAUGE:
+        return LadderOperator(field, True, mom, inner, pol=pol, ipol=ipol)
+    return LadderOperator(field, True, mom, inner)
+
+
+_creators = st.builds(_creator, st.sampled_from(opalg.FIELDS),
+                      st.sampled_from(_KET_MOMS), st.sampled_from(_KET_INNERS),
+                      st.sampled_from([1, 2, "s"]), st.sampled_from([0, 3, "g"]),
+                      st.sampled_from([1, "G"]))
+# products drawn with repetition from a small pool, in any order
+_products = st.lists(_creators, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=6))
+
+_B1 = bound_op(opalg.DIRAC_PARTICLE, spin=1)
+_B1_FRACTION = bound_op(opalg.DIRAC_PARTICLE, mom=(Fraction(1), 0, 0), spin=1)
+_D2 = bound_op(opalg.DIRAC_ANTIPARTICLE, mom=(0, 1, 0), spin=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_products)
+@example([_D2, _B1])                              # one fermionic swap
+@example([_D2, bound_op(), _B1, _D2])             # Pauli among swaps
+@example([_B1, bound_op(), _B1_FRACTION])         # Pauli across a boson
+def test_ket_equals_the_reduced_product(ops):
+    """The sorted ket is the general reducer's normal form of the product."""
+    product = OperatorExpr.from_monomials([make_monomial(1, ops=tuple(ops))])
+    want = reduce_to_normal_form(product)
+    got = FockState.ket(*ops).expr
+    assert got == want
+    assert str(got) == str(want)

@@ -268,3 +268,25 @@ def test_deep_nesting_is_a_parse_error():
     for bad in ["(" * 2000 + "1" + ")" * 2000, "-" * 2000 + "1"]:
         with pytest.raises(ParseError):
             parse_expression(bad)
+
+
+def test_verify_exact_cases_parse_back(monkeypatch):
+    """parse(print(e)) == e for the lhs and rhs of every exact case built
+    from two expressions; the other exact cases print numbers, labels or
+    nothing."""
+    from innerqft import suites
+    from innerqft.config import RunConfig
+    built = {}
+    real = suites._exact
+
+    def recording(name, got, want):
+        built[name] = (got, want)
+        return real(name, got, want)
+
+    monkeypatch.setattr(suites, "_exact", recording)
+    cases = suites.run_suite("all", RunConfig(seed=0))
+    exact = {c.name: c for c in cases if c.tolerance is None}
+    assert built and set(built) <= set(exact)
+    for name, (got, want) in built.items():
+        assert parse_expression(exact[name].lhs) == got, name
+        assert parse_expression(exact[name].rhs) == want, name

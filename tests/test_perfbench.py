@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from innerqft import cli
+from innerqft import cli, grammar, opalg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +59,18 @@ def test_tracer_patch_points_are_recorded(monkeypatch):
     spanned = {span[0] for span in tracer.spans}
     assert {"grammar.print_expression", "smatrix.toy_unitarity_check"} <= spanned
     assert tracer.counts["grammar.print_expression.chars"] > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vev_outputs_parse_back(seed, tmp_path, monkeypatch):
+    """parse(print(e)) == e for the printed vev of every smoke vev-ladder
+    input."""
+    workloads = _load("workloads", monkeypatch)
+    wl = workloads.generate("vev-ladder", seed, tmp_path, smoke=True)
+    for inv in wl.invocations:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(inv.argv)) == 0
+        text = " ".join(op.text() for op in inv.ops)
+        want = opalg.vev(grammar.parse_expression(text))
+        assert grammar.parse_expression(out.getvalue().strip()) == want

@@ -146,8 +146,12 @@ def test_on_shell_check_is_exact_and_cannot_overflow():
     masses, shell = FieldMasses(), 1e-9
     smatrix._check_on_shell(Leg("in", opalg.SCALAR, (0, 0, 0), energy=1.0),
                             masses, shell)
+    # the tolerance is relative to E^2: the nearest float to 10^200 is on
+    # shell at |p| = 10^200, twice it is not
+    smatrix._check_on_shell(Leg("in", opalg.SCALAR, (Fraction(10**200), 0, 0),
+                                energy=1e200), masses, shell)
     for mom, energy in [((0, 0, 0), 1e300), ((10**200, 0, 0), 1.0),
-                        ((Fraction(10**200), 0, 0), 1e200)]:
+                        ((Fraction(10**200), 0, 0), 2e200)]:
         with pytest.raises(ValueError, match="off-shell"):
             smatrix._check_on_shell(Leg("in", opalg.SCALAR, mom,
                                         energy=energy), masses, shell)
@@ -308,3 +312,89 @@ def test_one_particle_mixing_flagged():
     s[1, 3] = s[3, 1] = 1
     t = ToySMatrix(s, np.eye(4), vacuum_index=0, one_particle_indices=(1,))
     assert not vacuum_and_one_particle_checks(t).passed
+
+
+# -- the Frobenius screen of the unitarity preconditions ----------------------
+
+
+def _svd_unitarity_report(t, tol):
+    """The unitarity check with every norm taken by SVD: the reference for
+    the Frobenius screen."""
+    s, p = t.s, t.p
+    failures = []
+    for name, residual in (("S not unitary", s.conj().T @ s - np.eye(t.dim)),
+                           ("P not idempotent", p @ p - p),
+                           ("P not self-adjoint", p.conj().T - p),
+                           ("SP != PS", s @ p - p @ s)):
+        norm = np.linalg.norm(residual, 2)
+        if norm > tol:
+            failures.append(f"{name} (norm {norm:.3e})")
+    if failures:
+        return smatrix.UnitarityReport(tuple(failures), None, tol)
+    concl = float(np.linalg.norm(p @ s.conj().T @ s @ p - p, 2))
+    return smatrix.UnitarityReport((), concl, tol)
+
+
+def _broken_copies(t, size):
+    """Copies of an admissible instance in which each precondition in turn
+    fails by a residual of about `size`."""
+    n = t.dim
+    phys = int(round(np.trace(t.p).real))
+    yield ToySMatrix(t.s * (1 + size / 2), t.p)              # S not unitary
+    yield ToySMatrix(t.s, t.p * (1 + size))                  # P not idempotent
+    skew = np.zeros((n, n))
+    if phys < n:
+        skew[0, n - 1] = size                                # P not self-adjoint
+    yield ToySMatrix(t.s, t.p + skew)
+    c, s = np.cos(size), np.sin(size)                        # SP != PS
+    mix = np.eye(n, dtype=complex)
+    mix[[0, 0, n - 1, n - 1], [0, n - 1, 0, n - 1]] = c, -s, s, c
+    yield ToySMatrix(t.s @ mix, t.p)
+
+
+def test_frobenius_screen_matches_svd_reports():
+    from innerqft.suites import random_toy_instance
+    rng = np.random.default_rng(11)
+    tol = 1e-9
+    seen = set()
+    for dim in (2, 4, 16):
+        for _ in range(10):
+            t = random_toy_instance(rng, dim)
+            assert toy_unitarity_check(t, tol) == _svd_unitarity_report(t, tol)
+            for size in tol * np.array([0.1, 0.45, 0.55, 0.9, 1.1, 3.0, 1e6]):
+                for broken in _broken_copies(t, size):
+                    rep = toy_unitarity_check(broken, tol)
+                    assert rep == _svd_unitarity_report(broken, tol)
+                    seen.update(f.split(" (")[0]
+                                for f in rep.precondition_failures)
+    assert seen == {"S not unitary", "P not idempotent", "P not self-adjoint",
+                    "SP != PS"}
+
+
+def _scaled_identity(n, two_norm):
+    """S = c*I with ||S^dag S - I||_2 = two_norm and a Frobenius norm
+    sqrt(n) times larger."""
+    c = np.sqrt(1 + two_norm)
+    return ToySMatrix(c * np.eye(n, dtype=complex), np.diag([1.0, 0.0] * (n // 2)))
+
+
+def test_precondition_between_half_tol_and_tol_passes():
+    tol = 1e-9
+    t = _scaled_identity(16, 0.8 * tol)
+    residual = t.s.conj().T @ t.s - np.eye(16)
+    assert tol / 2 < np.linalg.norm(residual, 2) <= tol
+    assert np.linalg.norm(residual) > tol      # only the 2-norm passes it
+    rep = toy_unitarity_check(t, tol)
+    assert rep.passed
+    assert rep.conclusion_norm == pytest.approx(0.8 * tol, rel=1e-4)
+
+
+def test_precondition_just_above_tol_fails_with_its_norm():
+    tol = 1e-9
+    t = _scaled_identity(16, 1.05 * tol)
+    norm = np.linalg.norm(t.s.conj().T @ t.s - np.eye(16), 2)
+    assert norm > tol
+    rep = toy_unitarity_check(t, tol)
+    assert rep.precondition_failures == (f"S not unitary (norm {norm:.3e})",)
+    assert rep.precondition_failures == ("S not unitary (norm 1.050e-09)",)
+    assert rep.conclusion_norm is None and not rep.passed
