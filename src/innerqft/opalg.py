@@ -610,6 +610,65 @@ def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return reduce_to_normal_form(a * b + b * a)
 
 
+# Wick contraction. The operator-free value of a product is a list of
+# canonical (scalar, lam, twopi, atoms) terms: no operators, no Vreg.
+
+_MERGING = frozenset(k for k, spec in ATOMS.items() if spec.merges)
+
+
+def _join_atoms(xs: tuple, ys: tuple) -> tuple:
+    """The canonical atoms of a product of two canonical atom tuples.
+
+    Both sides are already evaluated, collapsed and sorted, as make_monomial
+    leaves them, so only energy atoms with equal arguments can meet: their
+    powers add, and a power that cancels drops the atom.
+    """
+    if not xs or not ys:
+        return xs or ys
+    out: list[Atom] = []
+    for a in sorted(xs + ys, key=_ATOM_KEY):
+        if (out and a.kind in _MERGING and out[-1].kind == a.kind
+                and out[-1].args == a.args):
+            prev = out.pop()
+            if prev.power + a.power:
+                out.append(Atom(a.kind, prev.args, prev.power + a.power))
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def _join(c: Monomial, value: list):
+    """The terms of canonical monomial `c` times an operator-free value."""
+    unit = c.scalar == ONE
+    for s, lam, tp, atoms in value:
+        yield ((s if unit else c.scalar if s is ONE else c.scalar * s),
+               c.lam + lam, c.twopi + tp, _join_atoms(c.atoms, atoms))
+
+
+def _contractions(key: tuple, ops: list) -> list:
+    """(canonical contact monomial, key left) for each contraction of the
+    leftmost operator that can survive; `key` numbers operators in `ops`."""
+    x = ops[key[0]]
+    out = []
+    if x.dagger:
+        return out
+    crossed = 0
+    for j in range(1, len(key)):
+        y = ops[key[j]]
+        if y.dagger and y.field == x.field:
+            rest = key[1:j] + key[j + 1:]
+            # a remainder that starts with a creator has zero vev
+            if not rest or not ops[rest[0]].dagger:
+                cs, clam, ctp, catoms = _contact_factors(x, y)
+                if x.fermionic and crossed % 2:
+                    cs = -cs
+                c = make_monomial(cs, clam, ctp, 0, catoms)
+                if c is not None:
+                    out.append((c, rest))
+        crossed += y.fermionic
+    return out
+
+
 def vev(e: OperatorExpr) -> OperatorExpr:
     """Vacuum expectation value by direct Wick contraction.
 
@@ -618,39 +677,61 @@ def vev(e: OperatorExpr) -> OperatorExpr:
     its leftmost annihilator is contracted with each creator of the same
     field to its right (the contact factor of `_contact_factors`, one sign
     flip per fermionic operator a fermionic annihilator crosses), and the
-    remaining operators are contracted in turn. Each partial coefficient is
-    canonicalized as it is built, so a false delta prunes every pairing
-    below it. The cost is the number of surviving partial pairings, not
-    the size of the normal form.
+    remaining operators are contracted in turn.
+
+    The value of the operators still to contract depends on them alone (a
+    fermionic sign counts crossings inside them), so it is computed once
+    per distinct suffix and kept for the length of the call: the sum over
+    perfect matchings becomes a dynamic program over suffixes. Each contact
+    factor is canonicalized on its own, so a false delta prunes before its
+    suffix is visited, and is then joined with every term of the suffix's
+    value; terms merge, and cancel, within each suffix. The cost follows
+    the number of distinct suffixes times the size of their operator-free
+    values: polynomial when the operators are copies of a few coincident
+    ones, and the number of partial pairings when all are distinct.
     """
-    done: list[Monomial] = []
-    # (coefficient, operators still to contract); the coefficient's own
-    # operators are ignored
-    stack = [(m, m.ops) for m in e.terms]
-    while stack:
-        m, ops = stack.pop()
-        if not ops:
-            done.append(m)
-            continue
-        x = ops[0]
-        if x.dagger:
-            continue
-        crossed = 0
-        for j in range(1, len(ops)):
-            y = ops[j]
-            if y.dagger and y.field == x.field:
-                rest = ops[1:j] + ops[j + 1:]
-                # a remainder that starts with a creator has zero vev
-                if not rest or not rest[0].dagger:
-                    cs, clam, ctp, catoms = _contact_factors(x, y)
-                    if x.fermionic and crossed % 2:
-                        cs = -cs
-                    c = make_monomial(m.scalar * cs, m.lam + clam,
-                                      m.twopi + ctp, m.vreg, m.atoms + catoms)
-                    if c is not None:
-                        stack.append((c, rest))
-            crossed += y.fermionic
-    return OperatorExpr.from_monomials(done)
+    # a suffix is keyed by the numbers of its operators, equal operators
+    # sharing one, so that a key hashes as fast as a tuple of ints
+    index: dict = {}
+    keys = [tuple(index.setdefault(op, len(index)) for op in m.ops)
+            for m in e.terms]
+    ops = list(index)
+    memo: dict = {(): [(ONE, 0, 0, ())]}
+    # contractions of the suffixes visited but not yet valued
+    branches: dict = {}
+    for top in keys:
+        stack = [top]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            todo = branches.pop(key, None)
+            if todo is None:
+                branches[key] = todo = _contractions(key, ops)
+                stack.extend(rest for _, rest in todo if rest not in memo)
+                continue
+            stack.pop()
+            if len(todo) == 1:
+                # one factor times distinct terms: nothing merges
+                ((c, rest),) = todo
+                memo[key] = list(_join(c, memo[rest]))
+                continue
+            merged: dict = {}
+            for c, rest in todo:
+                for s, lam, tp, atoms in _join(c, memo[rest]):
+                    k = (atoms, lam, tp)
+                    prev = merged.get(k)
+                    merged[k] = s if prev is None else prev + s
+            memo[key] = [(s, lam, tp, atoms)
+                         for (atoms, lam, tp), s in merged.items() if s]
+    monos = []
+    for m, key in zip(e.terms, keys):
+        c = make_monomial(m.scalar, m.lam, m.twopi, m.vreg, m.atoms)
+        if c is not None:
+            monos.extend(Monomial(s, lam, tp, c.vreg, atoms)
+                         for s, lam, tp, atoms in _join(c, memo[key]))
+    return OperatorExpr.from_monomials(monos)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,13 @@ def _check_on_shell(leg: Leg, masses: FieldMasses, tol: float) -> None:
 
 def elastic_overlap(legs: Sequence[Leg], masses: FieldMasses,
                     cfg: RegularizationConfig) -> OperatorExpr:
-    """<out|in> for free barred quanta, via normal-form reduction.
+    """<out|in> for free barred quanta: the `vev` of the out annihilators
+    followed by the in creators, taken to the gravitational limit.
 
     This is the disconnected delta structure: a signed sum over perfect
     matchings of out against in legs, each pair contributing its
-    gravitational-limit contact factor.
+    gravitational-limit contact factor. `vev` sums it over distinct
+    suffixes of legs, so identical coincident legs cost polynomial time.
     """
     ins = [_leg_operator(l) for l in legs if l.direction == "in"]
     outs = [_leg_operator(l) for l in legs if l.direction == "out"]

@@ -11,7 +11,7 @@ from innerqft.opalg import (CRat, Delta3, Delta4, ERatioPow, Metric, OmegaPow,
                             commutator, delta_resolve, make_monomial,
                             normal_order, reduce_to_normal_form, vev)
 
-from conftest import random_ladder, random_product
+from conftest import random_bound_mom, random_ladder, random_product
 
 
 def expr_of(*monos):
@@ -296,6 +296,173 @@ def test_scalar_ladder_vev_matches_oracle():
     got = vev(e)
     assert len(got.terms) == 120
     assert got == vev_oracle(e)
+
+
+# -- vev on repeated operators against both oracles -----------------------------
+
+
+def vev_pairing_oracle(e):
+    """Wick contraction pairing by pairing, with no memo: the leftmost
+    annihilator is contracted with each creator of its field to its right,
+    the partial coefficient canonicalized as it is built, and every full
+    pairing kept as its own monomial until the final merge."""
+    done = []
+    stack = [(m, m.ops) for m in e.terms]
+    while stack:
+        m, ops = stack.pop()
+        if not ops:
+            done.append(m)
+            continue
+        x = ops[0]
+        if x.dagger:
+            continue
+        crossed = 0
+        for j in range(1, len(ops)):
+            y = ops[j]
+            if y.dagger and y.field == x.field:
+                cs, clam, ctp, catoms = opalg._contact_factors(x, y)
+                if x.fermionic and crossed % 2:
+                    cs = -cs
+                c = make_monomial(m.scalar * cs, m.lam + clam, m.twopi + ctp,
+                                  m.vreg, m.atoms + catoms)
+                if c is not None:
+                    stack.append((c, ops[1:j] + ops[j + 1:]))
+            crossed += y.fermionic
+    return OperatorExpr.from_monomials(done)
+
+
+def operator_pool(r, fields, spins=(1, 2), onshell=False):
+    """One to three annihilators over at most two bound momenta, so that
+    products drawn from the pool repeat operators and labels."""
+    moms = [random_bound_mom(r) for _ in range(r.randint(1, 2))]
+    inners = [(Fraction(3), Fraction(1), Fraction(0), Fraction(-2)), "K"]
+    pool = []
+    for _ in range(r.randint(1, 3)):
+        field = r.choice(fields)
+        mom = r.choice(moms)
+        inner = opalg.OnShell(mom) if onshell else r.choice(inners)
+        kwargs = {}
+        if field in (opalg.DIRAC_PARTICLE, opalg.DIRAC_ANTIPARTICLE):
+            kwargs["spin"] = r.choice(spins)
+        if field == opalg.GAUGE:
+            kwargs["pol"] = r.choice((0, 2))
+            kwargs["ipol"] = r.choice((1, "G"))
+        pool.append(opalg.LadderOperator(field, False, mom, inner, **kwargs))
+    return pool
+
+
+def pooled_ops(r, pool, pairs):
+    """Operators drawn with repetition from the pool: each annihilator
+    stands left of a creator of its field, pairs nesting and crossing."""
+    ops = []
+    for _ in range(pairs):
+        x = r.choice(pool)
+        y = r.choice([p for p in pool if p.field == x.field]).adjoint()
+        i = r.randint(0, len(ops))
+        ops.insert(i, x)
+        ops.insert(r.randint(i + 1, len(ops)), y)
+    return tuple(ops)
+
+
+def pooled_term(r, pool, ops):
+    """A monomial over `ops` whose coefficient may carry inverse energy
+    atoms of the pool's momenta, which contractions can cancel."""
+    atoms = [(OmegaPow if p.field in (opalg.SCALAR, opalg.GAUGE)
+              else ERatioPow)(p.mom, -r.randint(1, 2))
+             for p in pool if r.random() < 0.3]
+    return make_monomial(CRat(Fraction(r.randint(1, 3)),
+                              Fraction(r.randint(-1, 1))),
+                         lam=r.randint(-1, 1), vreg=r.randint(0, 1),
+                         atoms=atoms, ops=ops)
+
+
+POOLS = {
+    "coincident scalar": dict(fields=(opalg.SCALAR,)),
+    "equal-spin dirac": dict(fields=(opalg.DIRAC_PARTICLE,
+                                     opalg.DIRAC_ANTIPARTICLE), spins=(1,)),
+    "mixed species": dict(fields=opalg.FIELDS),
+    "on-shell": dict(fields=opalg.FIELDS, onshell=True),
+}
+
+
+@pytest.mark.parametrize("pool_name", sorted(POOLS))
+@settings(max_examples=60, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_vev_matches_both_oracles_on_repeated_operators(pool_name, r):
+    pool = operator_pool(r, **POOLS[pool_name])
+    e = expr_of(pooled_term(r, pool, pooled_ops(r, pool, r.randint(1, 4))))
+    got = vev(e)
+    assert got == vev_pairing_oracle(e)
+    assert got == vev_oracle(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.randoms(use_true_random=False), pool_name=st.sampled_from(
+    sorted(POOLS)))
+def test_vev_matches_oracle_on_sums_sharing_suffixes(r, pool_name):
+    """Terms that differ in their leading pairs or in the order of their
+    operators reach the same suffixes within one call."""
+    pool = operator_pool(r, **POOLS[pool_name])
+    tail = pooled_ops(r, pool, r.randint(1, 3))
+    terms = []
+    for _ in range(r.randint(2, 4)):
+        ops = pooled_ops(r, pool, r.randint(0, 2)) + tail
+        if r.random() < 0.3:
+            ops = tuple(r.sample(ops, len(ops)))
+        terms.append(pooled_term(r, pool, ops))
+    e = expr_of(*terms)
+    assert vev(e) == vev_pairing_oracle(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_pauli_zeros_cancel_within_vev(r):
+    """Equal-spin coincident fermions: pairings cancel inside each suffix,
+    so a one-term product hands the final merge only surviving terms."""
+    pool = operator_pool(r, **POOLS["equal-spin dirac"])
+    e = expr_of(pooled_term(r, pool, pooled_ops(r, pool, r.randint(1, 4))))
+    real = OperatorExpr.from_monomials.__func__
+    fed = []
+
+    def counting(cls, monos):
+        monos = list(monos)
+        fed.append(len(monos))
+        return real(cls, monos)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OperatorExpr, "from_monomials", classmethod(counting))
+        got = vev(e)
+    assert fed[-1] == len(got.terms)
+    assert got == vev_pairing_oracle(e)
+
+
+def test_coincident_vev_cost_is_polynomial(monkeypatch):
+    """A product of n coincident annihilators and creators has n! pairings
+    that merge into one term; the contractions made must grow polynomially
+    in n, not as n!."""
+    real = opalg._contact_factors
+    calls = [0]
+
+    def counting(lo, hi):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise AssertionError("vev enumerates the pairings one by one")
+        return real(lo, hi)
+
+    monkeypatch.setattr(opalg, "_contact_factors", counting)
+    k = (Fraction(1, 2), Fraction(0), Fraction(-1))
+
+    def calls_for(n):
+        x = opalg.a(k, opalg.OnShell(k))
+        e = OperatorExpr.number(1)
+        for _ in range(n):
+            e = x * e * x.dagger()
+        calls[0] = 0
+        assert len(vev(e).terms) == 1
+        return calls[0]
+
+    counts = [calls_for(n) for n in range(4, 10)]
+    assert all(b <= 3 * a for a, b in zip(counts, counts[1:])), counts
 
 
 # -- delta resolution ----------------------------------------------------------

@@ -1,15 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from innerqft import opalg, smatrix
+from innerqft import cli, opalg, smatrix
 from innerqft.fock import FieldMasses
+from innerqft.grammar import parse_expression
 from innerqft.gravlimit import RegularizationConfig
 from innerqft.kinematics import ETA, FourVector
 from innerqft.smatrix import (GreenFunction, Leg, LSZRecipe, PropagatorSpec,
-                              ToySMatrix, VertexRule, lsz_reduce,
+                              ToySMatrix, VertexRule, elastic_overlap,
+                              lsz_reduce,
                               propagator_eval, toy_unitarity_check,
                               vacuum_and_one_particle_checks,
                               wick_pairing_oracle, wick_two_point)
@@ -231,6 +234,74 @@ def test_pairing_oracle_carries_volume_ratio(name):
     assert amp.elastic == wick_pairing_oracle(legs, masses(), reg)
     assert amp.elastic != wick_pairing_oracle(legs, masses(),
                                               RegularizationConfig())
+
+
+# -- coincident legs in closed form --------------------------------------------
+
+_K = (Fraction(1, 2), 0, -1)
+# (field, discrete labels shared by every leg)
+COINCIDENT_BOSONS = {"scalar": (opalg.SCALAR, {}),
+                     "gauge": (opalg.GAUGE, {"pol": 2, "ipol": 3})}
+
+
+def coincident_legs(n, fld, labels):
+    return tuple(Leg(d, fld, _K, **labels) for d in ("in", "out")
+                 for _ in range(n))
+
+
+def coincident_closed_form(n, fld, labels):
+    """n identical in/out pairs: all n! pairings give the same factor, the
+    single pair's overlap to the n-th power."""
+    one = elastic_overlap(coincident_legs(1, fld, labels), masses(),
+                          RegularizationConfig())
+    power = opalg.OperatorExpr.number(1)
+    for _ in range(n):
+        power = power * one
+    return power.scale(math.factorial(n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("name", sorted(COINCIDENT_BOSONS))
+def test_coincident_bosons_match_oracle_and_closed_form(name, n):
+    fld, labels = COINCIDENT_BOSONS[name]
+    legs = coincident_legs(n, fld, labels)
+    got = elastic_overlap(legs, masses(), RegularizationConfig())
+    assert got == wick_pairing_oracle(legs, masses(), RegularizationConfig())
+    assert got == coincident_closed_form(n, fld, labels)
+    assert len(got.terms) == 1
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("name", sorted(COINCIDENT_BOSONS))
+def test_many_coincident_bosons_give_the_closed_form(name, n):
+    # 8! and 10! pairings: beyond the pairing oracle
+    fld, labels = COINCIDENT_BOSONS[name]
+    got = elastic_overlap(coincident_legs(n, fld, labels), masses(),
+                          RegularizationConfig())
+    assert got == coincident_closed_form(n, fld, labels)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_coincident_equal_spin_fermions_have_no_overlap(n):
+    legs = coincident_legs(n, opalg.DIRAC_PARTICLE, {"spin": 2})
+    assert elastic_overlap(legs, masses(), RegularizationConfig()).is_zero()
+    if n <= 4:
+        assert wick_pairing_oracle(legs, masses(),
+                                   RegularizationConfig()).is_zero()
+
+
+def test_reduce_on_twenty_coincident_legs_prints_the_closed_form(tmp_path,
+                                                                 capsys):
+    legs = tmp_path / "legs.txt"
+    legs.write_text("".join(f"{d} scalar p=1/2,0,-1\n"
+                            for d in ("in", "out") for _ in range(10)))
+    greens = tmp_path / "greens.txt"
+    greens.write_text("")
+    assert cli.main(["reduce", str(greens), "--legs", str(legs)]) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines()
+               if l.startswith("elastic:")]
+    elastic = parse_expression(line.removeprefix("elastic:"))
+    assert elastic == coincident_closed_form(10, opalg.SCALAR, {})
 
 
 def test_zero_vertex_factors_give_zero_connected():
