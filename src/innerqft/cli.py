@@ -205,7 +205,10 @@ def load_greens(path: str) -> tuple[smatrix.VertexRule, ...]:
                 f"{where}: expected 'vertex <re> [<im>]'")
         re = _number(float, tokens[1], where)
         im = _number(float, tokens[2], where) if len(tokens) == 3 else 0.0
-        vertices.append(smatrix.VertexRule(complex(re, im)))
+        try:
+            vertices.append(smatrix.VertexRule(complex(re, im)))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     return tuple(vertices)
 
 

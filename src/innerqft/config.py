@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 
 from .gravlimit import RegularizationConfig
+from .record import Record
 from .smatrix import LSZRecipe
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     tolerance: float = 1e-12
     i_epsilon: float = 1e-8
     seed: int = 0
@@ -41,4 +40,4 @@ class RunConfig:
         return LSZRecipe(self.z, self.z2, self.z3)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f: getattr(self, f) for f in self._fields}

@@ -8,11 +8,11 @@ drops every monomial that still contains an annihilator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import opalg
 from .opalg import (GAUGE, LadderOperator, Monomial, OnShell, OperatorExpr,
                     reduce_to_normal_form, vev)
+from .record import Record
 
 
 class SupportError(ValueError):
@@ -31,8 +31,7 @@ def _check_support(op: LadderOperator) -> None:
                                "the closed forward cone")
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(Record):
     expr: OperatorExpr
 
     @classmethod
@@ -97,8 +96,7 @@ def _quantum_weight(op: LadderOperator) -> int:
     return (1 if op.pol == 0 else -1) * (-1)
 
 
-@dataclass(frozen=True)
-class NormSign:
+class NormSign(Record):
     sign: int
 
 
@@ -128,8 +126,7 @@ def physical_filter(s: FockState) -> FockState:
     return FockState(OperatorExpr.from_monomials(kept))
 
 
-@dataclass(frozen=True)
-class FieldMasses:
+class FieldMasses(Record):
     """Mass of each field species, used wherever an on-shell energy is needed."""
 
     scalar: float = 1.0

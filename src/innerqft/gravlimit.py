@@ -9,20 +9,19 @@ substitution, never a floating-point infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import opalg
 from .fock import FockState
 from .opalg import CRat, Label, OnShell, OperatorExpr, make_monomial
+from .record import Record
 
 
 class UnresolvedInnerLabel(ValueError):
     """A d4 atom argument cannot be tied to an on-shell momentum."""
 
 
-@dataclass(frozen=True)
-class RegularizationConfig:
+class RegularizationConfig(Record):
     lam: float = 1.0
     v_reg: float = 1.0
 

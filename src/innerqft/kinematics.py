@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from .record import Record
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 DEFAULT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FourVector:
+class FourVector(Record):
     """Contravariant four-vector in natural units."""
 
     t: float
@@ -51,8 +51,7 @@ def on_shell_energy(spatial, mass: float) -> float:
     return math.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
 
 
-@dataclass(frozen=True)
-class MassShellMomentum:
+class MassShellMomentum(Record):
     """Spatial momentum plus mass; energy is derived and always positive."""
 
     spatial: tuple[float, float, float]
@@ -98,8 +97,7 @@ def is_admissible_inner(K: FourVector) -> bool:
 # Polarization bases
 
 
-@dataclass(frozen=True)
-class PolarizationBasis:
+class PolarizationBasis(Record):
     """Spacetime vectors eps(k, 0..3) and/or inner vectors E(K, 1..3)."""
 
     spacetime: tuple[FourVector, ...] | None = None
@@ -219,40 +217,47 @@ def gamma_anticommutator_residual() -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class DiracSpinor:
-    components: np.ndarray = field(compare=False)
+class DiracSpinor(Record):
+    """u/v solution with ubar u = 1, vbar v = -1, u^dag u = k0/m.
+
+    `components`, derived from the labels when the spinor is built, takes
+    no part in comparison. The normalization divides by the mass, so m = 0
+    is rejected.
+    """
+
+    __slots__ = ("components",)
     kind: str  # "u" or "v"
     spin: int  # 1 or 2
     momentum: MassShellMomentum
+
+    def __post_init__(self):
+        k, s = self.momentum, self.spin
+        if k.mass <= 0:
+            raise ValueError("spinor normalization requires m > 0")
+        if s not in (1, 2):
+            raise ValueError("spin label must be 1 or 2")
+        if self.kind not in ("u", "v"):
+            raise ValueError("spinor kind must be 'u' or 'v'")
+        m = k.mass
+        E = k.energy
+        chi = np.zeros(2, dtype=complex)
+        chi[s - 1] = 1.0
+        sig_k = sum(c * sig for c, sig in zip(k.spatial, _SIGMA))
+        lower = (sig_k @ chi) / (E + m)
+        norm = math.sqrt((E + m) / (2 * m))
+        if self.kind == "u":
+            comps = norm * np.concatenate([chi, lower])
+        else:
+            comps = norm * np.concatenate([lower, chi])
+        object.__setattr__(self, "components", comps)
 
     def bar(self) -> np.ndarray:
         return self.components.conj() @ GAMMA[0]
 
 
 def dirac_spinor(k: MassShellMomentum, s: int, kind: str) -> DiracSpinor:
-    """u/v solutions with ubar u = 1, vbar v = -1, u^dag u = k0/m.
-
-    The normalization divides by the mass, so m = 0 is rejected.
-    """
-    if k.mass <= 0:
-        raise ValueError("spinor normalization requires m > 0")
-    if s not in (1, 2):
-        raise ValueError("spin label must be 1 or 2")
-    if kind not in ("u", "v"):
-        raise ValueError("spinor kind must be 'u' or 'v'")
-    m = k.mass
-    E = k.energy
-    chi = np.zeros(2, dtype=complex)
-    chi[s - 1] = 1.0
-    sig_k = sum(c * sig for c, sig in zip(k.spatial, _SIGMA))
-    lower = (sig_k @ chi) / (E + m)
-    norm = math.sqrt((E + m) / (2 * m))
-    if kind == "u":
-        comps = norm * np.concatenate([chi, lower])
-    else:
-        comps = norm * np.concatenate([lower, chi])
-    return DiracSpinor(comps, kind, s, k)
+    """The u/v spinor of momentum k and spin s (see DiracSpinor)."""
+    return DiracSpinor(kind, s, k)
 
 
 def spin_sum(k: MassShellMomentum, kind: str) -> np.ndarray:

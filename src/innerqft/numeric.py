@@ -8,7 +8,6 @@ it. Gauge propagators are fixed to the Feynman-type gauge (gauge parameter
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,13 +19,13 @@ from .kinematics import (DEFAULT_TOL, ETA, FourVector, MassShellMomentum,
                          minkowski_dot, slash, spin_sum)
 from .opalg import (ERatioPow, Metric, OmegaPow, OperatorExpr, delta_resolve,
                     make_monomial, vev)
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # Propagators
 
 
-@dataclass(frozen=True)
-class PropagatorSpec:
+class PropagatorSpec(Record):
     """Momentum-space Feynman propagator kernel plus inner prefactor.
 
     scalar: L^4 d4(X-Y) inner delta, kernel 1/(k^2 - m^2 + ie)
@@ -83,8 +82,7 @@ def propagator_eval(spec: PropagatorSpec, k: FourVector,
 # Two-point function vs Wick contraction
 
 
-@dataclass(frozen=True)
-class TwoPointCheck:
+class TwoPointCheck(Record):
     kind: str
     spec: PropagatorSpec
     residue: OperatorExpr          # exact leftover of the measure cancellation
@@ -185,8 +183,7 @@ def wick_two_point(kind: str, masses: FieldMasses = FieldMasses(),
 # Toy S-matrix and projected unitarity
 
 
-@dataclass(frozen=True)
-class ToySMatrix:
+class ToySMatrix(Record):
     """Finite unitary S over a graded basis with a physical projector P."""
 
     s: np.ndarray
@@ -199,8 +196,7 @@ class ToySMatrix:
         return self.s.shape[0]
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
+class UnitarityReport(Record):
     precondition_failures: tuple
     conclusion_norm: float | None
     tolerance: float
@@ -240,8 +236,7 @@ def toy_unitarity_check(t: ToySMatrix, tol: float = DEFAULT_TOL) -> UnitarityRep
     return UnitarityReport((), concl, tol)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     violations: tuple
     tolerance: float
 

@@ -14,19 +14,28 @@ one printer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Union
+
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # Exact complex-rational scalars
 
 
-@dataclass(frozen=True)
-class CRat:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+_ZERO = Fraction(0)
+
+
+class CRat(Record):
+    """Exact complex rational re + i*im, parts kept as Fractions.
+
+    Sums and products of two real scalars take a real fast path: one
+    Fraction operation, no imaginary arithmetic.
+    """
+
+    re: Fraction = _ZERO
+    im: Fraction = _ZERO
 
     @classmethod
     def of(cls, x) -> "CRat":
@@ -39,17 +48,21 @@ class CRat:
         raise TypeError(f"cannot coerce {x!r} to an exact complex rational")
 
     def __add__(self, o: "CRat") -> "CRat":
-        return CRat(self.re + o.re, self.im + o.im)
+        if self.im or o.im:
+            return CRat(self.re + o.re, self.im + o.im)
+        return CRat(self.re + o.re)
 
     def __mul__(self, o: "CRat") -> "CRat":
-        return CRat(self.re * o.re - self.im * o.im,
-                    self.re * o.im + self.im * o.re)
+        if self.im or o.im:
+            return CRat(self.re * o.re - self.im * o.im,
+                        self.re * o.im + self.im * o.re)
+        return CRat(self.re * o.re)
 
     def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
+        return CRat(-self.re, -self.im) if self.im else CRat(-self.re)
 
     def conj(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return CRat(self.re, -self.im) if self.im else self
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -81,12 +94,12 @@ I = CRat(Fraction(0), Fraction(1))
 # bound labels are equal exactly when their tuples are.
 
 
-@dataclass(frozen=True)
-class OnShell:
-    mom: Union[str, tuple]
+class OnShell(Record):
+    mom: str | tuple
 
 
-Label = Union[str, tuple, OnShell]
+# the type of a label, for annotations
+Label = "str | tuple | OnShell"
 
 
 def label_key(l: Label):
@@ -126,15 +139,14 @@ _FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
 FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
 
 
-@dataclass(frozen=True)
-class LadderOperator:
+class LadderOperator(Record):
     field: str
     dagger: bool
     mom: Label
     inner: Label
-    spin: Union[int, str, None] = None
-    pol: Union[int, str, None] = None  # spacetime polarization, gauge only
-    ipol: Union[int, str, None] = None  # inner polarization, gauge only
+    spin: int | str | None = None
+    pol: int | str | None = None  # spacetime polarization, gauge only
+    ipol: int | str | None = None  # inner polarization, gauge only
 
     def __post_init__(self):
         if self.field not in FIELDS:
@@ -235,8 +247,7 @@ class LadderOperator:
 MOM, INNER, DISC, NONE = "mom", "inner", "disc", "none"
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+class AtomSpec(Record):
     rank: int
     arg: str = NONE
     arity: int = 0
@@ -271,13 +282,14 @@ def _disc_key(v):
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """One coefficient factor; `key` is its place in the canonical order."""
+class Atom(Record):
+    """One coefficient factor; `key`, derived when it is built, is its place
+    in the canonical order."""
+
+    __slots__ = ("key",)
     kind: str
     args: tuple = ()
     power: int = 1
-    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = ATOMS[self.kind]
@@ -339,12 +351,12 @@ def Delta4Zero() -> Atom:
     return Atom("d4(0)")
 
 
-def SpinDelta(a: Union[int, str], b: Union[int, str]) -> Atom:
+def SpinDelta(a: int | str, b: int | str) -> Atom:
     """Kronecker delta over two spin labels, symmetric."""
     return Atom("kd", (a, b))
 
 
-def Metric(space: bool, a: Union[int, str], b: Union[int, str]) -> Atom:
+def Metric(space: bool, a: int | str, b: int | str) -> Atom:
     """eta^{gg'} factor; space=True for spacetime, False for inner indices."""
     return Atom("eta" if space else "ETA", (a, b))
 
@@ -374,8 +386,7 @@ def _labels_bound_equal(a: Label, b: Label):
 # Monomials and expressions
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     scalar: CRat
     lam: int = 0      # power of the length scale L
     twopi: int = 0    # power of 2*pi
@@ -446,8 +457,7 @@ def make_monomial(scalar, lam=0, twopi=0, vreg=0,
     return Monomial(scalar, lam, twopi, vreg, tuple(kept), tuple(ops))
 
 
-@dataclass(frozen=True)
-class OperatorExpr:
+class OperatorExpr(Record):
     """Canonical formal sum of monomials."""
 
     terms: tuple = ()

@@ -11,9 +11,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from . import opalg
 from .fock import FieldMasses
@@ -21,6 +20,7 @@ from .gravlimit import RegularizationConfig, grav_limit_expr
 from .opalg import (GAUGE, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, SCALAR,
                     Delta3, ERatioPow, Metric, OmegaPow, OnShell,
                     OperatorExpr, SpinDelta, make_monomial, vev)
+from .record import Record
 
 
 def __getattr__(name: str):
@@ -35,8 +35,7 @@ def __getattr__(name: str):
 # LSZ reduction
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(Record):
     direction: str                 # "in" or "out"
     field: str                     # opalg field kind
     mom: tuple                     # bound spatial momentum
@@ -58,11 +57,14 @@ class Leg:
         _leg_operator(self)
 
 
-@dataclass(frozen=True)
-class VertexRule:
+class VertexRule(Record):
     """Opaque momentum-space factor attached to an interaction point."""
 
     factor: complex | Callable[[Sequence[Leg]], complex] = 0.0
+
+    def __post_init__(self):
+        if not callable(self.factor) and not cmath.isfinite(self.factor):
+            raise ValueError(f"vertex factor {self.factor} is not finite")
 
     def value(self, legs: Sequence[Leg]) -> complex:
         if callable(self.factor):
@@ -70,18 +72,16 @@ class VertexRule:
         return complex(self.factor)
 
 
-@dataclass(frozen=True)
-class GreenFunction:
+class GreenFunction(Record):
     legs: tuple
     vertices: tuple = ()
 
 
-@dataclass(frozen=True)
-class LSZRecipe:
+class LSZRecipe(Record):
     z: float = 1.0
     z2: float = 1.0
     z3: float = 1.0
-    masses: FieldMasses = field(default_factory=FieldMasses)
+    masses: FieldMasses = FieldMasses()
 
     def __post_init__(self):
         for name, z in (("z", self.z), ("z2", self.z2), ("z3", self.z3)):
@@ -96,8 +96,7 @@ class LSZRecipe:
         return self.z2
 
 
-@dataclass(frozen=True)
-class Amplitude:
+class Amplitude(Record):
     connected: complex
     elastic: OperatorExpr
     invariance: Fraction | None = None

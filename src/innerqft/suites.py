@@ -8,7 +8,6 @@ against cfg.tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +19,10 @@ from .gravlimit import RegularizationConfig, barred, grav_limit_expr
 from .kinematics import FourVector, MassShellMomentum
 from .opalg import (Delta3, Delta4, ERatioPow, Metric, OmegaPow, OperatorExpr,
                     SpinDelta, anticommutator, commutator, make_monomial, vev)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(Record):
     name: str
     passed: bool
     detail: str = ""

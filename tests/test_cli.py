@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import innerqft
 from innerqft import suites
 from innerqft.cli import build_parser, main
+from innerqft.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CMD = [sys.executable, "-m", "innerqft.cli"]
@@ -157,6 +158,32 @@ def test_config_file(tmp_path, capsys):
     assert doc["config"]["lam"] == 2.0
 
 
+def test_json_config_block(tmp_path, capsys):
+    """The `config` object of a JSON report: every RunConfig field, under
+    its field name, in the report's sorted key order."""
+    assert list(RunConfig().as_dict()) == [
+        "tolerance", "i_epsilon", "seed", "lam", "v_reg", "z", "z2", "z3",
+        "fmt"]
+    assert main(["verify", "--suite", "ccr", "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["config"].items()) == [
+        ("fmt", "json"), ("i_epsilon", 1e-08), ("lam", 1.0), ("seed", 0),
+        ("tolerance", 1e-12), ("v_reg", 1.0), ("z", 1.0), ("z2", 1.0),
+        ("z3", 1.0)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 1e-10\nseed = 9\nlambda = 2\nv_reg = 16.0\n"
+                   "z2 = 0.5\nformat = json\n")
+    assert main(["verify", "--suite", "ccr", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert list(json.loads(out)["config"].items()) == [
+        ("fmt", "json"), ("i_epsilon", 1e-08), ("lam", 2.0), ("seed", 9),
+        ("tolerance", 1e-10), ("v_reg", 16.0), ("z", 1.0), ("z2", 0.5),
+        ("z3", 1.0)]
+    assert ('  "config": {\n    "fmt": "json",\n    "i_epsilon": 1e-08,\n'
+            '    "lam": 2.0,\n    "seed": 9,\n    "tolerance": 1e-10,\n'
+            '    "v_reg": 16.0,\n    "z": 1.0,\n    "z2": 0.5,\n'
+            '    "z3": 1.0\n  },\n') in out
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\n")
@@ -241,20 +268,57 @@ print(json.dumps(steps))
 """
 
 
-def test_only_verify_imports_numpy(tmp_path):
+def _reduce_inputs(tmp_path) -> list:
     legs = tmp_path / "legs.txt"
     legs.write_text("in dirac p=1,2,2 s=1\nin gauge p=0,1,0 g=1 G=2\n"
                     "out dirac p=1,2,2 s=1\nout gauge p=0,1,0 g=1 G=2\n")
     greens = tmp_path / "greens.txt"
     greens.write_text("vertex 2.0 0.5\n")
+    return [str(greens), str(legs)]
+
+
+def test_only_verify_imports_numpy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_STEPS, str(ROOT / "perfbench" / "checks.py"),
-         str(greens), str(legs)], capture_output=True, text=True, env=ENV)
+         *_reduce_inputs(tmp_path)], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         ["import innerqft.cli", False], ["import perfbench/checks.py", False],
         ["vev", False], ["commutator", False], ["reduce", False],
         ["verify", True]]
+
+
+# Which heavy standard modules the exact commands load, in one fresh
+# interpreter started with -S, so that `site` (and any .pth file it runs)
+# cannot import them first. numpy imports all three, so `verify` is left out.
+LEAN_STEPS = r"""
+import contextlib, io, json, sys
+steps = []
+
+def step(name):
+    steps.append([name, sorted(m for m in ("dataclasses", "inspect", "typing")
+                               if m in sys.modules)])
+
+import innerqft.cli
+step("import innerqft.cli")
+for argv in (["vev", "T a(k;K) a'(h;H) b(q,s=1;Q) b'(p,s=2;P)"],
+             ["commutator", "a(k;K)", "a'(h;H)"],
+             ["reduce", sys.argv[1], "--legs", sys.argv[2], "--format", "json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert innerqft.cli.main(argv) == 0, argv
+    step(argv[0])
+print(json.dumps(steps))
+"""
+
+
+def test_exact_commands_import_no_dataclasses_inspect_or_typing(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LEAN_STEPS, *_reduce_inputs(tmp_path)],
+        capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import innerqft.cli", []], ["vev", []], ["commutator", []],
+        ["reduce", []]]
 
 
 def test_package_names_resolve_lazily():
@@ -331,6 +395,19 @@ def test_reduce_rejects_non_finite_amplitudes(vertex, tmp_path, capsys):
     legs = "in scalar p=1,0,0\nout scalar p=1,0,0\n"
     assert _reduce(tmp_path, legs, vertex + "\n") == 2
     assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("greens, line", [
+    ("vertex nan", 1), ("vertex inf", 1), ("vertex -inf", 1),
+    ("vertex inf\nvertex -inf", 1), ("vertex 1\nvertex 0 -inf", 2),
+    ("vertex 2 0.5\n# note\nvertex nan 1", 3)])
+def test_non_finite_vertex_exits_2_at_its_line(greens, line, tmp_path, capsys):
+    legs = "in scalar p=1,0,0\nout scalar p=1,0,0\n"
+    assert _reduce(tmp_path, legs, greens + "\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'greens.txt'}:{line}: "
+                          "vertex factor ")
+    assert err.endswith(" is not finite\n")
 
 
 # Random legs and greens files: reduce exits 0 or 2, never through an
