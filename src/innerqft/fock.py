@@ -16,7 +16,7 @@ from .record import Record
 
 
 class SupportError(ValueError):
-    """Inner momentum outside the closed forward/backward cones."""
+    """Inner momentum outside the closed forward cone."""
 
 
 def _check_support(op: LadderOperator) -> None:
@@ -40,29 +40,14 @@ class FockState(Record):
 
     @classmethod
     def ket(cls, *creators: LadderOperator) -> "FockState":
-        """Basis ket: a product of creation operators applied to |0>.
-
-        Creators (anti)commute with each other and never leave a contact
-        term, so the normal form is the product stably sorted by
-        `sort_key`: the sign is the parity of the fermionic inversions (the
-        swaps the reducer would make), and two equal fermions, adjacent
-        once sorted, give zero. This equals `reduce_to_normal_form` of the
-        product without running it.
-        """
+        """Basis ket: a product of creation operators applied to |0>, in
+        normal order (zero when two fermions are equal)."""
         for op in creators:
             if not op.dagger:
                 raise ValueError("kets are built from creation operators")
             _check_support(op)
-        order = sorted(range(len(creators)),
-                       key=lambda i: creators[i].sort_key())
-        fermions = [i for i in order if creators[i].fermionic]
-        inversions = sum(i > j for n, i in enumerate(fermions)
-                         for j in fermions[n + 1:])
-        ops = tuple(creators[i] for i in order)
-        if any(x == y and x.fermionic for x, y in zip(ops, ops[1:])):
-            return cls(OperatorExpr.zero())
-        return cls(OperatorExpr((opalg.make_monomial((-1) ** inversions,
-                                                     ops=ops),)))
+        return cls(reduce_to_normal_form(OperatorExpr(
+            (Monomial(opalg.ONE, ops=creators),))))
 
     def is_zero(self) -> bool:
         return self.expr.is_zero()

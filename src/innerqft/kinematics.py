@@ -88,11 +88,6 @@ def cone_classify(K: FourVector) -> ConeClass:
     return ConeClass.LIGHTLIKE_PLUS if K.t >= 0 else ConeClass.LIGHTLIKE_MINUS
 
 
-def is_admissible_inner(K: FourVector) -> bool:
-    """Inner momenta are restricted to the closed forward/backward cones."""
-    return cone_classify(K) is not ConeClass.SPACELIKE
-
-
 # ---------------------------------------------------------------------------
 # Polarization bases
 

@@ -139,7 +139,21 @@ _FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
 FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
 
 
+def _discrete_key(v):
+    if v is None:
+        return (0,)
+    return (1, v) if isinstance(v, str) else (2, v)
+
+
 class LadderOperator(Record):
+    """One creation (dagger) or annihilation operator.
+
+    `key`, derived when the operator is built, is its place in normal
+    order: creators first, then field kind, then the labels. It is total
+    on operators, and two operators are equal exactly when their keys are.
+    """
+
+    __slots__ = ("key",)
     field: str
     dagger: bool
     mom: Label
@@ -171,6 +185,10 @@ class LadderOperator(Record):
             raise ValueError("bound momentum labels are 3-vectors")
         if isinstance(self.inner, tuple) and len(self.inner) != 4:
             raise ValueError("bound inner labels are 4-vectors")
+        object.__setattr__(self, "key", (
+            0 if self.dagger else 1, _FIELD_ORDER[self.field],
+            label_key(self.mom), label_key(self.inner), _discrete_key(self.spin),
+            _discrete_key(self.pol), _discrete_key(self.ipol)))
 
     @property
     def fermionic(self) -> bool:
@@ -179,20 +197,6 @@ class LadderOperator(Record):
     def adjoint(self) -> "LadderOperator":
         return LadderOperator(self.field, not self.dagger, self.mom, self.inner,
                               self.spin, self.pol, self.ipol)
-
-    def _discrete_key(self):
-        def k(v):
-            if v is None:
-                return (0,)
-            if isinstance(v, str):
-                return (1, v)
-            return (2, v)
-        return (k(self.spin), k(self.pol), k(self.ipol))
-
-    def sort_key(self):
-        # daggers first, then field kind, then labels; total on operators
-        return (0 if self.dagger else 1, _FIELD_ORDER[self.field],
-                label_key(self.mom), label_key(self.inner), self._discrete_key())
 
     def substitute(self, mapping: Mapping[str, Label]) -> "LadderOperator":
         def sub_disc(v):
@@ -395,7 +399,7 @@ class Monomial(Record):
     ops: tuple = ()
 
     def sort_key(self):
-        return (tuple(op.sort_key() for op in self.ops),
+        return (tuple(op.key for op in self.ops),
                 tuple(a.key for a in self.atoms),
                 self.lam, self.twopi, self.vreg)
 
@@ -565,46 +569,53 @@ def _contact_factors(lo: LadderOperator, hi: LadderOperator):
              Metric(False, lo.ipol, hi.ipol)) + deltas)
 
 
-def _first_violation(ops: tuple) -> int | None:
-    for i in range(len(ops) - 1):
-        if ops[i].sort_key() > ops[i + 1].sort_key():
-            return i
-    return None
+def _insert(x: LadderOperator, term: tuple, keep_contact: bool) -> list:
+    """The terms of `x` times one normal-ordered term (scalar, lam, twopi,
+    canonical atoms, ops): `x` moves right past every operator of smaller key, the
+    sign flipping when both are fermionic; an annihilator passing a creator
+    of its own field also leaves that pair's contact term, canonicalized
+    at once so that a false delta prunes it. `x` lands before the first
+    operator not below it; an equal fermion there makes the term zero."""
+    s, lam, tp, atoms, ops = term
+    out = []
+    contact = keep_contact and not x.dagger
+    for i, y in enumerate(ops):
+        if not y.key < x.key:
+            if x.fermionic and y.key == x.key:
+                return out
+            break
+        if contact and y.dagger and y.field == x.field:
+            cs, clam, ctp, catoms = _contact_factors(x, y)
+            c = make_monomial(cs, clam, ctp, 0, catoms)
+            if c is not None:
+                out.append((s * c.scalar, lam + c.lam, tp + c.twopi,
+                            _join_atoms(atoms, c.atoms), ops[:i] + ops[i + 1:]))
+        if x.fermionic and y.fermionic:
+            s = -s
+    else:
+        i = len(ops)
+    out.append((s, lam, tp, atoms, ops[:i] + (x,) + ops[i:]))
+    return out
 
 
 def reduce_to_normal_form(e: OperatorExpr, keep_contact: bool = True) -> OperatorExpr:
     """Rewrite so creators stand left of annihilators in every monomial.
 
-    Each annihilator/creator swap within one species emits the contact term
-    of the governing (anti)commutation relation; operators of distinct
-    species (anti)commute freely. With keep_contact=False this is normal
-    ordering: contact terms are discarded, signs are kept.
+    Wick insertion: each monomial's operators are inserted right to left
+    into the normal-ordered product of the operators after them
+    (`_insert`). Operators of distinct species (anti)commute freely; an
+    annihilator passing a creator of its own species emits the contact
+    term of the governing (anti)commutation relation. With
+    keep_contact=False this is normal ordering: contact terms are
+    discarded, signs are kept.
     """
     done: list[Monomial] = []
-    stack = list(e.terms)
-    while stack:
-        m = stack.pop()
-        if m is None:
-            continue
-        i = _first_violation(m.ops)
-        if i is None:
-            # identical adjacent fermionic operators square to zero
-            if any(a == b and a.fermionic
-                   for a, b in zip(m.ops, m.ops[1:])):
-                continue
-            done.append(m)
-            continue
-        x, y = m.ops[i], m.ops[i + 1]
-        sign = -1 if (x.fermionic and y.fermionic) else 1
-        swapped = m.ops[:i] + (y, x) + m.ops[i + 2:]
-        stack.append(make_monomial(m.scalar * CRat.of(sign), m.lam, m.twopi,
-                                   m.vreg, m.atoms, swapped))
-        if (keep_contact and not x.dagger and y.dagger and x.field == y.field):
-            cs, clam, ctp, catoms = _contact_factors(x, y)
-            stack.append(make_monomial(m.scalar * cs, m.lam + clam,
-                                       m.twopi + ctp, m.vreg,
-                                       m.atoms + catoms,
-                                       m.ops[:i] + m.ops[i + 2:]))
+    for m in e.terms:
+        terms = [(m.scalar, m.lam, m.twopi, m.atoms, ())]
+        for x in reversed(m.ops):
+            terms = [t for term in terms for t in _insert(x, term, keep_contact)]
+        done.extend(Monomial(s, lam, tp, m.vreg, atoms, ops)
+                    for s, lam, tp, atoms, ops in terms)
     return OperatorExpr.from_monomials(done)
 
 

@@ -129,8 +129,8 @@ def _check_on_shell(leg: Leg, masses: FieldMasses, tol: float) -> None:
                          f"m^2 = {m * m}")
 
 
-def elastic_overlap(legs: Sequence[Leg], masses: FieldMasses,
-                    cfg: RegularizationConfig) -> OperatorExpr:
+def elastic_overlap(legs: Sequence[Leg], cfg: RegularizationConfig
+                    ) -> OperatorExpr:
     """<out|in> for free barred quanta: the `vev` of the out annihilators
     followed by the in creators, taken to the gravitational limit.
 
@@ -170,14 +170,14 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
         connected = prefactor * vertex_sum
     if not cmath.isfinite(connected):
         raise ValueError(f"connected amplitude {connected} is not finite")
-    elastic = elastic_overlap(g.legs, recipe.masses, cfg)
+    elastic = elastic_overlap(g.legs, cfg)
     invariance = None
     ins = [l for l in g.legs if l.direction == "in"]
     outs = [l for l in g.legs if l.direction == "out"]
     if len(ins) == 1 and len(outs) == 1 and not g.vertices:
         norm = elastic_overlap([ins[0], Leg("out", ins[0].field, ins[0].mom,
                                             ins[0].spin, ins[0].pol, ins[0].ipol)],
-                               recipe.masses, cfg)
+                               cfg)
         if not norm.is_zero() and elastic == norm:
             invariance = Fraction(1)
         else:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from innerqft import fock, opalg
 from innerqft.fock import FieldMasses, FockState
 from innerqft.opalg import Delta3, Delta4, LadderOperator, OmegaPow, \
-    OperatorExpr, make_monomial, reduce_to_normal_form
+    OperatorExpr, make_monomial
 
 from conftest import random_bound_mom
+from test_opalg import swap_reduce_oracle
 
 
 def bound_op(field=opalg.SCALAR, mom=(1, 0, 0), inner=(2, 0, 0, 0), **kw):
@@ -232,9 +233,9 @@ _D2 = bound_op(opalg.DIRAC_ANTIPARTICLE, mom=(0, 1, 0), spin=2)
 @example([_D2, bound_op(), _B1, _D2])             # Pauli among swaps
 @example([_B1, bound_op(), _B1_FRACTION])         # Pauli across a boson
 def test_ket_equals_the_reduced_product(ops):
-    """The sorted ket is the general reducer's normal form of the product."""
+    """The ket is the swap reducer's normal form of the product."""
     product = OperatorExpr.from_monomials([make_monomial(1, ops=tuple(ops))])
-    want = reduce_to_normal_form(product)
+    want = swap_reduce_oracle(product)
     got = FockState.ket(*ops).expr
     assert got == want
     assert str(got) == str(want)

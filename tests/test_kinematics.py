@@ -39,8 +39,6 @@ def test_cone_classification():
     assert kin.cone_classify(FourVector(-2, 1, 0, 0)) is kin.ConeClass.TIMELIKE_MINUS
     assert kin.cone_classify(FourVector(1, 1, 0, 0)) is kin.ConeClass.LIGHTLIKE_PLUS
     assert kin.cone_classify(FourVector(0, 1, 0, 0)) is kin.ConeClass.SPACELIKE
-    assert kin.is_admissible_inner(FourVector(2, 1, 0, 0))
-    assert not kin.is_admissible_inner(FourVector(0, 1, 0, 0))
 
 
 @given(finite, finite, finite, mass)

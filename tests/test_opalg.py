@@ -144,7 +144,7 @@ def test_reduction_idempotent(r):
 def test_reduction_is_normal_ordered(r):
     e = reduce_to_normal_form(random_product(r))
     for m in e.terms:
-        keys = [op.sort_key() for op in m.ops]
+        keys = [op.key for op in m.ops]
         assert keys == sorted(keys)
 
 
@@ -463,6 +463,139 @@ def test_coincident_vev_cost_is_polynomial(monkeypatch):
 
     counts = [calls_for(n) for n in range(4, 10)]
     assert all(b <= 3 * a for a, b in zip(counts, counts[1:])), counts
+
+
+# -- the reducer against the swap reducer ----------------------------------------
+
+
+def swap_reduce_oracle(e, keep_contact=True):
+    """The normal form by adjacent swaps: the leftmost out-of-order pair is
+    swapped (a sign for two fermions), an annihilator/creator pair of one
+    field also leaves its contact term, and the product is rescanned until
+    it is sorted; a sorted product with two equal adjacent fermions is
+    zero."""
+    done = []
+    stack = list(e.terms)
+    while stack:
+        m = stack.pop()
+        if m is None:
+            continue
+        i = next((i for i in range(len(m.ops) - 1)
+                  if m.ops[i].key > m.ops[i + 1].key), None)
+        if i is None:
+            if not any(x == y and x.fermionic
+                       for x, y in zip(m.ops, m.ops[1:])):
+                done.append(m)
+            continue
+        x, y = m.ops[i], m.ops[i + 1]
+        sign = -1 if (x.fermionic and y.fermionic) else 1
+        swapped = m.ops[:i] + (y, x) + m.ops[i + 2:]
+        stack.append(make_monomial(m.scalar * CRat.of(sign), m.lam, m.twopi,
+                                   m.vreg, m.atoms, swapped))
+        if keep_contact and not x.dagger and y.dagger and x.field == y.field:
+            cs, clam, ctp, catoms = opalg._contact_factors(x, y)
+            stack.append(make_monomial(m.scalar * cs, m.lam + clam,
+                                       m.twopi + ctp, m.vreg, m.atoms + catoms,
+                                       m.ops[:i] + m.ops[i + 2:]))
+    return OperatorExpr.from_monomials(done)
+
+
+def assert_reduces_like_the_oracle(e):
+    for keep_contact in (True, False):
+        got = reduce_to_normal_form(e, keep_contact)
+        want = swap_reduce_oracle(e, keep_contact)
+        assert got == want
+        assert str(got) == str(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_reducer_matches_swap_oracle_on_random_products(r):
+    assert_reduces_like_the_oracle(
+        random_product(r, max_ops=7, allow_onshell=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_reducer_matches_swap_oracle_on_sums(r):
+    e = OperatorExpr.zero()
+    for _ in range(r.randint(1, 3)):
+        e = e + random_product(r, max_ops=7, allow_onshell=True)
+    assert_reduces_like_the_oracle(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_reducer_matches_swap_oracle_on_balanced_products(r, allow_onshell):
+    assert_reduces_like_the_oracle(balanced_product(r, allow_onshell))
+
+
+def respelled(op, r):
+    """`op` with each integral bound component written as an int or as a
+    Fraction at random: an equal operator."""
+    def spell(label):
+        if isinstance(label, opalg.OnShell):
+            return opalg.OnShell(spell(label.mom))
+        if isinstance(label, tuple):
+            return tuple(int(c) if c == int(c) and r.random() < 0.5
+                         else Fraction(c) for c in label)
+        return label
+    return opalg.LadderOperator(op.field, op.dagger, spell(op.mom),
+                                spell(op.inner), op.spin, op.pol, op.ipol)
+
+
+@pytest.mark.parametrize("pool_name", sorted(POOLS))
+@settings(max_examples=60, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_reducer_matches_swap_oracle_on_repeated_operators(pool_name, r):
+    pool = operator_pool(r, **POOLS[pool_name])
+    ops = pooled_ops(r, pool, r.randint(1, 3))
+    if r.random() < 0.5:
+        ops = tuple(r.sample(ops, len(ops)))
+    ops = tuple(respelled(op, r) for op in ops)
+    assert_reduces_like_the_oracle(expr_of(pooled_term(r, pool, ops)))
+
+
+def counting_contacts(monkeypatch):
+    """A list whose first item counts the `_contact_factors` calls made."""
+    real = opalg._contact_factors
+    calls = [0]
+
+    def counting(lo, hi):
+        calls[0] += 1
+        return real(lo, hi)
+
+    monkeypatch.setattr(opalg, "_contact_factors", counting)
+    return calls
+
+
+def test_false_delta_ladder_reduction_cost_is_quadratic(monkeypatch):
+    """n annihilators before n creators whose momenta all differ: every
+    contact factor carries a false d3 and is pruned when made, so the
+    reducer makes one contact factor per annihilator/creator pair."""
+    calls = counting_contacts(monkeypatch)
+    for n in range(4, 9):
+        e = OperatorExpr.number(1)
+        for i in range(n):
+            e = e * opalg.a((i, 0, 0), f"K{i}")
+        for i in range(n):
+            e = e * opalg.a((i + 100, 0, 0), f"H{i}", dagger=True)
+        calls[0] = 0
+        got = reduce_to_normal_form(e)
+        assert len(got.terms) == 1
+        assert calls[0] <= n * n, (n, calls[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_creator_products_make_no_contact_factors(r):
+    e = OperatorExpr.number(1)
+    for _ in range(r.randint(0, 7)):
+        e = e * OperatorExpr.from_op(random_ladder(r, dagger=True))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_contacts(mp)
+        reduce_to_normal_form(e)
+    assert calls[0] == 0
 
 
 # -- delta resolution ----------------------------------------------------------

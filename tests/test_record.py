@@ -92,6 +92,19 @@ def test_equal_fields_give_equal_records_and_hashes(x, rnd):
 
 
 @settings(max_examples=150, deadline=None)
+@given(operators, operators, st.randoms(use_true_random=False))
+def test_operator_keys_decide_equality(x, other, rnd):
+    """Spelled with int, Fraction or float bound components, two operators
+    are equal exactly when their derived keys are, and a pickle round trip
+    keeps the key."""
+    for y in (x, x.adjoint(), other):
+        y = respell(y, rnd)
+        assert (x == y) == (x.key == y.key)
+        assert pickle.loads(pickle.dumps(y)).key == y.key
+    assert respell(x, rnd).key == x.key
+
+
+@settings(max_examples=150, deadline=None)
 @given(records, records)
 def test_records_equal_only_records_of_their_type(x, y):
     if type(x) is not type(y):

@@ -252,7 +252,7 @@ def coincident_legs(n, fld, labels):
 def coincident_closed_form(n, fld, labels):
     """n identical in/out pairs: all n! pairings give the same factor, the
     single pair's overlap to the n-th power."""
-    one = elastic_overlap(coincident_legs(1, fld, labels), masses(),
+    one = elastic_overlap(coincident_legs(1, fld, labels),
                           RegularizationConfig())
     power = opalg.OperatorExpr.number(1)
     for _ in range(n):
@@ -265,7 +265,7 @@ def coincident_closed_form(n, fld, labels):
 def test_coincident_bosons_match_oracle_and_closed_form(name, n):
     fld, labels = COINCIDENT_BOSONS[name]
     legs = coincident_legs(n, fld, labels)
-    got = elastic_overlap(legs, masses(), RegularizationConfig())
+    got = elastic_overlap(legs, RegularizationConfig())
     assert got == wick_pairing_oracle(legs, masses(), RegularizationConfig())
     assert got == coincident_closed_form(n, fld, labels)
     assert len(got.terms) == 1
@@ -276,7 +276,7 @@ def test_coincident_bosons_match_oracle_and_closed_form(name, n):
 def test_many_coincident_bosons_give_the_closed_form(name, n):
     # 8! and 10! pairings: beyond the pairing oracle
     fld, labels = COINCIDENT_BOSONS[name]
-    got = elastic_overlap(coincident_legs(n, fld, labels), masses(),
+    got = elastic_overlap(coincident_legs(n, fld, labels),
                           RegularizationConfig())
     assert got == coincident_closed_form(n, fld, labels)
 
@@ -284,7 +284,7 @@ def test_many_coincident_bosons_give_the_closed_form(name, n):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_coincident_equal_spin_fermions_have_no_overlap(n):
     legs = coincident_legs(n, opalg.DIRAC_PARTICLE, {"spin": 2})
-    assert elastic_overlap(legs, masses(), RegularizationConfig()).is_zero()
+    assert elastic_overlap(legs, RegularizationConfig()).is_zero()
     if n <= 4:
         assert wick_pairing_oracle(legs, masses(),
                                    RegularizationConfig()).is_zero()
