@@ -293,6 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # an expression may start with a minus sign, which argparse reads as an
+    # argument, not an option, only after `--`
+    if argv[:1] in (["commutator"], ["anticommutator"], ["vev"]) \
+            and not {"-h", "--help", "--"} & set(argv[1:]):
+        argv.insert(1, "--")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -569,71 +569,6 @@ def _contact_factors(lo: LadderOperator, hi: LadderOperator):
              Metric(False, lo.ipol, hi.ipol)) + deltas)
 
 
-def _insert(x: LadderOperator, term: tuple, keep_contact: bool) -> list:
-    """The terms of `x` times one normal-ordered term (scalar, lam, twopi,
-    canonical atoms, ops): `x` moves right past every operator of smaller key, the
-    sign flipping when both are fermionic; an annihilator passing a creator
-    of its own field also leaves that pair's contact term, canonicalized
-    at once so that a false delta prunes it. `x` lands before the first
-    operator not below it; an equal fermion there makes the term zero."""
-    s, lam, tp, atoms, ops = term
-    out = []
-    contact = keep_contact and not x.dagger
-    for i, y in enumerate(ops):
-        if not y.key < x.key:
-            if x.fermionic and y.key == x.key:
-                return out
-            break
-        if contact and y.dagger and y.field == x.field:
-            cs, clam, ctp, catoms = _contact_factors(x, y)
-            c = make_monomial(cs, clam, ctp, 0, catoms)
-            if c is not None:
-                out.append((s * c.scalar, lam + c.lam, tp + c.twopi,
-                            _join_atoms(atoms, c.atoms), ops[:i] + ops[i + 1:]))
-        if x.fermionic and y.fermionic:
-            s = -s
-    else:
-        i = len(ops)
-    out.append((s, lam, tp, atoms, ops[:i] + (x,) + ops[i:]))
-    return out
-
-
-def reduce_to_normal_form(e: OperatorExpr, keep_contact: bool = True) -> OperatorExpr:
-    """Rewrite so creators stand left of annihilators in every monomial.
-
-    Wick insertion: each monomial's operators are inserted right to left
-    into the normal-ordered product of the operators after them
-    (`_insert`). Operators of distinct species (anti)commute freely; an
-    annihilator passing a creator of its own species emits the contact
-    term of the governing (anti)commutation relation. With
-    keep_contact=False this is normal ordering: contact terms are
-    discarded, signs are kept.
-    """
-    done: list[Monomial] = []
-    for m in e.terms:
-        terms = [(m.scalar, m.lam, m.twopi, m.atoms, ())]
-        for x in reversed(m.ops):
-            terms = [t for term in terms for t in _insert(x, term, keep_contact)]
-        done.extend(Monomial(s, lam, tp, m.vreg, atoms, ops)
-                    for s, lam, tp, atoms, ops in terms)
-    return OperatorExpr.from_monomials(done)
-
-
-def normal_order(e: OperatorExpr) -> OperatorExpr:
-    return reduce_to_normal_form(e, keep_contact=False)
-
-
-def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return reduce_to_normal_form(a * b - b * a)
-
-
-def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return reduce_to_normal_form(a * b + b * a)
-
-
-# Wick contraction. The operator-free value of a product is a list of
-# canonical (scalar, lam, twopi, atoms) terms: no operators, no Vreg.
-
 _MERGING = frozenset(k for k, spec in ATOMS.items() if spec.merges)
 
 
@@ -658,100 +593,107 @@ def _join_atoms(xs: tuple, ys: tuple) -> tuple:
     return tuple(out)
 
 
-def _join(c: Monomial, value: list):
-    """The terms of canonical monomial `c` times an operator-free value."""
-    unit = c.scalar == ONE
-    for s, lam, tp, atoms in value:
-        yield ((s if unit else c.scalar if s is ONE else c.scalar * s),
-               c.lam + lam, c.twopi + tp, _join_atoms(c.atoms, atoms))
+def _insert(x: LadderOperator, term: tuple, contacts: dict | None) -> list:
+    """The terms of `x` times one normal-ordered term (scalar, lam, twopi,
+    canonical atoms, ops): `x` moves right past every operator of smaller
+    key, the sign flipping when both are fermionic; an annihilator passing a
+    creator of its own field also leaves that pair's contact term. `x` lands
+    before the first operator not below it; an equal fermion there makes
+    the term zero.
 
-
-def _contractions(key: tuple, ops: list) -> list:
-    """(canonical contact monomial, key left) for each contraction of the
-    leftmost operator that can survive; `key` numbers operators in `ops`."""
-    x = ops[key[0]]
+    `contacts` maps each (annihilator, creator) pair met in one call to its
+    canonical contact monomial, None when a false delta makes it zero, so
+    that a pair is canonicalized once; passing None discards contact terms.
+    """
+    s, lam, tp, atoms, ops = term
     out = []
     if x.dagger:
-        return out
-    crossed = 0
-    for j in range(1, len(key)):
-        y = ops[key[j]]
-        if y.dagger and y.field == x.field:
-            rest = key[1:j] + key[j + 1:]
-            # a remainder that starts with a creator has zero vev
-            if not rest or not ops[rest[0]].dagger:
+        contacts = None
+    for i, y in enumerate(ops):
+        if not y.key < x.key:
+            if x.fermionic and y.key == x.key:
+                return out
+            break
+        if contacts is not None and y.dagger and y.field == x.field:
+            c = contacts.get((x, y), False)
+            if c is False:
                 cs, clam, ctp, catoms = _contact_factors(x, y)
-                if x.fermionic and crossed % 2:
-                    cs = -cs
-                c = make_monomial(cs, clam, ctp, 0, catoms)
-                if c is not None:
-                    out.append((c, rest))
-        crossed += y.fermionic
+                c = contacts[x, y] = make_monomial(cs, clam, ctp, 0, catoms)
+            if c is not None:
+                out.append((s * c.scalar, lam + c.lam, tp + c.twopi,
+                            _join_atoms(atoms, c.atoms), ops[:i] + ops[i + 1:]))
+        if x.fermionic and y.fermionic:
+            s = -s
+    else:
+        i = len(ops)
+    out.append((s, lam, tp, atoms, ops[:i] + (x,) + ops[i:]))
     return out
 
 
-def vev(e: OperatorExpr) -> OperatorExpr:
-    """Vacuum expectation value by direct Wick contraction.
+def reduce_to_normal_form(e: OperatorExpr, keep_contact: bool = True) -> OperatorExpr:
+    """Rewrite so creators stand left of annihilators in every monomial.
 
-    Equals the operator-free part of the normal form, without building it.
-    A product whose leftmost operator is a creator has zero vev; otherwise
-    its leftmost annihilator is contracted with each creator of the same
-    field to its right (the contact factor of `_contact_factors`, one sign
-    flip per fermionic operator a fermionic annihilator crosses), and the
-    remaining operators are contracted in turn.
-
-    The value of the operators still to contract depends on them alone (a
-    fermionic sign counts crossings inside them), so it is computed once
-    per distinct suffix and kept for the length of the call: the sum over
-    perfect matchings becomes a dynamic program over suffixes. Each contact
-    factor is canonicalized on its own, so a false delta prunes before its
-    suffix is visited, and is then joined with every term of the suffix's
-    value; terms merge, and cancel, within each suffix. The cost follows
-    the number of distinct suffixes times the size of their operator-free
-    values: polynomial when the operators are copies of a few coincident
-    ones, and the number of partial pairings when all are distinct.
+    Wick insertion: each monomial's operators are inserted right to left
+    into the normal-ordered product of the operators after them
+    (`_insert`). Operators of distinct species (anti)commute freely; an
+    annihilator passing a creator of its own species emits the contact
+    term of the governing (anti)commutation relation, each distinct pair's
+    canonicalized once per call. With keep_contact=False this is normal
+    ordering: contact terms are discarded, signs are kept.
     """
-    # a suffix is keyed by the numbers of its operators, equal operators
-    # sharing one, so that a key hashes as fast as a tuple of ints
-    index: dict = {}
-    keys = [tuple(index.setdefault(op, len(index)) for op in m.ops)
-            for m in e.terms]
-    ops = list(index)
-    memo: dict = {(): [(ONE, 0, 0, ())]}
-    # contractions of the suffixes visited but not yet valued
-    branches: dict = {}
-    for top in keys:
-        stack = [top]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            todo = branches.pop(key, None)
-            if todo is None:
-                branches[key] = todo = _contractions(key, ops)
-                stack.extend(rest for _, rest in todo if rest not in memo)
-                continue
-            stack.pop()
-            if len(todo) == 1:
-                # one factor times distinct terms: nothing merges
-                ((c, rest),) = todo
-                memo[key] = list(_join(c, memo[rest]))
-                continue
-            merged: dict = {}
-            for c, rest in todo:
-                for s, lam, tp, atoms in _join(c, memo[rest]):
-                    k = (atoms, lam, tp)
-                    prev = merged.get(k)
-                    merged[k] = s if prev is None else prev + s
-            memo[key] = [(s, lam, tp, atoms)
-                         for (atoms, lam, tp), s in merged.items() if s]
+    contacts = {} if keep_contact else None
+    done: list[Monomial] = []
+    for m in e.terms:
+        terms = [(m.scalar, m.lam, m.twopi, m.atoms, ())]
+        for x in reversed(m.ops):
+            terms = [t for term in terms for t in _insert(x, term, contacts)]
+        done.extend(Monomial(s, lam, tp, m.vreg, atoms, ops)
+                    for s, lam, tp, atoms, ops in terms)
+    return OperatorExpr.from_monomials(done)
+
+
+def normal_order(e: OperatorExpr) -> OperatorExpr:
+    return reduce_to_normal_form(e, keep_contact=False)
+
+
+def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
+    return reduce_to_normal_form(a * b - b * a)
+
+
+def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
+    return reduce_to_normal_form(a * b + b * a)
+
+
+def vev(e: OperatorExpr) -> OperatorExpr:
+    """Vacuum expectation value: the operator-free part of the normal form.
+
+    Each monomial's operators are inserted right to left as in
+    `reduce_to_normal_form`, keeping only what can still reach the vacuum
+    part. Insertion removes only creators, each contracted with an
+    annihilator inserted to its left, and in normal order annihilators come
+    last, so a term whose last operator is an annihilator keeps it and is
+    dropped at once. Equal terms merge after each insertion and zero sums
+    drop out, so that coincident operators, whose pairings all merge, cost
+    polynomial time; distinct ones cost the number of partial pairings.
+    """
+    contacts: dict = {}
     monos = []
-    for m, key in zip(e.terms, keys):
-        c = make_monomial(m.scalar, m.lam, m.twopi, m.vreg, m.atoms)
-        if c is not None:
-            monos.extend(Monomial(s, lam, tp, c.vreg, atoms)
-                         for s, lam, tp, atoms in _join(c, memo[key]))
+    for m in e.terms:
+        # each term's (lam, twopi, atoms, ops) mapped to its scalar
+        terms = {(m.lam, m.twopi, m.atoms, ()): m.scalar}
+        for x in reversed(m.ops):
+            merged: dict = {}
+            for key, s in terms.items():
+                for t in _insert(x, (s, *key), contacts):
+                    ops = t[4]
+                    if ops and not ops[-1].dagger:
+                        continue
+                    k = t[1:]
+                    prev = merged.get(k)
+                    merged[k] = t[0] if prev is None else prev + t[0]
+            terms = {key: s for key, s in merged.items() if s}
+        monos.extend(Monomial(s, lam, tp, m.vreg, atoms)
+                     for (lam, tp, atoms, ops), s in terms.items() if not ops)
     return OperatorExpr.from_monomials(monos)
 
 
@@ -779,23 +721,21 @@ def delta_resolve(e: OperatorExpr, bindings: Mapping[str, Label] | None = None
         e = e.substitute(dict(bindings))
     out = []
     for m in e.terms:
-        cur = OperatorExpr.from_monomials([m])
-        while True:
-            if cur.is_zero():
+        while m is not None:
+            i = next((i for i, a in enumerate(m.atoms) if ATOMS[a.kind].sifted
+                      and any(isinstance(x, str) for x in a.args)), None)
+            if i is None:
+                out.append(m)
                 break
-            (mm,) = cur.terms
-            delta = next((a for a in mm.atoms if ATOMS[a.kind].sifted
-                          and any(isinstance(x, str) for x in a.args)), None)
-            if delta is None:
-                break
-            rest = tuple(at for at in mm.atoms if at is not delta)
-            sym, val = delta.args
+            sym, val = m.atoms[i].args
             if not isinstance(sym, str):
                 sym, val = val, sym
-            base = OperatorExpr.from_monomials(
-                [make_monomial(mm.scalar, mm.lam, mm.twopi, mm.vreg, rest, mm.ops)])
-            cur = base.substitute({sym: val}) if sym != val else base
-        out.extend(cur.terms)
+            atoms, ops = m.atoms[:i] + m.atoms[i + 1:], m.ops
+            if sym != val:
+                mapping = {sym: val}
+                atoms = tuple(a.substitute(mapping) for a in atoms)
+                ops = tuple(op.substitute(mapping) for op in ops)
+            m = make_monomial(m.scalar, m.lam, m.twopi, m.vreg, atoms, ops)
     return OperatorExpr.from_monomials(out)
 
 

@@ -136,8 +136,8 @@ def elastic_overlap(legs: Sequence[Leg], cfg: RegularizationConfig
 
     This is the disconnected delta structure: a signed sum over perfect
     matchings of out against in legs, each pair contributing its
-    gravitational-limit contact factor. `vev` sums it over distinct
-    suffixes of legs, so identical coincident legs cost polynomial time.
+    gravitational-limit contact factor. `vev` merges equal partial sums as
+    it goes, so identical coincident legs cost polynomial time.
     """
     ins = [_leg_operator(l) for l in legs if l.direction == "in"]
     outs = [_leg_operator(l) for l in legs if l.direction == "out"]

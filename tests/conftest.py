@@ -69,3 +69,11 @@ def random_product(rng, max_ops=4, allow_onshell=False):
         expr = expr * opalg.OperatorExpr.from_op(
             random_ladder(rng, allow_onshell=allow_onshell))
     return expr
+
+
+def random_sum(rng, allow_onshell=False, max_ops=5):
+    """One to three random products added."""
+    expr = opalg.OperatorExpr.zero()
+    for _ in range(rng.randint(1, 3)):
+        expr = expr + random_product(rng, max_ops, allow_onshell)
+    return expr

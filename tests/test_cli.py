@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import innerqft
-from innerqft import suites
+from innerqft import opalg, suites
 from innerqft.cli import build_parser, main
 from innerqft.config import RunConfig
+
+from conftest import random_ladder, random_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 CMD = [sys.executable, "-m", "innerqft.cli"]
@@ -139,6 +142,59 @@ def test_vev_command(capsys):
     assert out == "2*L^-4*(2pi)^7*w(k)*d3(h-k)*d4(H-K)"
     assert main(["vev", "a'(h;H) a(k;K)"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_expressions_may_start_with_a_minus(capsys):
+    assert main(["vev", "-2*a(k;K)*a'(h;H)"]) == 0
+    assert capsys.readouterr().out.strip() == \
+        "-4*L^-4*(2pi)^7*w(k)*d3(h-k)*d4(H-K)"
+    assert main(["commutator", "-a(k;K)", "a'(h;H)"]) == 0
+    assert capsys.readouterr().out.strip() == \
+        "-2*L^-4*(2pi)^7*w(k)*d3(h-k)*d4(H-K)"
+    assert main(["anticommutator", "-i*b(k,s=1;K)", "-b'(h,s=1;H)"]) == 0
+    assert capsys.readouterr().out.strip().startswith("i*L^-4*(2pi)^7*E/m(k)")
+    # an explicit `--` still works, and -h still asks for help
+    assert main(["vev", "--", "-a(k;K)*a'(h;H)"]) == 0
+    assert capsys.readouterr().out.strip().startswith("-2*L^-4")
+    assert main(["vev", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: innerqft vev")
+    assert main(["commutator", "-a(k;K)"]) == 2
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_vev_command_accepts_every_printed_expression(r):
+    """The text the library prints, a leading minus or `i` included, is a
+    valid argument: `vev str(e)` prints the vev of e."""
+    e = random_sum(r, allow_onshell=True, max_ops=4)
+    assert _stdout(["vev", str(e)]) == str(opalg.vev(e)) + "\n"
+
+
+# scalars whose text starts with `-` or `i`
+_LEADS = [opalg.CRat.of(-1), opalg.CRat.of(Fraction(-3, 2)), opalg.I, -opalg.I,
+          opalg.CRat.of((0, -2)), opalg.CRat.of((0, Fraction(-1, 2)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(_LEADS),
+       st.sampled_from(_LEADS))
+def test_bracket_commands_accept_negative_or_imaginary_leads(r, c1, c2):
+    x, y = (opalg.OperatorExpr.number(c) for c in (c1, c2))
+    for _ in range(r.randint(0, 2)):
+        x = x * opalg.OperatorExpr.from_op(random_ladder(r, allow_onshell=True))
+        y = y * opalg.OperatorExpr.from_op(random_ladder(r, allow_onshell=True))
+    assert str(x)[0] in "-i" and str(y)[0] in "-i"
+    assert _stdout(["commutator", str(x), str(y)]) == \
+        str(opalg.commutator(x, y)) + "\n"
+    assert _stdout(["anticommutator", str(x), str(y)]) == \
+        str(opalg.anticommutator(x, y)) + "\n"
 
 
 def test_parse_error_exit_code(capsys):

@@ -11,7 +11,8 @@ from innerqft.opalg import (CRat, Delta3, Delta4, ERatioPow, Metric, OmegaPow,
                             commutator, delta_resolve, make_monomial,
                             normal_order, reduce_to_normal_form, vev)
 
-from conftest import random_bound_mom, random_ladder, random_product
+from conftest import (random_bound_mom, random_inner, random_ladder,
+                      random_product, random_sum)
 
 
 def expr_of(*monos):
@@ -239,16 +240,11 @@ def test_vev_two_point_ordering():
 
 
 def vev_oracle(e):
-    """The operator-free part of the full normal form."""
+    """The operator-free part of the full normal form, built by adjacent
+    swaps (`swap_reduce_oracle`), which shares no code with `vev` or the
+    reducer."""
     return OperatorExpr.from_monomials(
-        m for m in reduce_to_normal_form(e).terms if not m.ops)
-
-
-def random_sum(r, allow_onshell):
-    e = OperatorExpr.zero()
-    for _ in range(r.randint(1, 3)):
-        e = e + random_product(r, max_ops=5, allow_onshell=allow_onshell)
-    return e
+        m for m in swap_reduce_oracle(e).terms if not m.ops)
 
 
 def balanced_product(r, allow_onshell):
@@ -275,7 +271,9 @@ def balanced_product(r, allow_onshell):
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_vev_matches_normal_form_oracle(r, allow_onshell):
     e = random_sum(r, allow_onshell)
-    assert vev(e) == vev_oracle(e)
+    got = vev(e)
+    assert got == vev_oracle(e)
+    assert got == vev_pairing_oracle(e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,7 +282,9 @@ def test_vev_matches_oracle_on_balanced_products(r, allow_onshell):
     e = balanced_product(r, allow_onshell)
     if r.random() < 0.3:
         e = e + balanced_product(r, allow_onshell)
-    assert vev(e) == vev_oracle(e)
+    got = vev(e)
+    assert got == vev_oracle(e)
+    assert got == vev_pairing_oracle(e)
 
 
 def test_scalar_ladder_vev_matches_oracle():
@@ -296,13 +296,14 @@ def test_scalar_ladder_vev_matches_oracle():
     got = vev(e)
     assert len(got.terms) == 120
     assert got == vev_oracle(e)
+    assert got == vev_pairing_oracle(e)
 
 
 # -- vev on repeated operators against both oracles -----------------------------
 
 
 def vev_pairing_oracle(e):
-    """Wick contraction pairing by pairing, with no memo: the leftmost
+    """Wick contraction pairing by pairing, left to right: the leftmost
     annihilator is contracted with each creator of its field to its right,
     the partial coefficient canonicalized as it is built, and every full
     pairing kept as its own monomial until the final merge."""
@@ -400,8 +401,9 @@ def test_vev_matches_both_oracles_on_repeated_operators(pool_name, r):
 @given(r=st.randoms(use_true_random=False), pool_name=st.sampled_from(
     sorted(POOLS)))
 def test_vev_matches_oracle_on_sums_sharing_suffixes(r, pool_name):
-    """Terms that differ in their leading pairs or in the order of their
-    operators reach the same suffixes within one call."""
+    """Terms that share their trailing operators, differing in their
+    leading pairs or in the order of their operators: one call meets the
+    same operator pairs in several terms."""
     pool = operator_pool(r, **POOLS[pool_name])
     tail = pooled_ops(r, pool, r.randint(1, 3))
     terms = []
@@ -417,8 +419,9 @@ def test_vev_matches_oracle_on_sums_sharing_suffixes(r, pool_name):
 @settings(max_examples=60, deadline=None)
 @given(r=st.randoms(use_true_random=False))
 def test_pauli_zeros_cancel_within_vev(r):
-    """Equal-spin coincident fermions: pairings cancel inside each suffix,
-    so a one-term product hands the final merge only surviving terms."""
+    """Equal-spin coincident fermions: pairings cancel as the operators
+    are inserted, so a one-term product hands the final merge only
+    surviving terms."""
     pool = operator_pool(r, **POOLS["equal-spin dirac"])
     e = expr_of(pooled_term(r, pool, pooled_ops(r, pool, r.randint(1, 4))))
     real = OperatorExpr.from_monomials.__func__
@@ -518,10 +521,8 @@ def test_reducer_matches_swap_oracle_on_random_products(r):
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_reducer_matches_swap_oracle_on_sums(r):
-    e = OperatorExpr.zero()
-    for _ in range(r.randint(1, 3)):
-        e = e + random_product(r, max_ops=7, allow_onshell=True)
-    assert_reduces_like_the_oracle(e)
+    assert_reduces_like_the_oracle(
+        random_sum(r, allow_onshell=True, max_ops=7))
 
 
 @settings(max_examples=100, deadline=None)
@@ -586,6 +587,34 @@ def test_false_delta_ladder_reduction_cost_is_quadratic(monkeypatch):
         assert calls[0] <= n * n, (n, calls[0])
 
 
+def product(factors):
+    e = OperatorExpr.number(1)
+    for x in factors:
+        e = e * x
+    return e
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_ladder_canonicalizes_each_contact_factor_once(n, monkeypatch):
+    """The n! pairings of a^n a'^n, every label a distinct symbol, meet
+    each annihilator/creator pair many times; each pair's contact factor is
+    made once per call, so vev and the reducer make exactly n*n of them.
+    vev drops a term as soon as it ends in an annihilator: a'^n a^n makes
+    no contact factor, and (a a')^n one per adjacent pair."""
+    calls = counting_contacts(monkeypatch)
+    lows = [opalg.a(f"k{i}", f"K{i}") for i in range(n)]
+    highs = [opalg.a(f"h{i}", f"H{i}", dagger=True) for i in range(n)]
+    for fn in (vev, reduce_to_normal_form):
+        calls[0] = 0
+        fn(product(lows + highs))
+        assert calls[0] == n * n, (fn.__name__, calls[0])
+    pairs = [x for pair in zip(lows, highs) for x in pair]
+    for factors, want in ((highs + lows, 0), (pairs, n)):
+        calls[0] = 0
+        vev(product(factors))
+        assert calls[0] == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_creator_products_make_no_contact_factors(r):
@@ -619,6 +648,62 @@ def test_delta_resolve_conflicting_deltas_kill_monomial():
     assert delta_resolve(expr_of(m)).is_zero()
     m = make_monomial(1, atoms=(SpinDelta("s", 1), SpinDelta("s", 2)))
     assert delta_resolve(expr_of(m)).is_zero()
+
+
+def test_delta_resolve_consumes_one_copy_of_a_repeated_delta():
+    """d3(k-h)*d3(k-h) is d3(0)*d3(k-h): one copy is consumed and the other
+    collapses, whether or not the two copies are one object."""
+    one = expr_of(make_monomial(1, atoms=(Delta3("k", "h"),)))
+    want = expr_of(make_monomial(1, atoms=(opalg.Delta3Zero(),)))
+    assert delta_resolve(one * one) == want
+    twice = make_monomial(1, atoms=(Delta3("k", "h"), Delta3("k", "h")))
+    assert delta_resolve(expr_of(twice)) == want
+
+
+def delta_resolve_oracle(e, bindings=None):
+    """Delta resolution rebuilding an expression per consumed delta: the
+    first sifted atom over a symbol is dropped, the monomial rebuilt
+    without it, and the symbol substituted through the expression, until
+    no such atom is left."""
+    if bindings:
+        e = e.substitute(dict(bindings))
+    out = []
+    for m in e.terms:
+        cur = OperatorExpr.from_monomials([m])
+        while not cur.is_zero():
+            (mm,) = cur.terms
+            i = next((i for i, a in enumerate(mm.atoms)
+                      if opalg.ATOMS[a.kind].sifted
+                      and any(isinstance(x, str) for x in a.args)), None)
+            if i is None:
+                break
+            sym, val = mm.atoms[i].args
+            if not isinstance(sym, str):
+                sym, val = val, sym
+            base = expr_of(make_monomial(mm.scalar, mm.lam, mm.twopi, mm.vreg,
+                                         mm.atoms[:i] + mm.atoms[i + 1:],
+                                         mm.ops))
+            cur = base.substitute({sym: val}) if sym != val else base
+        out.extend(cur.terms)
+    return OperatorExpr.from_monomials(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_delta_resolve_matches_oracle(r, bind):
+    """Normal forms of random sums carry d3, d4 and kd atoms over symbols,
+    bound labels and on-shell labels; a square repeats them."""
+    e = reduce_to_normal_form(random_sum(r, allow_onshell=True, max_ops=4))
+    if r.random() < 0.5:
+        e = e * e
+    bindings = None
+    if bind:
+        bindings = {"k": random_bound_mom(r), "H": random_inner(r),
+                    "s": r.choice((1, 2, "t")), r.choice("hq"): "p2"}
+    got = delta_resolve(e, bindings)
+    want = delta_resolve_oracle(e, bindings)
+    assert got == want
+    assert str(got) == str(want)
 
 
 def test_delta_resolve_rejects_malformed_bindings():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from innerqft import cli, grammar, opalg
+from innerqft import cli, fock, grammar, opalg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,20 +45,46 @@ def test_workload_outputs_pass_checks(name, tmp_path, monkeypatch):
     assert not checker.failures
 
 
-def test_tracer_patch_points_are_recorded(monkeypatch):
-    """The traced run wraps `grammar.print_expression` and reaches
-    `toy_unitarity_check` through `smatrix`; both must stay patchable."""
+def test_tracer_patch_points_are_recorded(monkeypatch, tmp_path):
+    """Every layer the traced run names resolves, the class methods and the
+    hot leaf it wraps stay patchable, and a traced `vev` and `reduce` each
+    record `vev` spans and count `make_monomial` calls."""
     tracing = _load("tracing", monkeypatch)
+    for name in tracing.SPANNED + tracing.SUITE_NAMES:
+        mod, attr = name.split(".")
+        assert callable(getattr(tracing._MODULES[mod], attr, None)), name
+    assert isinstance(fock.FockState.__dict__["ket"], classmethod)
+    assert isinstance(opalg.OperatorExpr.__dict__["from_monomials"],
+                      classmethod)
+    assert opalg.make_monomial.__module__ == opalg.__name__
+    (tmp_path / "legs.txt").write_text("in scalar p=1/2,0,-1\n"
+                                       "out scalar p=1/2,0,-1\n")
+    (tmp_path / "greens.txt").write_text("")
+    runs = {"vev": ["vev", "a(k;K) a'(h;H)"],
+            "reduce": ["reduce", str(tmp_path / "greens.txt"),
+                       "--legs", str(tmp_path / "legs.txt")],
+            "verify": ["verify", "--suite", "unitarity"],
+            "fock": ["verify", "--suite", "fock"]}
+    made = {}
     tracer = tracing.Tracer().install()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["vev", "a(k;K) a'(h;H)"]) == 0
-            assert cli.main(["verify", "--suite", "unitarity"]) == 0
+        for i, (name, argv) in enumerate(runs.items()):
+            tracer.invocation = i
+            before = tracer.counts["opalg.make_monomial.calls"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            made[name] = tracer.counts["opalg.make_monomial.calls"] - before
     finally:
         tracer.remove()
-    spanned = {span[0] for span in tracer.spans}
-    assert {"grammar.print_expression", "smatrix.toy_unitarity_check"} <= spanned
+    spanned = {name: {span[0] for span in tracer.spans if span[4] == i}
+               for i, name in enumerate(runs)}
+    assert {"opalg.vev", "grammar.print_expression"} <= spanned["vev"]
+    assert {"opalg.vev", "smatrix.elastic_overlap"} <= spanned["reduce"]
+    assert made["vev"] > 0 and made["reduce"] > 0
+    assert "smatrix.toy_unitarity_check" in spanned["verify"]
+    assert "fock.FockState.ket" in spanned["fock"]
     assert tracer.counts["grammar.print_expression.chars"] > 0
+    assert tracer.counts["opalg.OperatorExpr.from_monomials.calls"] > 0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -281,6 +281,24 @@ def test_many_coincident_bosons_give_the_closed_form(name, n):
     assert got == coincident_closed_form(n, fld, labels)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_coincident_legs_make_one_contact_factor(n, monkeypatch):
+    """2n identical scalar legs meet one annihilator/creator pair, whose
+    contact factor is made once however many pairings reuse it."""
+    real = opalg._contact_factors
+    calls = [0]
+
+    def counting(lo, hi):
+        calls[0] += 1
+        return real(lo, hi)
+
+    monkeypatch.setattr(opalg, "_contact_factors", counting)
+    got = elastic_overlap(coincident_legs(n, opalg.SCALAR, {}),
+                          RegularizationConfig())
+    assert len(got.terms) == 1
+    assert calls[0] == 1
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_coincident_equal_spin_fermions_have_no_overlap(n):
     legs = coincident_legs(n, opalg.DIRAC_PARTICLE, {"spin": 2})
