@@ -8,6 +8,7 @@ drops every monomial that still contains an annihilator.
 from __future__ import annotations
 
 import math
+from operator import add
 
 from . import opalg
 from .opalg import (GAUGE, LadderOperator, Monomial, OnShell, OperatorExpr,
@@ -142,8 +143,8 @@ def momentum_action(which: str, s: FockState,
     from .kinematics import on_shell_energy
     out = []
     for m in s.expr.terms:
-        total = [0, 0, 0, 0]
-        for op in m.ops:
+        total = (0, 0, 0, 0)
+        for j, op in enumerate(m.ops):
             w = _quantum_weight(op)
             vec = OnShell(op.mom) if which == "p" else op.inner
             if isinstance(vec, OnShell) and isinstance(vec.mom, tuple):
@@ -157,7 +158,10 @@ def momentum_action(which: str, s: FockState,
                 vec = (energy,) + vec.mom
             if not isinstance(vec, tuple):
                 raise ValueError("eigenvalues need bound labels")
-            for i in range(4):
-                total[i] = total[i] + w * vec[i]
-        out.append((m, tuple(total)))
+            if w < 0:
+                vec = tuple(-c for c in vec)
+            # the first quantum's value starts the sum, which is exact:
+            # 0 + x changes no value or type
+            total = vec if j == 0 else tuple(map(add, total, vec))
+        out.append((m, total))
     return out

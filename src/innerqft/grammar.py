@@ -18,7 +18,8 @@
 
 The dagger is the apostrophe suffix; numbers are exact rationals
 (`2`, `-3/2`, `0.25`); `~k` marks an inner label pinned to the on-shell
-four-vector of momentum `k`. Malformed text, a zero denominator included,
+four-vector of momentum `k`. Malformed text, a zero denominator or a bound
+`kd`/`eta`/`ETA` index outside the range of its operator label included,
 raises ParseError.
 
 There is one printer: `str(e)`, defined in `opalg`, which
@@ -198,7 +199,7 @@ class _Parser:
         return 1
 
     def parse_coeff(self) -> OperatorExpr:
-        _, name, _ = self.next()
+        _, name, pos = self.next()
         if name == "L":
             self.expect("sym", "^")
             return OperatorExpr.from_monomials(
@@ -221,8 +222,11 @@ class _Parser:
                 args += (self.parse_arg(spec.arg),)
         self.expect("sym", spec.brackets[1])
         power = self._opt_power() if ATOMS[kind].merges else 1
-        return OperatorExpr.from_monomials(
-            [make_monomial(1, atoms=(Atom(kind, args, power),))])
+        try:
+            atom = Atom(kind, args, power)
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
+        return OperatorExpr.from_monomials([make_monomial(1, atoms=(atom,))])
 
     def parse_operator(self) -> OperatorExpr:
         kind, head, pos = self.next()

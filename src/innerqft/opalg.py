@@ -139,6 +139,16 @@ _FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
 FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
 
 
+# The bound values of each discrete index, and the message that rejects any
+# other integer; operators and the kd/eta/ETA atoms both check against it.
+INDEX_RANGES = {
+    "spin": ((1, 2), "spin must be 1 or 2"),
+    "pol": ((0, 1, 2, 3), "spacetime polarization must be in 0..3"),
+    "ipol": ((1, 2, 3), "inner polarization must be in 1..3 "
+                        "(no inner-longitudinal gauge quanta)"),
+}
+
+
 def _discrete_key(v):
     if v is None:
         return (0,)
@@ -168,19 +178,16 @@ class LadderOperator(Record):
         if self.field in (DIRAC_PARTICLE, DIRAC_ANTIPARTICLE):
             if self.spin is None or self.pol is not None or self.ipol is not None:
                 raise ValueError("Dirac operators carry a spin label only")
-            if isinstance(self.spin, int) and self.spin not in (1, 2):
-                raise ValueError("spin must be 1 or 2")
         elif self.field == GAUGE:
             if self.spin is not None or self.pol is None or self.ipol is None:
                 raise ValueError("gauge operators carry both polarization labels")
-            if isinstance(self.pol, int) and self.pol not in (0, 1, 2, 3):
-                raise ValueError("spacetime polarization must be in 0..3")
-            if isinstance(self.ipol, int) and self.ipol not in (1, 2, 3):
-                raise ValueError("inner polarization must be in 1..3 "
-                                 "(no inner-longitudinal gauge quanta)")
         else:
             if self.spin is not None or self.pol is not None or self.ipol is not None:
                 raise ValueError("scalar operators carry no discrete labels")
+        for name, (allowed, message) in INDEX_RANGES.items():
+            value = getattr(self, name)
+            if isinstance(value, int) and value not in allowed:
+                raise ValueError(message)
         if isinstance(self.mom, tuple) and len(self.mom) != 3:
             raise ValueError("bound momentum labels are 3-vectors")
         if isinstance(self.inner, tuple) and len(self.inner) != 4:
@@ -244,6 +251,8 @@ class LadderOperator(Record):
 #   collapse   for a delta over labels: the argument-free kind that two
 #              equal bound labels become (two distinct ones kill it);
 #   sifted     whether delta_resolve consumes the atom by unification;
+#   index      for a Kronecker/metric pair: the INDEX_RANGES row that bounds
+#              its integer arguments;
 #   brackets, sep  how the arguments print after the kind's name.
 # The kind's name is its printed head, and the grammar parses atoms from
 # the same rows.
@@ -260,6 +269,7 @@ class AtomSpec(Record):
     sign: Callable[[int], int] | None = None
     collapse: str | None = None
     sifted: bool = False
+    index: str | None = None
     brackets: str = "()"
     sep: str = ","
 
@@ -267,12 +277,13 @@ class AtomSpec(Record):
 ATOMS = {
     "w": AtomSpec(0, MOM, 1, merges=True),
     "E/m": AtomSpec(1, MOM, 1, merges=True),
-    "kd": AtomSpec(2, DISC, 2, symmetric=True, sign=lambda idx: 1, sifted=True),
+    "kd": AtomSpec(2, DISC, 2, symmetric=True, sign=lambda idx: 1, sifted=True,
+                   index="spin"),
     "eta": AtomSpec(3, DISC, 2, symmetric=True,
-                    sign=lambda idx: 1 if idx == 0 else -1, brackets="[]"),
-    # inner polarization indices run over 1..3 only
-    "ETA": AtomSpec(4, DISC, 2, symmetric=True, sign=lambda idx: -1,
+                    sign=lambda idx: 1 if idx == 0 else -1, index="pol",
                     brackets="[]"),
+    "ETA": AtomSpec(4, DISC, 2, symmetric=True, sign=lambda idx: -1,
+                    index="ipol", brackets="[]"),
     "d3": AtomSpec(5, MOM, 2, symmetric=True, collapse="d3(0)", sifted=True,
                    sep="-"),
     "d4": AtomSpec(6, INNER, 2, symmetric=True, collapse="d4(0)", sifted=True,
@@ -288,9 +299,10 @@ def _disc_key(v):
 
 class Atom(Record):
     """One coefficient factor; `key`, derived when it is built, is its place
-    in the canonical order."""
+    in the canonical order. Its text is built once, by the first `str()`,
+    and kept in `_text`; like `key`, it is not a field."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "_text")
     kind: str
     args: tuple = ()
     power: int = 1
@@ -299,12 +311,17 @@ class Atom(Record):
         spec = ATOMS[self.kind]
         if len(self.args) != spec.arity:
             raise ValueError(f"{self.kind} takes {spec.arity} arguments")
+        if spec.index:
+            allowed, message = INDEX_RANGES[spec.index]
+            if any(isinstance(x, int) and x not in allowed for x in self.args):
+                raise ValueError(f"{self.kind}: {message}")
         arg_key = _disc_key if spec.arg == DISC else label_key
         keys = [arg_key(x) for x in self.args]
         if spec.symmetric and keys[0] > keys[1]:
             object.__setattr__(self, "args", self.args[::-1])
             keys.reverse()
         object.__setattr__(self, "key", (spec.rank, *keys, self.power))
+        object.__setattr__(self, "_text", None)
 
     def substitute(self, mapping: Mapping[str, Label]) -> "Atom":
         if ATOMS[self.kind].arg == DISC:
@@ -315,13 +332,21 @@ class Atom(Record):
         return Atom(self.kind, args, self.power)
 
     def __str__(self) -> str:
-        spec = ATOMS[self.kind]
-        s = self.kind
-        if self.args:
-            text = str if spec.arg == DISC else label_str
-            s += (spec.brackets[0] + spec.sep.join(text(x) for x in self.args)
-                  + spec.brackets[1])
-        return s if self.power == 1 else f"{s}^{self.power}"
+        text = self._text
+        if text is None:
+            text = _atom_text(self)
+            object.__setattr__(self, "_text", text)
+        return text
+
+
+def _atom_text(atom: Atom) -> str:
+    spec = ATOMS[atom.kind]
+    s = atom.kind
+    if atom.args:
+        text = str if spec.arg == DISC else label_str
+        s += (spec.brackets[0] + spec.sep.join(text(x) for x in atom.args)
+              + spec.brackets[1])
+    return s if atom.power == 1 else f"{s}^{atom.power}"
 
 
 _ATOM_KEY = attrgetter("key")
@@ -672,9 +697,10 @@ def vev(e: OperatorExpr) -> OperatorExpr:
     part. Insertion removes only creators, each contracted with an
     annihilator inserted to its left, and in normal order annihilators come
     last, so a term whose last operator is an annihilator keeps it and is
-    dropped at once. Equal terms merge after each insertion and zero sums
-    drop out, so that coincident operators, whose pairings all merge, cost
-    polynomial time; distinct ones cost the number of partial pairings.
+    dropped at once. Equal terms merge after each insertion, in place, and
+    a term whose scalars sum to zero is skipped where it is read, so that
+    coincident operators, whose pairings all merge, cost polynomial time;
+    distinct ones cost the number of partial pairings.
     """
     contacts: dict = {}
     monos = []
@@ -684,6 +710,8 @@ def vev(e: OperatorExpr) -> OperatorExpr:
         for x in reversed(m.ops):
             merged: dict = {}
             for key, s in terms.items():
+                if not s:
+                    continue
                 for t in _insert(x, (s, *key), contacts):
                     ops = t[4]
                     if ops and not ops[-1].dagger:
@@ -691,9 +719,10 @@ def vev(e: OperatorExpr) -> OperatorExpr:
                     k = t[1:]
                     prev = merged.get(k)
                     merged[k] = t[0] if prev is None else prev + t[0]
-            terms = {key: s for key, s in merged.items() if s}
+            terms = merged
         monos.extend(Monomial(s, lam, tp, m.vreg, atoms)
-                     for (lam, tp, atoms, ops), s in terms.items() if not ops)
+                     for (lam, tp, atoms, ops), s in terms.items()
+                     if s and not ops)
     return OperatorExpr.from_monomials(monos)
 
 

@@ -4,7 +4,8 @@ A record class derives from `Record` and lists its fields as annotated names
 in the class body, in order, each with an optional default. An optional
 `__post_init__` runs after the fields are set: it validates them, and may
 canonicalize one with `object.__setattr__`. Names listed in the body's own
-`__slots__` hold values that `__post_init__` derives; they are not fields.
+`__slots__` hold values derived from the fields, by `__post_init__` or on
+first use; they are not fields.
 
 A record is a `__slots__` object that refuses attribute assignment. It
 equals another object only when both have the same type and equal fields,

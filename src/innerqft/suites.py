@@ -288,10 +288,11 @@ def suite_fock(cfg: RunConfig) -> list[Case]:
         ket = FockState.ket(*ops)
         if ket.is_zero():
             continue
+        singles = [FockState.ket(op) for op in ops]
         for which in ("p", "P"):
             ((_, total),) = fock.momentum_action(which, ket, masses)
-            parts = [fock.momentum_action(which, FockState.ket(op), masses)[0][1]
-                     for op in ops]
+            parts = [fock.momentum_action(which, one, masses)[0][1]
+                     for one in singles]
             expect = tuple(sum(p[i] for p in parts) for i in range(4))
             # energies are floats and may be summed in a different order
             if abs(total[0] - expect[0]) > 1e-12 or total[1:] != expect[1:]:

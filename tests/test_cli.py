@@ -202,6 +202,20 @@ def test_parse_error_exit_code(capsys):
     assert main(["commutator", "a(k;K", "a(h;H)"]) == 2
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("ETA[0,0]", "ETA: inner polarization must be in 1..3"),
+    ("eta[4,4]", "eta: spacetime polarization must be in 0..3"),
+    ("kd(3,3)", "kd: spin must be 1 or 2"),
+    ("kd(0,s)*a(k;K)*a'(h;H)", "kd: spin must be 1 or 2"),
+    ("2*eta[g,5]", "eta: spacetime polarization must be in 0..3"),
+])
+def test_out_of_range_atom_indices_exit_2(expr, message, capsys):
+    """A bound kd/eta/ETA index is checked against the range an operator's
+    spin or polarization takes, not evaluated."""
+    assert main(["vev", expr]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tolerance = 1e-10\nseed = 9\nlambda = 2.0\nv_reg = 16.0\n")
@@ -528,3 +542,73 @@ def test_exact_cases_match_golden_report(seed, capsys):
            if c["tolerance"] is None]
     want = json.loads((DATA / f"verify_exact_seed{seed}.json").read_text())
     assert got == want
+
+
+# The stdout of a fixed list of commands, pinned byte for byte. The reduce
+# inputs are written by the test into its working directory. A declared
+# change to the printed text regenerates the file in the same change:
+#   PYTHONPATH=src:tests python3 -c "import test_cli; test_cli.pin_stdout()"
+_PINNED_FILES = {
+    "scalar_legs.txt": "in scalar p=1,2,2\nin scalar p=1,2,2\n"
+                       "out scalar p=1,2,2\nout scalar p=1,2,2\n",
+    "scalar_greens.txt": "vertex 2.0 0.5\n",
+    "gauge_legs.txt": "in gauge p=1,0,0 g=1 G=2\nin gauge p=0,1/2,0 g=0 G=3\n"
+                      "out gauge p=0,1/2,0 g=0 G=3\n"
+                      "out gauge p=1,0,0 g=1 G=2 E=1.4142135623730951\n",
+    "gauge_greens.txt": "# free theory: no vertices\n",
+    "dirac_legs.txt": "in dirac p=1,0,0 s=1\nin dirac p=1,0,0 s=1\n"
+                      "out dirac p=1,0,0 s=1\nout dirac p=1,0,0 s=1\n",
+    "dirac_greens.txt": "vertex -1.5\nvertex 0.25 -2\n",
+}
+
+
+def _ladder(n):
+    """a^n a'^n over distinct symbols, as the CLI reads it."""
+    return " ".join([f"a(k{j};K{j})" for j in range(1, n + 1)]
+                    + [f"a'(h{j};H{j})" for j in range(1, n + 1)])
+
+
+_PINNED_ARGV = [
+    *(["vev", _ladder(n)] for n in (3, 4, 5)),
+    ["vev", "T " + " ".join(["a([1,2,2];[3,1,2,2])"] * 4
+                            + ["a'([1,2,2];[3,1,2,2])"] * 4)],
+    ["vev", "b(k0,s=1;K0) b(k1,s=2;K1) d(k2,s=1;K2) d(k3,s=s3;K3) "
+            "A(k4,g=0;K4,G=1) A(k5,g=g5;K5,G=2) b'(h0,s=s0;H0) b'(h1,s=1;H1) "
+            "d'(h2,s=s2;H2) d'(h3,s=1;H3) A'(h4,g=0;H4,G=G4) "
+            "A'(h5,g=g6;H5,G=G6)"],
+    ["commutator", "a(k;K)*b(q,s=1;Q)*A(p,g=1;P,G=2)",
+     "a'(h;H)*b'(r,s=s1;R)*A'(p2,g=g1;P2,G=2)"],
+    ["anticommutator", "b(k,s=1;K)*d(q,s=2;Q)*a'(p;P)",
+     "d'(r,s=s1;R)*b'(h,s=1;H)*a(p2;P2)"],
+    *(["reduce", f"{kind}_greens.txt", "--legs", f"{kind}_legs.txt", *fmt]
+      for kind in ("scalar", "gauge", "dirac")
+      for fmt in ((), ("--format", "json"))),
+]
+_PINNED_STDOUT = DATA / "cli_stdout.json"
+
+
+def _write_pinned_files(where: Path):
+    for name, text in _PINNED_FILES.items():
+        (where / name).write_text(text)
+
+
+def pin_stdout():
+    """Rewrite the pinned stdout from the current code."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_pinned_files(Path(tmp))
+        os.chdir(tmp)
+        try:
+            pinned = [[argv, _stdout(argv)] for argv in _PINNED_ARGV]
+        finally:
+            os.chdir(cwd)
+    _PINNED_STDOUT.write_text(json.dumps(pinned, indent=1) + "\n")
+
+
+def test_stdout_matches_pinned_text(tmp_path, monkeypatch):
+    _write_pinned_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    want = json.loads(_PINNED_STDOUT.read_text())
+    assert [argv for argv, _ in want] == _PINNED_ARGV
+    for argv, text in want:
+        assert _stdout(argv) == text, f"stdout differs for {argv}"

@@ -138,15 +138,21 @@ _ARG_STRATEGIES = {
                            st.tuples(_fractions, _fractions, _fractions,
                                      _fractions),
                            st.builds(opalg.OnShell, _moms)),
-    opalg.DISC: st.one_of(st.integers(0, 3), st.sampled_from(["s", "t", "g2"])),
 }
+_DISC_SYMBOLS = st.sampled_from(["s", "t", "g2"])
 
 
 @st.composite
 def _atoms(draw):
     kind = draw(st.sampled_from(sorted(opalg.ATOMS)))
     spec = opalg.ATOMS[kind]
-    args = tuple(draw(_ARG_STRATEGIES[spec.arg]) for _ in range(spec.arity))
+    if spec.arg == opalg.DISC:
+        # bound indices within the range of the atom's index
+        bound = st.sampled_from(opalg.INDEX_RANGES[spec.index][0])
+        arg = st.one_of(bound, _DISC_SYMBOLS)
+    else:
+        arg = _ARG_STRATEGIES.get(spec.arg)  # None: the atom takes no argument
+    args = tuple(draw(arg) for _ in range(spec.arity))
     power = draw(st.integers(-3, 3)) if spec.merges else 1
     return opalg.Atom(kind, args, power)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -613,6 +614,26 @@ def test_ladder_canonicalizes_each_contact_factor_once(n, monkeypatch):
         calls[0] = 0
         vev(product(factors))
         assert calls[0] == want
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_printing_a_ladder_formats_each_atom_once(n, monkeypatch):
+    """The n! terms of vev(a^n a'^n) share the atoms of the n*n contact
+    factors, three each; an atom builds its text once, so printing the
+    result formats at most 3*n*n atoms, not 3*n per term."""
+    real = opalg._atom_text
+    calls = [0]
+
+    def counting(atom):
+        calls[0] += 1
+        return real(atom)
+
+    monkeypatch.setattr(opalg, "_atom_text", counting)
+    lows = [opalg.a(f"k{i}", f"K{i}") for i in range(n)]
+    highs = [opalg.a(f"h{i}", f"H{i}", dagger=True) for i in range(n)]
+    text = str(vev(product(lows + highs)))
+    assert text.count(" + ") + 1 == math.factorial(n)
+    assert calls[0] <= 3 * n * n, (n, calls[0])
 
 
 @settings(max_examples=40, deadline=None)
