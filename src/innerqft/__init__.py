@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "kinematics": ("ETA", "FourVector", "MassShellMomentum", "PolarizationBasis",
                    "build_inner_polarizations", "build_spacetime_polarizations",
-                   "cone_classify", "dirac_spinor", "minkowski_dot",
-                   "on_shell_energy", "slash", "spin_sum"),
+                   "dirac_spinor", "minkowski_dot", "on_shell_energy", "slash",
+                   "spin_sum"),
     "opalg": ("CRat", "LadderOperator", "Monomial", "OperatorExpr",
               "anticommutator", "commutator", "delta_resolve", "make_monomial",
               "normal_order", "reduce_to_normal_form", "vev"),

@@ -14,13 +14,17 @@
     labels := mom [',s=' disc] [',g=' disc] ';' inner [',G=' disc]
     mom    := ident | '[' number ',' number ',' number ']'
     inner  := ident | '[' number{4 comma-separated} ']' | '~' mom
+    disc   := ident | int
     ket    := expr '|0>'
 
 The dagger is the apostrophe suffix; numbers are exact rationals
 (`2`, `-3/2`, `0.25`); `~k` marks an inner label pinned to the on-shell
-four-vector of momentum `k`. Malformed text, a zero denominator or a bound
-`kd`/`eta`/`ETA` index outside the range of its operator label included,
-raises ParseError.
+four-vector of momentum `k`. `mom`, `inner` and `disc` are the three label
+types of `opalg` (MOM, INNER, DISC), read by one rule, `parse_label`, and
+checked by one, `opalg.check_label`, where the operator or atom is built.
+Malformed text, a zero denominator, a bound vector of the wrong size or a
+bound `kd`/`eta`/`ETA` index outside the range of its operator label
+included, raises ParseError.
 
 There is one printer: `str(e)`, defined in `opalg`, which
 `print_expression` returns. It emits canonical text, and
@@ -35,9 +39,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from . import opalg
-from .opalg import (ATOMS, FIELD_HEAD, Atom, CRat, LadderOperator, OnShell,
-                    OperatorExpr, make_monomial)
+from .opalg import (ATOMS, DISC, FIELD_HEAD, INNER, MOM, Atom, CRat,
+                    LadderOperator, OnShell, OperatorExpr, make_monomial)
 
 
 class ParseError(ValueError):
@@ -216,10 +219,10 @@ class _Parser:
             self.next()
             kind, args = spec.collapse, ()
         else:
-            args = (self.parse_arg(spec.arg),)
+            args = (self.parse_label(spec.arg),)
             while len(args) < spec.arity:
                 self.expect("sym", spec.sep)
-                args += (self.parse_arg(spec.arg),)
+                args += (self.parse_label(spec.arg),)
         self.expect("sym", spec.brackets[1])
         power = self._opt_power() if ATOMS[kind].merges else 1
         try:
@@ -236,27 +239,27 @@ class _Parser:
             self.next()
             dagger = True
         self.expect("sym", "(")
-        mom = self.parse_label(3)
+        mom = self.parse_label(MOM)
         spin = pol = ipol = None
         while self.peek()[:2] == ("sym", ","):
             self.next()
             name = self.expect("ident")[1]
             self.expect("sym", "=")
             if name == "s":
-                spin = self.parse_disc()
+                spin = self.parse_label(DISC)
             elif name == "g":
-                pol = self.parse_disc()
+                pol = self.parse_label(DISC)
             else:
                 raise ParseError(f"unknown label {name!r} before ';'", pos)
         self.expect("sym", ";")
-        inner = self.parse_label(4)
+        inner = self.parse_label(INNER)
         if self.peek()[:2] == ("sym", ","):
             self.next()
             name = self.expect("ident")[1]
             if name != "G":
                 raise ParseError(f"unknown label {name!r} after ';'", pos)
             self.expect("sym", "=")
-            ipol = self.parse_disc()
+            ipol = self.parse_label(DISC)
         self.expect("sym", ")")
         try:
             op = LadderOperator(field, dagger, mom, inner, spin=spin,
@@ -265,14 +268,20 @@ class _Parser:
             raise ParseError(str(exc), pos) from None
         return OperatorExpr.from_op(op)
 
-    def parse_label(self, size: int):
+    def parse_label(self, arg: str):
+        """One label of the given ATOMS argument type (MOM, INNER or DISC);
+        it is checked where its operator or atom is built."""
         kind, text, pos = self.peek()
-        if kind == "sym" and text == "~" and size == 4:
-            self.next()
-            return OnShell(self.parse_label(3))
         if kind == "ident":
             self.next()
             return text
+        if arg == DISC:
+            if kind == "number":
+                return self.parse_int("an integer discrete label")
+            raise ParseError("expected a discrete label", pos)
+        if kind == "sym" and text == "~" and arg == INNER:
+            self.next()
+            return OnShell(self.parse_label(MOM))
         if kind == "sym" and text == "[":
             self.next()
             comps = [self.parse_number()]
@@ -280,25 +289,8 @@ class _Parser:
                 self.next()
                 comps.append(self.parse_number())
             self.expect("sym", "]")
-            if len(comps) != size:
-                raise ParseError(f"expected a {size}-component bound label", pos)
             return tuple(comps)
         raise ParseError("expected a label symbol or bound vector", pos)
-
-    def parse_arg(self, arg: str):
-        """One atom argument of the given ATOMS argument type."""
-        if arg == opalg.DISC:
-            return self.parse_disc()
-        return self.parse_label(3 if arg == opalg.MOM else 4)
-
-    def parse_disc(self):
-        kind, text, pos = self.peek()
-        if kind == "number":
-            return self.parse_int("an integer discrete label")
-        if kind == "ident":
-            self.next()
-            return text
-        raise ParseError("expected a discrete label", pos)
 
 
 def _parse(src: str, ket: bool) -> OperatorExpr:

@@ -6,7 +6,6 @@ value-semantic: no global state, safe for concurrent use.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -69,23 +68,6 @@ class MassShellMomentum(Record):
 
     def four_vector(self) -> FourVector:
         return FourVector(self.energy, *self.spatial)
-
-
-class ConeClass(enum.Enum):
-    TIMELIKE_PLUS = "timelike_plus"
-    LIGHTLIKE_PLUS = "lightlike_plus"
-    TIMELIKE_MINUS = "timelike_minus"
-    LIGHTLIKE_MINUS = "lightlike_minus"
-    SPACELIKE = "spacelike"
-
-
-def cone_classify(K: FourVector) -> ConeClass:
-    k2 = minkowski_dot(K, K)
-    if k2 > 0:
-        return ConeClass.TIMELIKE_PLUS if K.t > 0 else ConeClass.TIMELIKE_MINUS
-    if k2 < 0:
-        return ConeClass.SPACELIKE
-    return ConeClass.LIGHTLIKE_PLUS if K.t >= 0 else ConeClass.LIGHTLIKE_MINUS
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,35 @@ I = CRat(Fraction(0), Fraction(1))
 # ---------------------------------------------------------------------------
 # Labels
 #
-# A momentum label is a symbol (str) or a bound 3-tuple of numbers.
-# An inner label is a symbol, a bound 4-tuple, or OnShell(mom): the barred
-# operators of the gravitational limit carry OnShell inner labels, meaning
-# "the on-shell four-vector of this operator's own momentum"; its energy is
-# evaluated only where a number is needed (fock.momentum_action). Bound
-# components compare by exact value (int, Fraction and float alike), so two
-# bound labels are equal exactly when their tuples are.
+# Every operator slot and every coefficient-atom argument holds a label of
+# one of three types, the `arg` of its ATOMS row below:
+#   MOM    a momentum: a symbol (str) or a bound 3-tuple of numbers;
+#   INNER  an inner label: a symbol, a bound 4-tuple, or OnShell(mom). The
+#          barred operators of the gravitational limit carry OnShell inner
+#          labels, meaning "the on-shell four-vector of this operator's own
+#          momentum"; its energy is evaluated only where a number is needed
+#          (fock.momentum_action);
+#   DISC   a spin or polarization index: a symbol or a bound int in its
+#          INDEX_RANGES row.
+# One rule keys (symbols < on-shell labels < bound values), checks,
+# substitutes, compares and prints them all. Bound components compare by
+# exact value (int, Fraction and float alike), so two bound labels are equal
+# exactly when their values are.
+
+MOM, INNER, DISC, NONE = "mom", "inner", "disc", "none"
+
+# The bound values of each discrete index, and the message that rejects any
+# other integer; operators and the kd/eta/ETA atoms both check against it.
+INDEX_RANGES = {
+    "spin": ((1, 2), "spin must be 1 or 2"),
+    "pol": ((0, 1, 2, 3), "spacetime polarization must be in 0..3"),
+    "ipol": ((1, 2, 3), "inner polarization must be in 1..3 "
+                        "(no inner-longitudinal gauge quanta)"),
+}
+
+# the size of a bound vector label, and the message that rejects any other
+_VECTORS = {MOM: (3, "bound momentum labels are 3-vectors"),
+            INNER: (4, "bound inner labels are 4-vectors")}
 
 
 class OnShell(Record):
@@ -99,7 +121,7 @@ class OnShell(Record):
 
 
 # the type of a label, for annotations
-Label = "str | tuple | OnShell"
+Label = "str | int | tuple | OnShell"
 
 
 def label_key(l: Label):
@@ -110,12 +132,29 @@ def label_key(l: Label):
     return (2, l)
 
 
-def label_str(l: Label) -> str:
+def check_label(l: Label, arg: str, index: str | None = None) -> None:
+    """Raise ValueError unless `l` is a label of ATOMS argument type `arg`;
+    `index` names the INDEX_RANGES row of a DISC label."""
     if isinstance(l, str):
-        return l
+        return
+    if arg == DISC:
+        if type(l) is not int:
+            raise ValueError("discrete labels bind to ints or symbols")
+        allowed, message = INDEX_RANGES[index]
+        if l not in allowed:
+            raise ValueError(message)
+    elif arg == INNER and isinstance(l, OnShell):
+        check_label(l.mom, MOM)
+    elif not isinstance(l, tuple) or len(l) != _VECTORS[arg][0]:
+        raise ValueError(_VECTORS[arg][1])
+
+
+def label_str(l: Label) -> str:
     if isinstance(l, OnShell):
         return f"~{label_str(l.mom)}"
-    return "[" + ",".join(str(c) for c in l) + "]"
+    if isinstance(l, tuple):
+        return "[" + ",".join(str(c) for c in l) + "]"
+    return str(l)
 
 
 def substitute_label(l: Label, mapping: Mapping[str, Label]) -> Label:
@@ -124,6 +163,22 @@ def substitute_label(l: Label, mapping: Mapping[str, Label]) -> Label:
     if isinstance(l, OnShell):
         return OnShell(substitute_label(l.mom, mapping))
     return l
+
+
+def _labels_bound_equal(a: Label, b: Label):
+    """Tri-state equality of two labels: True/False if decidable.
+
+    Equal labels, two equal symbols included, are equal; two unequal bound
+    values are not. Two on-shell labels are equal exactly when their momenta
+    are.
+    """
+    if isinstance(a, OnShell) and isinstance(b, OnShell):
+        a, b = a.mom, b.mom
+    if a == b:
+        return True
+    if isinstance(a, (tuple, int)) and isinstance(b, (tuple, int)):
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +192,6 @@ GAUGE = "gauge"
 FIELDS = (SCALAR, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, GAUGE)
 _FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
 FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
-
-
-# The bound values of each discrete index, and the message that rejects any
-# other integer; operators and the kd/eta/ETA atoms both check against it.
-INDEX_RANGES = {
-    "spin": ((1, 2), "spin must be 1 or 2"),
-    "pol": ((0, 1, 2, 3), "spacetime polarization must be in 0..3"),
-    "ipol": ((1, 2, 3), "inner polarization must be in 1..3 "
-                        "(no inner-longitudinal gauge quanta)"),
-}
-
-
-def _discrete_key(v):
-    if v is None:
-        return (0,)
-    return (1, v) if isinstance(v, str) else (2, v)
 
 
 class LadderOperator(Record):
@@ -184,18 +223,18 @@ class LadderOperator(Record):
         else:
             if self.spin is not None or self.pol is not None or self.ipol is not None:
                 raise ValueError("scalar operators carry no discrete labels")
-        for name, (allowed, message) in INDEX_RANGES.items():
+        check_label(self.mom, MOM)
+        check_label(self.inner, INNER)
+        for name in INDEX_RANGES:
             value = getattr(self, name)
-            if isinstance(value, int) and value not in allowed:
-                raise ValueError(message)
-        if isinstance(self.mom, tuple) and len(self.mom) != 3:
-            raise ValueError("bound momentum labels are 3-vectors")
-        if isinstance(self.inner, tuple) and len(self.inner) != 4:
-            raise ValueError("bound inner labels are 4-vectors")
+            if value is not None:
+                check_label(value, DISC, name)
+        # a None slot is None on every operator of the field, so it never
+        # decides an order
         object.__setattr__(self, "key", (
             0 if self.dagger else 1, _FIELD_ORDER[self.field],
-            label_key(self.mom), label_key(self.inner), _discrete_key(self.spin),
-            _discrete_key(self.pol), _discrete_key(self.ipol)))
+            label_key(self.mom), label_key(self.inner), label_key(self.spin),
+            label_key(self.pol), label_key(self.ipol)))
 
     @property
     def fermionic(self) -> bool:
@@ -206,29 +245,20 @@ class LadderOperator(Record):
                               self.spin, self.pol, self.ipol)
 
     def substitute(self, mapping: Mapping[str, Label]) -> "LadderOperator":
-        def sub_disc(v):
-            if isinstance(v, str) and v in mapping:
-                b = mapping[v]
-                if not isinstance(b, (int, str)):
-                    raise ValueError("discrete labels bind to ints or symbols")
-                return b
-            return v
-        return LadderOperator(self.field, self.dagger,
-                              substitute_label(self.mom, mapping),
-                              substitute_label(self.inner, mapping),
-                              sub_disc(self.spin), sub_disc(self.pol),
-                              sub_disc(self.ipol))
+        return LadderOperator(self.field, self.dagger, *(
+            substitute_label(l, mapping)
+            for l in (self.mom, self.inner, self.spin, self.pol, self.ipol)))
 
     def __str__(self) -> str:
         head = FIELD_HEAD[self.field] + ("'" if self.dagger else "")
         parts = [label_str(self.mom)]
         if self.spin is not None:
-            parts.append(f"s={self.spin}")
+            parts.append(f"s={label_str(self.spin)}")
         if self.pol is not None:
-            parts.append(f"g={self.pol}")
+            parts.append(f"g={label_str(self.pol)}")
         inner = label_str(self.inner)
         if self.ipol is not None:
-            inner += f",G={self.ipol}"
+            inner += f",G={label_str(self.ipol)}"
         return f"{head}({','.join(parts)};{inner})"
 
 
@@ -239,25 +269,25 @@ class LadderOperator(Record):
 # a kind, a tuple of arguments and an integer power. A kind's row in ATOMS
 # decides everything that depends on the kind:
 #   rank       position in the canonical order of a monomial's atoms;
-#   arg        what each argument is: a momentum label (MOM), an inner
-#              label (INNER), a discrete spin/polarization index (DISC), or
-#              nothing (NONE);
+#   arg        the label type of every argument (MOM, INNER or DISC, see
+#              Labels), or NONE for an atom without arguments;
 #   arity      how many arguments the atom takes;
-#   symmetric  whether the two arguments are unordered (stored by key);
+#   symmetric  whether the two arguments are unordered (stored in
+#              label_key order, so a symbol comes first);
 #   merges     whether atoms with equal arguments multiply by adding powers
 #              (all other kinds take power 1 and repeat instead);
 #   sign       for a Kronecker/metric pair: the factor left by two equal
-#              bound indices (two distinct ones kill the monomial);
+#              indices of a given value; a pair over one symbol leaves it
+#              when it is the same over the whole index range, and two
+#              distinct bound indices kill the monomial;
 #   collapse   for a delta over labels: the argument-free kind that two
-#              equal bound labels become (two distinct ones kill it);
+#              equal labels become (two distinct bound ones kill it);
 #   sifted     whether delta_resolve consumes the atom by unification;
 #   index      for a Kronecker/metric pair: the INDEX_RANGES row that bounds
 #              its integer arguments;
 #   brackets, sep  how the arguments print after the kind's name.
 # The kind's name is its printed head, and the grammar parses atoms from
 # the same rows.
-
-MOM, INNER, DISC, NONE = "mom", "inner", "disc", "none"
 
 
 class AtomSpec(Record):
@@ -293,10 +323,6 @@ ATOMS = {
 }
 
 
-def _disc_key(v):
-    return (0, v, "") if isinstance(v, int) else (1, 0, v)
-
-
 class Atom(Record):
     """One coefficient factor; `key`, derived when it is built, is its place
     in the canonical order. Its text is built once, by the first `str()`,
@@ -311,12 +337,12 @@ class Atom(Record):
         spec = ATOMS[self.kind]
         if len(self.args) != spec.arity:
             raise ValueError(f"{self.kind} takes {spec.arity} arguments")
-        if spec.index:
-            allowed, message = INDEX_RANGES[spec.index]
-            if any(isinstance(x, int) and x not in allowed for x in self.args):
-                raise ValueError(f"{self.kind}: {message}")
-        arg_key = _disc_key if spec.arg == DISC else label_key
-        keys = [arg_key(x) for x in self.args]
+        try:
+            for x in self.args:
+                check_label(x, spec.arg, spec.index)
+        except ValueError as exc:
+            raise ValueError(f"{self.kind}: {exc}") from None
+        keys = [label_key(x) for x in self.args]
         if spec.symmetric and keys[0] > keys[1]:
             object.__setattr__(self, "args", self.args[::-1])
             keys.reverse()
@@ -324,12 +350,8 @@ class Atom(Record):
         object.__setattr__(self, "_text", None)
 
     def substitute(self, mapping: Mapping[str, Label]) -> "Atom":
-        if ATOMS[self.kind].arg == DISC:
-            args = tuple(mapping.get(x, x) if isinstance(x, str) else x
-                         for x in self.args)
-        else:
-            args = tuple(substitute_label(x, mapping) for x in self.args)
-        return Atom(self.kind, args, self.power)
+        return Atom(self.kind, tuple(substitute_label(x, mapping)
+                                     for x in self.args), self.power)
 
     def __str__(self) -> str:
         text = self._text
@@ -343,8 +365,7 @@ def _atom_text(atom: Atom) -> str:
     spec = ATOMS[atom.kind]
     s = atom.kind
     if atom.args:
-        text = str if spec.arg == DISC else label_str
-        s += (spec.brackets[0] + spec.sep.join(text(x) for x in atom.args)
+        s += (spec.brackets[0] + spec.sep.join(label_str(x) for x in atom.args)
               + spec.brackets[1])
     return s if atom.power == 1 else f"{s}^{atom.power}"
 
@@ -388,27 +409,6 @@ def SpinDelta(a: int | str, b: int | str) -> Atom:
 def Metric(space: bool, a: int | str, b: int | str) -> Atom:
     """eta^{gg'} factor; space=True for spacetime, False for inner indices."""
     return Atom("eta" if space else "ETA", (a, b))
-
-
-def _bound_equal(spec: AtomSpec, a, b):
-    """Tri-state equality of a pair's arguments: True/False if decidable."""
-    if spec.arg == DISC:
-        return a == b if isinstance(a, int) and isinstance(b, int) else None
-    return _labels_bound_equal(a, b)
-
-
-def _labels_bound_equal(a: Label, b: Label):
-    """Tri-state equality for delta arguments: True/False if decidable.
-
-    Two on-shell labels are equal exactly when their momenta are.
-    """
-    if isinstance(a, OnShell) and isinstance(b, OnShell):
-        a, b = a.mom, b.mom
-    if a == b:
-        return True
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return False
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +471,21 @@ def make_monomial(scalar, lam=0, twopi=0, vreg=0,
                                                      prev.power + a.power)
             continue
         if spec.sign or spec.collapse:
-            eq = _bound_equal(spec, *a.args)
+            eq = _labels_bound_equal(*a.args)
             if eq is False:
                 return None
             if eq is True:
                 if spec.collapse:
                     kept.append(Atom(spec.collapse))
-                elif spec.sign(a.args[0]) < 0:
-                    scalar = -scalar
-                continue
+                    continue
+                # over a symbol, the sign its whole index range agrees on
+                x = a.args[0]
+                signs = {spec.sign(i) for i in (
+                    INDEX_RANGES[spec.index][0] if isinstance(x, str) else (x,))}
+                if len(signs) == 1:
+                    if signs.pop() < 0:
+                        scalar = -scalar
+                    continue
         kept.append(a)
     kept.extend(a for a in merged.values() if a.power)
     kept.sort(key=_ATOM_KEY)
@@ -521,9 +527,6 @@ class OperatorExpr(Record):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_number(self) -> bool:
-        return all(not m.ops for m in self.terms)
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         return OperatorExpr.from_monomials(self.terms + other.terms)
@@ -741,7 +744,8 @@ def delta_resolve(e: OperatorExpr, bindings: Mapping[str, Label] | None = None
     A delta over a symbol and anything substitutes the symbol and drops the
     atom; a delta over two equal bound labels becomes a zero marker, over
     two distinct bound labels it kills the monomial. Explicit `bindings`
-    are applied first and checked for consistency.
+    are applied first; a value that is not a label of its symbol's type
+    raises ValueError.
     """
     if bindings:
         for sym, val in bindings.items():
@@ -751,20 +755,18 @@ def delta_resolve(e: OperatorExpr, bindings: Mapping[str, Label] | None = None
     out = []
     for m in e.terms:
         while m is not None:
+            # symbols come first, so a delta over a symbol starts with one
             i = next((i for i, a in enumerate(m.atoms) if ATOMS[a.kind].sifted
-                      and any(isinstance(x, str) for x in a.args)), None)
+                      and isinstance(a.args[0], str)), None)
             if i is None:
                 out.append(m)
                 break
             sym, val = m.atoms[i].args
-            if not isinstance(sym, str):
-                sym, val = val, sym
-            atoms, ops = m.atoms[:i] + m.atoms[i + 1:], m.ops
-            if sym != val:
-                mapping = {sym: val}
-                atoms = tuple(a.substitute(mapping) for a in atoms)
-                ops = tuple(op.substitute(mapping) for op in ops)
-            m = make_monomial(m.scalar, m.lam, m.twopi, m.vreg, atoms, ops)
+            mapping = {sym: val}
+            m = make_monomial(
+                m.scalar, m.lam, m.twopi, m.vreg,
+                tuple(a.substitute(mapping) for a in m.atoms[:i] + m.atoms[i + 1:]),
+                tuple(op.substitute(mapping) for op in m.ops))
     return OperatorExpr.from_monomials(out)
 
 

@@ -576,6 +576,8 @@ _PINNED_ARGV = [
             "A(k4,g=0;K4,G=1) A(k5,g=g5;K5,G=2) b'(h0,s=s0;H0) b'(h1,s=1;H1) "
             "d'(h2,s=s2;H2) d'(h3,s=1;H3) A'(h4,g=0;H4,G=G4) "
             "A'(h5,g=g6;H5,G=G6)"],
+    ["vev", "kd(s,s)*ETA[G,G]*eta[g,g]*kd(1,s)"],
+    ["vev", "b(k,s=s;K) b'(h,s=s;H)"],
     ["commutator", "a(k;K)*b(q,s=1;Q)*A(p,g=1;P,G=2)",
      "a'(h;H)*b'(r,s=s1;R)*A'(p2,g=g1;P2,G=2)"],
     ["anticommutator", "b(k,s=1;K)*d(q,s=2;Q)*a'(p;P)",

@@ -10,7 +10,7 @@ from innerqft.grammar import ParseError, parse_expression, parse_state, \
     print_expression
 from innerqft.opalg import CRat, OperatorExpr
 
-from conftest import random_ladder
+from conftest import random_ladder, random_product
 
 
 def test_parse_simple_operators():
@@ -169,6 +169,47 @@ def test_round_trip_atoms(monos):
     expr = OperatorExpr.from_monomials(monos)
     text = print_expression(expr)
     assert parse_expression(text) == expr, text
+
+
+# every label a substitution may meet: the bound values of each type, and
+# values that are labels of no type or of another type than their symbol's
+_any_labels = st.one_of(
+    _moms, _ARG_STRATEGIES[opalg.INNER], st.integers(-1, 4), _DISC_SYMBOLS,
+    st.sampled_from([(1, 2), 1.5, opalg.OnShell((1, 2)), opalg.OnShell(5)]))
+
+
+def _symbols(expr):
+    """The symbols of every operator slot and atom argument of `expr`."""
+    labels = [l for m in expr.terms for x in m.atoms + m.ops
+              for l in (x.args if isinstance(x, opalg.Atom) else
+                        (x.mom, x.inner, x.spin, x.pol, x.ipol))]
+    labels += [l.mom for l in labels if isinstance(l, opalg.OnShell)]
+    return sorted({l for l in labels if isinstance(l, str)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_atoms(), min_size=1, max_size=4),
+       st.randoms(use_true_random=False), _any_labels, st.data())
+def test_labels_keyed_and_substituted_one_way(atoms, r, label, data):
+    """Symmetric atoms keep their arguments in label_key order, and binding
+    any symbol to any label gives a valid expression or a ValueError."""
+    def assert_pairs_in_key_order(atoms):
+        for a in atoms:
+            if opalg.ATOMS[a.kind].symmetric:
+                assert opalg.label_key(a.args[0]) <= opalg.label_key(a.args[1])
+    assert_pairs_in_key_order(atoms)
+    expr = random_product(r) * OperatorExpr.from_monomials(
+        [opalg.make_monomial(1, atoms=atoms)])
+    symbols = _symbols(expr)
+    if not symbols:
+        return
+    sym = data.draw(st.sampled_from(symbols))
+    try:
+        got = expr.substitute({sym: label})
+    except ValueError:
+        return
+    assert_pairs_in_key_order(a for m in got.terms for a in m.atoms)
+    assert parse_expression(str(got)) == got
 
 
 def test_parse_merges_a_sum_once(monkeypatch):

@@ -34,13 +34,6 @@ def test_massless_rejected():
         MassShellMomentum.of((1, 0, 0), 0.0)
 
 
-def test_cone_classification():
-    assert kin.cone_classify(FourVector(2, 1, 0, 0)) is kin.ConeClass.TIMELIKE_PLUS
-    assert kin.cone_classify(FourVector(-2, 1, 0, 0)) is kin.ConeClass.TIMELIKE_MINUS
-    assert kin.cone_classify(FourVector(1, 1, 0, 0)) is kin.ConeClass.LIGHTLIKE_PLUS
-    assert kin.cone_classify(FourVector(0, 1, 0, 0)) is kin.ConeClass.SPACELIKE
-
-
 @given(finite, finite, finite, mass)
 @settings(max_examples=60, deadline=None)
 def test_mass_shell_invariant(x, y, z, m):

@@ -171,3 +171,28 @@ def test_support_is_the_exact_forward_cone(inner):
     else:
         with pytest.raises(fock.SupportError):
             FockState.ket(op)
+
+
+# -- one label check: a malformed label raises ValueError, however it is made
+
+_MALFORMED = [
+    # (built directly, expression, binding, message)
+    (lambda: Delta4((1, 2), "H"), "d4(K-H)", {"K": (1, 2)},
+     "d4: bound inner labels are 4-vectors"),
+    (lambda: LadderOperator(opalg.DIRAC_PARTICLE, True, "k", "K", spin=1.5),
+     "b'(k,s=s;K)", {"s": 1.5}, "discrete labels bind to ints or symbols"),
+    (lambda: LadderOperator(opalg.SCALAR, True, "k", OnShell((1, 2))),
+     "a'(k;~q)", {"q": (1, 2)}, "bound momentum labels are 3-vectors"),
+    (lambda: LadderOperator(opalg.SCALAR, True, 5, "K"),
+     "w(k)*a'(k;K)*a'(h;H)", {"k": 5}, "bound momentum labels are 3-vectors"),
+    (lambda: opalg.SpinDelta("s", (1, 2, 3)), "kd(s,t)*w(k)", {"t": (1, 2, 3)},
+     "kd: discrete labels bind to ints or symbols"),
+]
+
+
+@pytest.mark.parametrize("build, text, binding, message", _MALFORMED)
+def test_malformed_labels_raise_value_error(build, text, binding, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+    with pytest.raises(ValueError, match=message):
+        opalg.delta_resolve(parse_expression(text), binding)
