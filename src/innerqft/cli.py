@@ -74,14 +74,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if "format" in loaded:
             loaded["fmt"] = loaded.pop("format")
         values.update(loaded)
-    if args.tol is not None:
-        values["tolerance"] = args.tol
-    if args.epsilon is not None:
-        values["i_epsilon"] = args.epsilon
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.format is not None:
-        values["fmt"] = args.format
+    # `reduce` has no --tol, --epsilon or --seed
+    for flag, key in (("tol", "tolerance"), ("epsilon", "i_epsilon"),
+                      ("seed", "seed"), ("format", "fmt")):
+        if getattr(args, flag, None) is not None:
+            values[key] = getattr(args, flag)
     try:
         return RunConfig(**values)
     except (ValueError, TypeError) as exc:
@@ -249,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="numeric tolerance (default 1e-12)")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="pole-shift epsilon for propagators (default 1e-8)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default 0)")
         p.add_argument("--config", default=None,
                        help="flat key=value config file")
         p.add_argument("--format", choices=("text", "json"), default=None,
@@ -263,6 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("--suite", required=True,
                      choices=SUITE_NAMES + ("all",))
+    ver.add_argument("--tol", type=float, default=None,
+                     help="numeric tolerance (default 1e-12)")
+    ver.add_argument("--epsilon", type=float, default=None,
+                     help="pole-shift epsilon for propagators (default 1e-8)")
+    ver.add_argument("--seed", type=int, default=None,
+                     help="random seed (default 0)")
     add_common(ver)
     ver.set_defaults(func=cmd_verify)
 

@@ -82,17 +82,13 @@ def _quantum_weight(op: LadderOperator) -> int:
     return (1 if op.pol == 0 else -1) * (-1)
 
 
-class NormSign(Record):
-    sign: int
-
-
-def norm_sign(ket: Monomial | FockState) -> NormSign:
+def norm_sign(ket: Monomial | FockState) -> int:
     """Product of eta^{gg} eta^{GG} over gauge quanta; matter contributes +1."""
     if isinstance(ket, FockState):
         if len(ket.expr.terms) != 1:
             raise ValueError("norm sign is defined for basis kets")
         (ket,) = ket.expr.terms
-    return NormSign(math.prod(_quantum_weight(op) for op in ket.ops))
+    return math.prod(_quantum_weight(op) for op in ket.ops)
 
 
 def physical_filter(s: FockState) -> FockState:

@@ -8,17 +8,14 @@ it. Gauge propagators are fixed to the Feynman-type gauge (gauge parameter
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from . import opalg
 from .fock import FieldMasses
+from .grammar import parse_expression
 from .kinematics import (DEFAULT_TOL, ETA, FourVector, MassShellMomentum,
                          build_spacetime_polarizations, build_inner_polarizations,
                          minkowski_dot, slash, spin_sum)
-from .opalg import (ERatioPow, Metric, OmegaPow, OperatorExpr, delta_resolve,
-                    make_monomial, vev)
+from .opalg import OperatorExpr, delta_resolve, vev
 from .record import Record
 
 # ---------------------------------------------------------------------------
@@ -104,26 +101,14 @@ class TwoPointCheck(Record):
         return ""
 
 
-def _mode_contraction(kind: str) -> OperatorExpr:
-    """vev of annihilator(k,...;K) * creator(h,...;H) for one species."""
-    if kind == "scalar":
-        prod = opalg.a("k", "K") * opalg.a("h", "H", dagger=True)
-    elif kind == "dirac":
-        prod = opalg.b("k", "s", "K") * opalg.b("h", "t", "H", dagger=True)
-    else:
-        prod = opalg.gauge("k", "g", "K", "G") * opalg.gauge("h", "g2", "H", "G2",
-                                                             dagger=True)
-    return vev(prod)
-
-
-def _leg_measure(kind: str) -> OperatorExpr:
-    """One leg's mode-expansion measure factor, as printed in the expansions."""
-    if kind == "dirac":
-        mono = make_monomial(1, lam=4, twopi=-7, atoms=(ERatioPow("h", -1),))
-    else:
-        mono = make_monomial(Fraction(1, 2), lam=4, twopi=-7,
-                             atoms=(OmegaPow("h", -1),))
-    return OperatorExpr.from_monomials([mono])
+# per kind: the contracted annihilator/creator pair, one leg's mode-expansion
+# measure as printed in the expansions, and the residue their product leaves
+_TWO_POINT = {
+    "scalar": ("a(k;K)*a'(h;H)", "1/2*L^4*(2pi)^-7*w(h)^-1", "1"),
+    "dirac": ("b(k,s=s;K)*b'(h,s=t;H)", "1*L^4*(2pi)^-7*E/m(h)^-1", "1"),
+    "gauge": ("A(k,g=g;K,G=G)*A'(h,g=g2;H,G=G2)", "1/2*L^4*(2pi)^-7*w(h)^-1",
+              "1*L^2*eta[g,g2]*ETA[G,G2]"),
+}
 
 
 def _numerator_residual(kind: str, masses: FieldMasses) -> float:
@@ -163,16 +148,10 @@ def wick_two_point(kind: str, masses: FieldMasses = FieldMasses(),
     L^2 eta eta for the gauge field. Spin and polarization sums are checked
     numerically against the kernel numerators.
     """
-    if kind not in ("scalar", "dirac", "gauge"):
+    if kind not in _TWO_POINT:
         raise ValueError(f"unknown two-point kind {kind!r}")
-    contraction = _mode_contraction(kind)
-    residue = delta_resolve(contraction * _leg_measure(kind))
-    if kind == "gauge":
-        expected = OperatorExpr.from_monomials([
-            make_monomial(1, lam=2, atoms=(Metric(True, "g", "g2"),
-                                           Metric(False, "G", "G2")))])
-    else:
-        expected = OperatorExpr.number(1)
+    pair, measure, expected = map(parse_expression, _TWO_POINT[kind])
+    residue = delta_resolve(vev(pair) * measure)
     spec = PropagatorSpec(kind, masses.gauge if kind == "gauge"
                           else (masses.scalar if kind == "scalar" else masses.dirac))
     return TwoPointCheck(kind, spec, residue, expected,

@@ -14,6 +14,7 @@ one printer.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from operator import attrgetter
@@ -95,6 +96,8 @@ I = CRat(Fraction(0), Fraction(1))
 #          (fock.momentum_action);
 #   DISC   a spin or polarization index: a symbol or a bound int in its
 #          INDEX_RANGES row.
+# A bound vector's components are ints, Fractions or finite floats (a bool
+# is none of these, as for DISC labels).
 # One rule keys (symbols < on-shell labels < bound values), checks,
 # substitutes, compares and prints them all. Bound components compare by
 # exact value (int, Fraction and float alike), so two bound labels are equal
@@ -147,6 +150,9 @@ def check_label(l: Label, arg: str, index: str | None = None) -> None:
         check_label(l.mom, MOM)
     elif not isinstance(l, tuple) or len(l) != _VECTORS[arg][0]:
         raise ValueError(_VECTORS[arg][1])
+    elif not all(type(c) in (int, Fraction) or isinstance(c, float) and math.isfinite(c)
+                 for c in l):
+        raise ValueError("bound label components are ints, fractions or finite floats")
 
 
 def label_str(l: Label) -> str:

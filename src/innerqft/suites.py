@@ -15,10 +15,11 @@ import numpy as np
 from . import fock, gravlimit, kinematics, numeric, opalg, smatrix
 from .config import RunConfig
 from .fock import FieldMasses, FockState
-from .gravlimit import RegularizationConfig, barred, grav_limit_expr
+from .grammar import parse_expression
+from .gravlimit import RegularizationConfig, grav_limit_expr
 from .kinematics import FourVector, MassShellMomentum
-from .opalg import (Delta3, Delta4, ERatioPow, Metric, OmegaPow, OperatorExpr,
-                    SpinDelta, anticommutator, commutator, make_monomial, vev)
+from .opalg import (OperatorExpr, anticommutator, commutator, reduce_to_normal_form,
+                    vev)
 from .record import Record
 
 
@@ -62,27 +63,80 @@ def _numeric(name: str, value: float, tol: float, detail: str = "") -> Case:
 
 
 # ---------------------------------------------------------------------------
-# Expected contact terms, written out once from the printed relations
+# Exact cases written in the grammar: (name, operation, operand texts,
+# expected text). An operation takes the parsed operands; the report's rhs
+# is the expected text, which prints back to itself.
 
 
-def scalar_contact(k="k", h="h", K="K", H="H") -> OperatorExpr:
-    return OperatorExpr.from_monomials([make_monomial(
-        2, lam=-4, twopi=7,
-        atoms=(OmegaPow(k), Delta4(K, H), Delta3(k, h)))])
+def _inner(bra: OperatorExpr, ket: OperatorExpr) -> OperatorExpr:
+    """<bra|ket> of the two operators applied to the vacuum."""
+    vac = FockState.vacuum()
+    return fock.inner_product(fock.apply(bra, vac), fock.apply(ket, vac))
 
 
-def dirac_contact(k="k", h="h", s="s", t="t", K="K", H="H") -> OperatorExpr:
-    return OperatorExpr.from_monomials([make_monomial(
-        1, lam=-4, twopi=7,
-        atoms=(ERatioPow(k), SpinDelta(s, t), Delta4(K, H), Delta3(k, h)))])
+_OPERATIONS = {
+    "commutator": commutator,
+    "anticommutator": anticommutator,
+    "vev": vev,
+    "reduce": reduce_to_normal_form,
+    "apply": lambda e: fock.apply(e, FockState.vacuum()).expr,
+    "inner": _inner,
+}
+
+_SCALAR = "2*L^-4*(2pi)^7*w(k)*d3(h-k)*d4(H-K)"
+_DIRAC = "1*L^-4*(2pi)^7*E/m(k)*kd(s,t)*d3(h-k)*d4(H-K)"
+_GAUGE = "2*L^-2*(2pi)^7*w(k)*eta[g,g2]*ETA[G,G2]*d3(h-k)*d4(H-K)"
+
+EXACT_CASES = {
+    "ccr": (
+        ("ccr.aa_vanishes", "commutator", ("a(k;K)", "a(h;H)"), "0"),
+        ("ccr.adad_vanishes", "commutator", ("a'(k;K)", "a'(h;H)"), "0"),
+        ("ccr.a_adag_contact", "commutator", ("a(k;K)", "a'(h;H)"), _SCALAR),
+        ("ccr.vev_normalization", "vev", ("a(k;K)*a'(h;H)",), _SCALAR),
+        ("ccr.vev_normal_ordered", "vev", ("a'(h;H)*a(k;K)",), "0"),
+        ("ccr.cross_species_scalar_dirac", "commutator", ("a(k;K)", "b'(h,s=t;H)"), "0"),
+    ),
+    "car": (
+        ("car.b_bdag_contact", "anticommutator", ("b(k,s=s;K)", "b'(h,s=t;H)"), _DIRAC),
+        ("car.d_ddag_contact", "anticommutator", ("d(k,s=s;K)", "d'(h,s=t;H)"), _DIRAC),
+        ("car.bb_vanishes", "anticommutator", ("b(k,s=s;K)", "b(h,s=t;H)"), "0"),
+        ("car.bdbd_vanishes", "anticommutator", ("b'(k,s=s;K)", "b'(h,s=t;H)"), "0"),
+        ("car.b_ddag_vanishes", "anticommutator", ("b(k,s=s;K)", "d'(h,s=t;H)"), "0"),
+        ("car.pauli_identical_labels", "reduce", ("b(k,s=s;K)*b(k,s=s;K)",), "0"),
+    ),
+    "gauge": (
+        ("gauge.a_adag_contact", "commutator", ("A(k,g=g;K,G=G)", "A'(h,g=g2;H,G=G2)"),
+         _GAUGE),
+        ("gauge.aa_vanishes", "commutator", ("A(k,g=g;K,G=G)", "A(h,g=g2;H,G=G2)"), "0"),
+        ("gauge.vev_normalization", "vev", ("A(k,g=g;K,G=G)*A'(h,g=g2;H,G=G2)",), _GAUGE),
+    ),
+    "fock": (
+        ("fock.vacuum_norm", "inner", ("1", "1"), "1"),
+        ("fock.one_particle_norm", "inner", ("a'(h;H)", "a'(k;K)"),
+         "2*L^-4*(2pi)^7*w(h)*d3(h-k)*d4(H-K)"),
+        ("fock.annihilate_vacuum", "apply", ("a(k;K)",), "0"),
+        ("fock.species_orthogonality", "inner", ("b'(h,s=t;H)", "a'(k;K)"), "0"),
+    ),
+    # one name per regularization of suite_gravlimit: the configured one,
+    # then L = 2 with Vreg = 16, where Vreg/L^4 is still 1
+    "gravlimit": (
+        (("gravlimit.scalar_barred_ccr", "gravlimit.scalar_lambda_independent"),
+         "commutator", ("a(k;~k)", "a'(h;~h)"), "2*(2pi)^3*w(k)*d3(h-k)"),
+        (("gravlimit.dirac_barred_car", "gravlimit.dirac_lambda_independent"),
+         "anticommutator", ("b(k,s=s;~k)", "b'(h,s=t;~h)"),
+         "1*(2pi)^3*E/m(k)*kd(s,t)*d3(h-k)"),
+        (("gravlimit.gauge_barred_ccr", "gravlimit.gauge_lambda_factor"),
+         "commutator", ("A(k,g=g;~k,G=G)", "A'(h,g=g2;~h,G=G2)"),
+         "2*L^2*(2pi)^3*w(k)*eta[g,g2]*ETA[G,G2]*d3(h-k)"),
+    ),
+}
 
 
-def gauge_contact(k="k", h="h", g="g", g2="g2", G="G", G2="G2",
-                  K="K", H="H") -> OperatorExpr:
-    return OperatorExpr.from_monomials([make_monomial(
-        2, lam=-2, twopi=7,
-        atoms=(OmegaPow(k), Metric(True, g, g2), Metric(False, G, G2),
-               Delta4(K, H), Delta3(k, h)))])
+def _table(rows, finish=lambda e: e) -> list[Case]:
+    """One exact case per row: `finish` of the operation on the operands."""
+    return [_exact(name, finish(_OPERATIONS[op](*map(parse_expression, operands))),
+                   parse_expression(want))
+            for name, op, operands, want in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -90,62 +144,25 @@ def gauge_contact(k="k", h="h", g="g", g2="g2", G="G", G2="G2",
 
 
 def suite_ccr(cfg: RunConfig) -> list[Case]:
-    a, ad = opalg.a("k", "K"), opalg.a("h", "H", dagger=True)
-    cases = [
-        _exact("ccr.aa_vanishes", commutator(a, opalg.a("h", "H")),
-               OperatorExpr.zero()),
-        _exact("ccr.adad_vanishes",
-               commutator(opalg.a("k", "K", dagger=True), ad),
-               OperatorExpr.zero()),
-        _exact("ccr.a_adag_contact", commutator(a, ad), scalar_contact()),
-        _exact("ccr.vev_normalization", vev(a * ad), scalar_contact()),
-        _exact("ccr.vev_normal_ordered",
-               vev(opalg.a("h", "H", dagger=True) * opalg.a("k", "K")),
-               OperatorExpr.zero()),
-        _exact("ccr.cross_species_scalar_dirac",
-               commutator(a, opalg.b("h", "t", "H", dagger=True)),
-               OperatorExpr.zero()),
+    prod = opalg.a("k", "K") * opalg.a("h", "H", dagger=True)
+    cases = _table(EXACT_CASES["ccr"]) + [
         _exact("ccr.idempotent_reduction",
-               opalg.reduce_to_normal_form(opalg.reduce_to_normal_form(a * ad)),
-               opalg.reduce_to_normal_form(a * ad)),
-    ]
+               reduce_to_normal_form(reduce_to_normal_form(prod)),
+               reduce_to_normal_form(prod))]
     return sorted(cases, key=lambda c: c.name)
 
 
 def suite_car(cfg: RunConfig) -> list[Case]:
     b = opalg.b("k", "s", "K")
     bd = opalg.b("h", "t", "H", dagger=True)
-    d = opalg.d("k", "s", "K")
-    dd = opalg.d("h", "t", "H", dagger=True)
-    cases = [
-        _exact("car.b_bdag_contact", anticommutator(b, bd), dirac_contact()),
-        _exact("car.d_ddag_contact", anticommutator(d, dd), dirac_contact()),
-        _exact("car.bb_vanishes", anticommutator(b, opalg.b("h", "t", "H")),
-               OperatorExpr.zero()),
-        _exact("car.bdbd_vanishes",
-               anticommutator(opalg.b("k", "s", "K", dagger=True), bd),
-               OperatorExpr.zero()),
-        _exact("car.b_ddag_vanishes", anticommutator(b, dd),
-               OperatorExpr.zero()),
-        _exact("car.pauli_identical_labels",
-               opalg.reduce_to_normal_form(b * b), OperatorExpr.zero()),
-        _exact("car.normal_order_sign",
-               opalg.normal_order(b * bd),
-               opalg.reduce_to_normal_form(bd * b).scale(-1)),
-    ]
+    cases = _table(EXACT_CASES["car"]) + [
+        _exact("car.normal_order_sign", opalg.normal_order(b * bd),
+               reduce_to_normal_form(bd * b).scale(-1))]
     return sorted(cases, key=lambda c: c.name)
 
 
 def suite_gauge(cfg: RunConfig) -> list[Case]:
-    ap = opalg.gauge("k", "g", "K", "G")
-    apd = opalg.gauge("h", "g2", "H", "G2", dagger=True)
-    cases = [
-        _exact("gauge.a_adag_contact", commutator(ap, apd), gauge_contact()),
-        _exact("gauge.aa_vanishes",
-               commutator(ap, opalg.gauge("h", "g2", "H", "G2")),
-               OperatorExpr.zero()),
-        _exact("gauge.vev_normalization", vev(ap * apd), gauge_contact()),
-    ]
+    cases = _table(EXACT_CASES["gauge"])
     # norm-sign table over all bound polarization pairs, plus matter quanta
     for g in range(4):
         for G in range(1, 4):
@@ -153,7 +170,7 @@ def suite_gauge(cfg: RunConfig) -> list[Case]:
                                       (2, 0, 0, 0), pol=g, ipol=G)
             ket = FockState.ket(op)
             want = (1 if g == 0 else -1) * -1
-            got = fock.norm_sign(ket).sign
+            got = fock.norm_sign(ket)
             cases.append(Case(f"gauge.norm_sign_g{g}_G{G}", got == want,
                               "eta^gg eta^GG product", str(got), str(want)))
             filtered = fock.physical_filter(ket)
@@ -166,7 +183,7 @@ def suite_gauge(cfg: RunConfig) -> list[Case]:
                                                       (1, 0, 0), (2, 0, 0, 0), spin=1)),
                      ("dirac_d", opalg.LadderOperator(opalg.DIRAC_ANTIPARTICLE, True,
                                                       (1, 0, 0), (2, 0, 0, 0), spin=2))):
-        got = fock.norm_sign(FockState.ket(op)).sign
+        got = fock.norm_sign(FockState.ket(op))
         cases.append(Case(f"gauge.norm_sign_matter_{name}", got == 1,
                           "matter quanta contribute +1", str(got), "1"))
     return sorted(cases, key=lambda c: c.name)
@@ -264,22 +281,7 @@ def _random_ket(rng: random.Random, max_quanta: int = 5):
 
 def suite_fock(cfg: RunConfig) -> list[Case]:
     rng = random.Random(cfg.seed)
-    cases = []
-    vac = FockState.vacuum()
-    cases.append(_exact("fock.vacuum_norm", fock.inner_product(vac, vac),
-                        OperatorExpr.number(1)))
-    one = fock.apply(opalg.a("k", "K", dagger=True), vac)
-    two = fock.apply(opalg.a("h", "H", dagger=True), vac)
-    cases.append(_exact("fock.one_particle_norm", fock.inner_product(two, one),
-                        scalar_contact(k="h", h="k", K="H", H="K")))
-    cases.append(_exact("fock.annihilate_vacuum",
-                        fock.apply(opalg.a("k", "K"), vac).expr,
-                        OperatorExpr.zero()))
-    cases.append(_exact("fock.species_orthogonality",
-                        fock.inner_product(
-                            fock.apply(opalg.b("h", "t", "H", dagger=True), vac),
-                            one),
-                        OperatorExpr.zero()))
+    cases = _table(EXACT_CASES["fock"])
     # additivity of eigen-actions on random bound kets
     masses = FieldMasses(1.0, 1.0, 1.0)
     additive = True
@@ -333,7 +335,7 @@ def suite_fock(cfg: RunConfig) -> list[Case]:
         if ket.is_zero():
             continue
         phys = fock.physical_filter(ket)
-        if not phys.is_zero() and fock.norm_sign(phys).sign != 1:
+        if not phys.is_zero() and fock.norm_sign(phys) != 1:
             all_positive = False
     cases.append(Case("fock.physical_states_positive", all_positive,
                       "random kets with <= 5 gauge quanta"))
@@ -341,37 +343,10 @@ def suite_fock(cfg: RunConfig) -> list[Case]:
 
 
 def suite_gravlimit(cfg: RunConfig) -> list[Case]:
-    reg = cfg.reg()
-    bar_a = barred(opalg.a("k", "K"))
-    bar_ad = barred(opalg.a("h", "H", dagger=True))
-    want_scalar = OperatorExpr.from_monomials([make_monomial(
-        2, twopi=3, atoms=(OmegaPow("k"), Delta3("k", "h")))])
-    bar_b = barred(opalg.b("k", "s", "K"))
-    bar_bd = barred(opalg.b("h", "t", "H", dagger=True))
-    want_dirac = OperatorExpr.from_monomials([make_monomial(
-        1, twopi=3, atoms=(ERatioPow("k"), SpinDelta("s", "t"), Delta3("k", "h")))])
-    bar_g = barred(opalg.gauge("k", "g", "K", "G"))
-    bar_gd = barred(opalg.gauge("h", "g2", "H", "G2", dagger=True))
-    want_gauge = OperatorExpr.from_monomials([make_monomial(
-        2, lam=2, twopi=3,
-        atoms=(OmegaPow("k"), Metric(True, "g", "g2"), Metric(False, "G", "G2"),
-               Delta3("k", "h")))])
-    unit = RegularizationConfig(1.0, 1.0)
-    doubled = RegularizationConfig(2.0, 16.0)  # Vreg/L^4 still 1
-    cases = [
-        _exact("gravlimit.scalar_barred_ccr",
-               grav_limit_expr(commutator(bar_a, bar_ad), reg), want_scalar),
-        _exact("gravlimit.dirac_barred_car",
-               grav_limit_expr(anticommutator(bar_b, bar_bd), reg), want_dirac),
-        _exact("gravlimit.gauge_barred_ccr",
-               grav_limit_expr(commutator(bar_g, bar_gd), reg), want_gauge),
-        _exact("gravlimit.scalar_lambda_independent",
-               grav_limit_expr(commutator(bar_a, bar_ad), doubled), want_scalar),
-        _exact("gravlimit.dirac_lambda_independent",
-               grav_limit_expr(anticommutator(bar_b, bar_bd), doubled), want_dirac),
-        _exact("gravlimit.gauge_lambda_factor",
-               grav_limit_expr(commutator(bar_g, bar_gd), doubled), want_gauge),
-    ]
+    cases = []
+    for i, reg in enumerate((cfg.reg(), RegularizationConfig(2.0, 16.0))):
+        cases += _table([(names[i], *row) for names, *row in EXACT_CASES["gravlimit"]],
+                        lambda e: grav_limit_expr(e, reg))
     op = opalg.LadderOperator(opalg.SCALAR, True, (2, 2, 0), (9, 0, 0, 0))
     state = FockState.ket(op)
     once = gravlimit.project_state(state)

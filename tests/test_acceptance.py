@@ -11,13 +11,13 @@ import pytest
 from innerqft import fock, gravlimit, kinematics, opalg, smatrix
 from innerqft.cli import main as cli_main
 from innerqft.fock import FieldMasses, FockState
+from innerqft.grammar import parse_expression
 from innerqft.gravlimit import RegularizationConfig, barred, grav_limit_expr
 from innerqft.kinematics import ETA, FourVector, MassShellMomentum
-from innerqft.opalg import (Delta3, Delta4, ERatioPow, Metric, OmegaPow,
+from innerqft.opalg import (Delta3, ERatioPow, Metric, OmegaPow,
                             OperatorExpr, SpinDelta, anticommutator,
                             commutator, make_monomial)
-from innerqft.suites import (dirac_contact, gauge_contact, random_toy_instance,
-                             scalar_contact)
+from innerqft.suites import EXACT_CASES, random_toy_instance
 
 import conftest
 
@@ -41,11 +41,12 @@ def test_01_generator_algebra_table():
         "A'": opalg.gauge("h", "g2", "H", "G2", dagger=True),
     }
     fermionic = {"b", "b'", "d", "d'"}
+    texts = {row[0]: row[3] for rows in EXACT_CASES.values() for row in rows}
     expected_nonzero = {
-        ("a", "a'"): scalar_contact(),
-        ("b", "b'"): dirac_contact(),
-        ("d", "d'"): dirac_contact(),
-        ("A", "A'"): gauge_contact(),
+        ("a", "a'"): parse_expression(texts["ccr.a_adag_contact"]),
+        ("b", "b'"): parse_expression(texts["car.b_bdag_contact"]),
+        ("d", "d'"): parse_expression(texts["car.d_ddag_contact"]),
+        ("A", "A'"): parse_expression(texts["gauge.a_adag_contact"]),
     }
     ok = True
     for (nx, x), (ny, y) in itertools.product(gens.items(), repeat=2):
@@ -71,7 +72,7 @@ def test_02_norm_sign_table():
         for G in range(1, 4):
             ket = FockState.ket(opalg.LadderOperator(
                 opalg.GAUGE, True, (1, 0, 0), (2, 0, 0, 0), pol=g, ipol=G))
-            sign = fock.norm_sign(ket).sign
+            sign = fock.norm_sign(ket)
             ok &= sign == (1 if 1 <= g <= 3 else -1)
             filtered = fock.physical_filter(ket)
             ok &= filtered.is_zero() == (g == 0)
@@ -79,7 +80,7 @@ def test_02_norm_sign_table():
                     (opalg.DIRAC_ANTIPARTICLE, {"spin": 2})):
         ket = FockState.ket(opalg.LadderOperator(fld, True, (1, 0, 0),
                                                  (2, 0, 0, 0), **kw))
-        ok &= fock.norm_sign(ket).sign == 1
+        ok &= fock.norm_sign(ket) == 1
     report(2, "indefinite-metric sign table", ok)
 
 

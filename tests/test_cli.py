@@ -18,6 +18,7 @@ import innerqft
 from innerqft import opalg, suites
 from innerqft.cli import build_parser, main
 from innerqft.config import RunConfig
+from innerqft.grammar import parse_expression
 
 from conftest import random_ladder, random_sum
 
@@ -295,6 +296,14 @@ def test_reduce_json(tmp_path, capsys):
     assert doc["connected"]["re"] != 0 or doc["connected"]["im"] != 0
 
 
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--epsilon", "2"],
+                                  ["--seed", "5"]])
+def test_reduce_has_no_verify_only_flags(flag, tmp_path, capsys):
+    greens, legs = _reduce_inputs(tmp_path)
+    assert main(["reduce", greens, "--legs", legs, *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_reduce_bad_legs(tmp_path, capsys):
     legs = tmp_path / "legs.txt"
     legs.write_text("in tensor p=1,0,0\n")
@@ -408,11 +417,14 @@ def test_suite_choices_are_the_suites():
 
 
 def test_failed_exact_case_lists_term_differences(monkeypatch):
-    right = suites.scalar_contact()
-    extra = suites.dirac_contact()
+    texts = {row[0]: row[3] for rows in suites.EXACT_CASES.values() for row in rows}
+    right = parse_expression(texts["ccr.a_adag_contact"])
+    extra = parse_expression(texts["car.b_bdag_contact"])
     # twice the right coefficient, plus a monomial the result lacks
-    monkeypatch.setattr(suites, "scalar_contact",
-                        lambda *a, **kw: right.scale(2) + extra)
+    wrong = str(right.scale(2) + extra)
+    monkeypatch.setitem(suites.EXACT_CASES, "ccr", tuple(
+        (name, op, operands, wrong if want == str(right) else want)
+        for name, op, operands, want in suites.EXACT_CASES["ccr"]))
     cases = {c.name: c for c in suites.suite_ccr(suites.RunConfig())}
     (term,) = right.terms
     (absent,) = extra.terms

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerqft import grammar, opalg
+from innerqft import grammar, numeric, opalg, suites
 from innerqft.grammar import ParseError, parse_expression, parse_state, \
     print_expression
 from innerqft.opalg import CRat, OperatorExpr
@@ -98,6 +98,16 @@ def test_parse_error_reports_position():
 def test_print_zero():
     assert print_expression(OperatorExpr.zero()) == "0"
     assert parse_expression("0").is_zero()
+
+
+def test_exact_case_texts_print_back():
+    """Every text of verify's exact-case and two-point tables is canonical,
+    so the report's rhs is the expected text as written, `1*` included."""
+    rows = [row for rows in suites.EXACT_CASES.values() for row in rows]
+    texts = [t for _, _, operands, want in rows for t in (*operands, want)]
+    texts += [t for row in numeric._TWO_POINT.values() for t in row]
+    for text in texts:
+        assert str(parse_expression(text)) == text
 
 
 def test_round_trip_corpus():

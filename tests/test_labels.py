@@ -7,6 +7,7 @@ floats, on-shell energies that overflowed), and properties over large,
 negative and fractional bound labels.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,8 @@ def test_support_is_the_exact_forward_cone(inner):
 
 # -- one label check: a malformed label raises ValueError, however it is made
 
+_COMPONENTS = "bound label components are ints, fractions or finite floats"
+
 _MALFORMED = [
     # (built directly, expression, binding, message)
     (lambda: Delta4((1, 2), "H"), "d4(K-H)", {"K": (1, 2)},
@@ -187,6 +190,14 @@ _MALFORMED = [
      "w(k)*a'(k;K)*a'(h;H)", {"k": 5}, "bound momentum labels are 3-vectors"),
     (lambda: opalg.SpinDelta("s", (1, 2, 3)), "kd(s,t)*w(k)", {"t": (1, 2, 3)},
      "kd: discrete labels bind to ints or symbols"),
+    (lambda: LadderOperator(opalg.SCALAR, True, ("a", "b", "c"), "K"),
+     "a'([1,2,3];H)*a'(k;K)", {"k": ("a", "b", "c")}, _COMPONENTS),
+    (lambda: LadderOperator(opalg.SCALAR, True, (math.nan, 0, 0), "K"),
+     "a'(k;K)", {"k": (math.nan, 0, 0)}, _COMPONENTS),
+    (lambda: LadderOperator(opalg.SCALAR, True, "k", (1, 0, 0, math.inf)),
+     "a'(k;K)", {"K": (1, 0, 0, math.inf)}, _COMPONENTS),
+    (lambda: opalg.Atom("w", ((True, 0, 0),)), "w(k)", {"k": (True, 0, 0)},
+     "w: " + _COMPONENTS),
 ]
 
 

@@ -129,7 +129,7 @@ def test_records_never_equal_plain_values():
     assert CRat(Fraction(1)) != Fraction(1)
     assert CRat(1) != (1, 0)
     # same field tuple, different record types
-    assert OnShell("k") != fock.NormSign("k")
+    assert OnShell("k") != fock.FockState("k")
     assert len({OnShell("k"): 0, ("k",): 1, "k": 2}) == 3
 
 
