@@ -95,15 +95,13 @@ def physical_filter(s: FockState) -> FockState:
     """Drop every ket containing a gauge quantum with spacetime pol 0."""
     kept = []
     for m in s.expr.terms:
-        bad = False
         for op in m.ops:
             if op.field == GAUGE:
                 if not isinstance(op.pol, int):
                     raise ValueError("physical filter needs bound polarizations")
                 if op.pol == 0:
-                    bad = True
                     break
-        if not bad:
+        else:
             kept.append(m)
     return FockState(OperatorExpr.from_monomials(kept))
 

@@ -2,7 +2,7 @@
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (['*'] factor)*          -- juxtaposition multiplies
-    factor := scalar | coeff | operator | '(' expr ')'
+    factor := '-' factor | scalar | coeff | operator | '(' expr ')'
     scalar := number | number 'i' | 'i'
     coeff  := 'L' '^' int | '(2pi)' '^' int | 'Vreg' ['^' int]
             | 'w' '(' mom ')' ['^' int] | 'E/m' '(' mom ')' ['^' int]
@@ -17,7 +17,9 @@
     disc   := ident | int
     ket    := expr '|0>'
 
-The dagger is the apostrophe suffix; numbers are exact rationals
+A term is a list of factors, each a bare monomial or the terms of a
+parenthesised sum; `opalg.product` canonicalizes each term of their product
+once. The dagger is the apostrophe suffix; numbers are exact rationals
 (`2`, `-3/2`, `0.25`); `~k` marks an inner label pinned to the on-shell
 four-vector of momentum `k`. `mom`, `inner` and `disc` are the three label
 types of `opalg` (MOM, INNER, DISC), read by one rule, `parse_label`, and
@@ -39,8 +41,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .opalg import (ATOMS, DISC, FIELD_HEAD, INNER, MOM, Atom, CRat,
-                    LadderOperator, OnShell, OperatorExpr, make_monomial)
+from .opalg import (ATOMS, DISC, FIELD_HEAD, INNER, MOM, ONE, Atom, CRat,
+                    LadderOperator, Monomial, OnShell, OperatorExpr, product)
 
 
 class ParseError(ValueError):
@@ -117,8 +119,8 @@ class _Parser:
         monos = []
         op = self.next()[1] if self.peek()[:2] == ("sym", "-") else "+"
         while True:
-            term = self.parse_term()
-            monos.extend((-term if op == "-" else term).terms)
+            term = self.parse_term().terms
+            monos.extend([-m for m in term] if op == "-" else term)
             if self.peek()[0] != "sym" or self.peek()[1] not in ("+", "-"):
                 return OperatorExpr.from_monomials(monos)
             op = self.next()[1]
@@ -132,47 +134,45 @@ class _Parser:
         return kind == "sym" and text == "("
 
     def parse_term(self) -> OperatorExpr:
-        result = self.parse_factor()
+        factors = [self.parse_factor()]
         while True:
             if self.peek()[:2] == ("sym", "*"):
                 self.next()
-                result = result * self.parse_factor()
-            elif self._starts_factor():
-                # juxtaposition is multiplication: a(k;K) a'(h;H)
-                result = result * self.parse_factor()
-            else:
-                return result
+            elif not self._starts_factor():
+                return product(factors)
+            # juxtaposition is multiplication: a(k;K) a'(h;H)
+            factors.append(self.parse_factor())
 
-    def parse_factor(self) -> OperatorExpr:
+    def parse_factor(self) -> tuple:
+        """The terms of one factor: a bare monomial or a parenthesised sum."""
         kind, text, pos = self.peek()
         if kind == "sym" and text == "-":
             self.next()
-            return -self.parse_factor()
+            return tuple(-m for m in self.parse_factor())
         if kind == "sym" and text == "(":
             if (self.tokens[self.i + 1][:2] == ("number", "2")
                     and self.tokens[self.i + 2][:2] == ("ident", "pi")
                     and self.tokens[self.i + 3][:2] == ("sym", ")")):
                 self.i += 4
                 self.expect("sym", "^")
-                return OperatorExpr.from_monomials(
-                    [make_monomial(1, twopi=self.parse_int())])
+                return (Monomial(ONE, twopi=self.parse_int()),)
             self.next()
             inner = self.parse_expr()
             self.expect("sym", ")")
-            return inner
+            return inner.terms
         if kind == "ident" and text in _COEFF_IDENTS:
-            return self.parse_coeff()
+            return (self.parse_coeff(),)
         if kind == "number":
             value = self.parse_literal()
             if self.peek()[:2] == ("ident", "i"):
                 self.next()
-                return OperatorExpr.number(CRat(Fraction(0), value))
-            return OperatorExpr.number(CRat(value))
+                return (Monomial(CRat(Fraction(0), value)),)
+            return (Monomial(CRat(value)),)
         if kind == "ident" and text == "i":
             self.next()
-            return OperatorExpr.number(CRat(Fraction(0), Fraction(1)))
+            return (Monomial(CRat(Fraction(0), Fraction(1))),)
         if kind == "ident" and text in _HEADS:
-            return self.parse_operator()
+            return (Monomial(ONE, ops=(self.parse_operator(),)),)
         raise ParseError(f"expected a scalar, operator or '(', found {text!r}", pos)
 
     def parse_literal(self) -> Fraction:
@@ -201,15 +201,13 @@ class _Parser:
             return self.parse_int()
         return 1
 
-    def parse_coeff(self) -> OperatorExpr:
+    def parse_coeff(self) -> Monomial:
         _, name, pos = self.next()
         if name == "L":
             self.expect("sym", "^")
-            return OperatorExpr.from_monomials(
-                [make_monomial(1, lam=self.parse_int())])
+            return Monomial(ONE, lam=self.parse_int())
         if name == "Vreg":
-            return OperatorExpr.from_monomials(
-                [make_monomial(1, vreg=self._opt_power())])
+            return Monomial(ONE, vreg=self._opt_power())
         kind, rest = _ATOM_HEADS[name]
         for tok in rest:
             self.expect(*tok)
@@ -229,9 +227,9 @@ class _Parser:
             atom = Atom(kind, args, power)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
-        return OperatorExpr.from_monomials([make_monomial(1, atoms=(atom,))])
+        return Monomial(ONE, atoms=(atom,))
 
-    def parse_operator(self) -> OperatorExpr:
+    def parse_operator(self) -> LadderOperator:
         kind, head, pos = self.next()
         field = _HEADS[head]
         dagger = False
@@ -262,11 +260,10 @@ class _Parser:
             ipol = self.parse_label(DISC)
         self.expect("sym", ")")
         try:
-            op = LadderOperator(field, dagger, mom, inner, spin=spin,
-                                pol=pol, ipol=ipol)
+            return LadderOperator(field, dagger, mom, inner, spin=spin,
+                                  pol=pol, ipol=ipol)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
-        return OperatorExpr.from_op(op)
 
     def parse_label(self, arg: str):
         """One label of the given ATOMS argument type (MOM, INNER or DISC);

@@ -48,85 +48,57 @@ def barred(op_expr: OperatorExpr) -> OperatorExpr:
     return OperatorExpr.from_monomials(monos)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # prefer bound labels as roots, then the smaller key
-            if isinstance(ra, tuple) or (not isinstance(rb, tuple)
-                                         and opalg.label_key(ra) < opalg.label_key(rb)):
-                ra, rb = rb, ra
-            self.parent[ra] = rb
-
-
-def _resolve_inner(label: Label, uf: _UnionFind, inner_to_mom: dict):
-    """Map an inner label to a comparable 'collapsed' token."""
-    if isinstance(label, OnShell):
-        return ("onshell", uf.find(label.mom))
-    if isinstance(label, tuple):
-        return ("bound", label)
-    if label in inner_to_mom:
-        return ("onshell", uf.find(inner_to_mom[label]))
-    raise UnresolvedInnerLabel(f"inner label {label!r} is not tied to any momentum")
+def _resolve_inner(label: Label, classes: dict, inner_to_mom: dict) -> Label:
+    """An inner label as a bound value or the on-shell label of a momentum,
+    that momentum taken to the label of its d3 class."""
+    if isinstance(label, str):
+        if label not in inner_to_mom:
+            raise UnresolvedInnerLabel(
+                f"inner label {label!r} is not tied to any momentum")
+        label = OnShell(inner_to_mom[label])
+    return opalg.substitute_label(label, classes)
 
 
 def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationConfig()
                     ) -> OperatorExpr:
     """Collapse inner momenta onto inertial ones monomial by monomial.
 
-    Every d4 atom whose two arguments collapse to the same value becomes
-    Vreg/(2pi)^4; remaining Vreg powers reduce via cfg.ratio; the result is
-    barred, so every operator's inner label becomes OnShell(its momentum).
+    An inner symbol is tied to the momentum of the first operator that
+    carries it, and each momentum to the label of its class under the
+    monomial's d3 atoms (`opalg.unify`, which never joins two distinct
+    bound momenta). A d4 atom whose arguments collapse to the same value
+    becomes Vreg/(2pi)^4, one over two distinct bound values kills the
+    monomial, and any other raises UnresolvedInnerLabel. Vreg powers reduce
+    via cfg.ratio; the result is barred: every operator's inner label
+    becomes OnShell(its momentum).
     """
     monos = []
     for m in e.terms:
-        uf = _UnionFind()
-        for a in m.atoms:
-            if a.kind == "d3":
-                uf.union(*a.args)
-        inner_to_mom: dict = {}
-        for op in m.ops:
-            if isinstance(op.inner, str):
-                inner_to_mom.setdefault(op.inner, op.mom)
-        scalar, lam, twopi, vreg = m.scalar, m.lam, m.twopi, m.vreg
+        classes, _ = opalg.unify([a for a in m.atoms if a.kind == "d3"])
+        inner_to_mom = {op.inner: op.mom for op in reversed(m.ops)
+                        if isinstance(op.inner, str)}
+        vreg = m.vreg  # each collapsed d4 is one more Vreg/(2pi)^4
         atoms = []
-        dead = False
         for a in m.atoms:
             if a.kind == "d4":
-                ra, rb = (_resolve_inner(x, uf, inner_to_mom) for x in a.args)
+                ra, rb = (_resolve_inner(x, classes, inner_to_mom) for x in a.args)
                 if ra == rb:
                     vreg += 1
-                    twopi -= 4
-                elif ra[0] == "bound" and rb[0] == "bound":
-                    dead = True
-                    break
+                elif isinstance(ra, tuple) and isinstance(rb, tuple):
+                    break  # the monomial is zero
                 else:
                     raise UnresolvedInnerLabel(
                         f"d4 over {a.args[0]!r}, {a.args[1]!r} does not collapse")
             elif a.kind == "d4(0)":
                 vreg += 1
-                twopi -= 4
             else:
                 atoms.append(a)
-        if dead:
-            continue
-        if vreg:
-            ratio = cfg.ratio ** vreg
-            scalar = scalar * CRat(ratio)
-            lam += 4 * vreg
-            vreg = 0
-        monos.append(make_monomial(scalar, lam, twopi, vreg, tuple(atoms),
-                                   m.ops))
+        else:
+            # each Vreg is cfg.ratio * L^4
+            scalar = m.scalar * CRat(cfg.ratio ** vreg) if vreg else m.scalar
+            monos.append(make_monomial(scalar, m.lam + 4 * vreg,
+                                       m.twopi - 4 * (vreg - m.vreg), 0,
+                                       atoms, m.ops))
     return barred(OperatorExpr.from_monomials(monos))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import attrgetter
 
@@ -288,7 +288,7 @@ class LadderOperator(Record):
 #              distinct bound indices kill the monomial;
 #   collapse   for a delta over labels: the argument-free kind that two
 #              equal labels become (two distinct bound ones kill it);
-#   sifted     whether delta_resolve consumes the atom by unification;
+#   sifted     whether `unify` consumes the atom (for delta_resolve);
 #   index      for a Kronecker/metric pair: the INDEX_RANGES row that bounds
 #              its integer arguments;
 #   brackets, sep  how the arguments print after the kind's name.
@@ -438,6 +438,10 @@ class Monomial(Record):
         """Everything but the scalar; monomials merge on this key."""
         return (self.ops, self.atoms, self.lam, self.twopi, self.vreg)
 
+    def __neg__(self) -> "Monomial":
+        return Monomial(-self.scalar, self.lam, self.twopi, self.vreg,
+                        self.atoms, self.ops)
+
     def __str__(self) -> str:
         """Canonical text: the scalar, the coefficient factors, the
         operators, joined by `*`; a unit scalar is left out only before a
@@ -541,9 +545,7 @@ class OperatorExpr(Record):
         return self + (-other)
 
     def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr.from_monomials(
-            [Monomial(-m.scalar, m.lam, m.twopi, m.vreg, m.atoms, m.ops)
-             for m in self.terms])
+        return OperatorExpr(tuple(-m for m in self.terms))
 
     def scale(self, scalar) -> "OperatorExpr":
         c = CRat.of(scalar)
@@ -552,12 +554,7 @@ class OperatorExpr(Record):
              for m in self.terms])
 
     def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        monos = []
-        for x, y in itertools.product(self.terms, other.terms):
-            monos.append(make_monomial(x.scalar * y.scalar, x.lam + y.lam,
-                                       x.twopi + y.twopi, x.vreg + y.vreg,
-                                       x.atoms + y.atoms, x.ops + y.ops))
-        return OperatorExpr.from_monomials(monos)
+        return product((self.terms, other.terms))
 
     def dagger(self) -> "OperatorExpr":
         monos = []
@@ -581,6 +578,24 @@ class OperatorExpr(Record):
         if not self.terms:
             return "0"
         return " + ".join(str(m) for m in self.terms)
+
+
+def product(factors: Iterable[Iterable[Monomial]]) -> OperatorExpr:
+    """The product of sums, each given by its terms, in order: one
+    `make_monomial` call per term of the product, so the factors' terms
+    need not be canonical (the grammar passes bare monomials)."""
+    monos = []
+    for ms in itertools.product(*factors):
+        scalar, lam, twopi, vreg, atoms, ops = ONE, 0, 0, 0, [], []
+        for m in ms:
+            scalar = scalar * m.scalar
+            lam += m.lam
+            twopi += m.twopi
+            vreg += m.vreg
+            atoms += m.atoms
+            ops += m.ops
+        monos.append(make_monomial(scalar, lam, twopi, vreg, atoms, ops))
+    return OperatorExpr.from_monomials(monos)
 
 
 # ---------------------------------------------------------------------------
@@ -743,36 +758,58 @@ class InconsistentBinding(ValueError):
     pass
 
 
+def unify(atoms: Sequence[Atom]) -> tuple[dict, list]:
+    """Consume the sifted atoms among canonical `atoms` by unifying labels.
+
+    Returns a one-step substitution, applied once (`h` may map to `~h`), and
+    the atoms not consumed, substituted. Each step binds the symbol of the
+    canonically first sifted atom over one to its other label, through the
+    sifted atoms left: one over equal labels collapses to its zero marker
+    (a kd to 1), one over distinct bound labels ends the pass, as the
+    monomial is zero. A label of the wrong type for its slot raises
+    ValueError."""
+    mapping: dict = {}
+    sifted = [a for a in atoms if ATOMS[a.kind].sifted]
+    rest = [a for a in atoms if not ATOMS[a.kind].sifted]
+    while heads := [a for a in sifted if isinstance(a.args[0], str)]:
+        head = min(heads, key=_ATOM_KEY)
+        sifted.remove(head)
+        sym, val = head.args
+        step = {sym: val}
+        mapping = {s: substitute_label(l, step) for s, l in mapping.items()}
+        mapping.setdefault(sym, val)
+        sifted = [a.substitute(step) for a in sifted]
+        eqs = [_labels_bound_equal(*a.args) for a in sifted]
+        if False in eqs:
+            break  # the false atom is among those returned
+        rest += [Atom(ATOMS[a.kind].collapse) for a, eq in zip(sifted, eqs)
+                 if eq and ATOMS[a.kind].collapse]
+        sifted = [a for a, eq in zip(sifted, eqs) if eq is None]
+    return mapping, [a.substitute(mapping) for a in rest] + sifted
+
+
 def delta_resolve(e: OperatorExpr, bindings: Mapping[str, Label] | None = None
                   ) -> OperatorExpr:
     """Consume delta atoms by unifying their labels.
 
     A delta over a symbol and anything substitutes the symbol and drops the
-    atom; a delta over two equal bound labels becomes a zero marker, over
-    two distinct bound labels it kills the monomial. Explicit `bindings`
-    are applied first; a value that is not a label of its symbol's type
-    raises ValueError.
+    atom; a delta over two equal labels becomes a zero marker, over two
+    distinct bound labels it kills the monomial. `unify` does this; a
+    monomial it changed is rebuilt by one substitution and one
+    `make_monomial` call. Explicit `bindings` are applied first; a value
+    that is not a label of its symbol's type raises ValueError.
     """
     if bindings:
-        for sym, val in bindings.items():
-            if not isinstance(sym, str):
-                raise InconsistentBinding("bindings map symbols to values")
+        if not all(isinstance(sym, str) for sym in bindings):
+            raise InconsistentBinding("bindings map symbols to values")
         e = e.substitute(dict(bindings))
     out = []
     for m in e.terms:
-        while m is not None:
-            # symbols come first, so a delta over a symbol starts with one
-            i = next((i for i, a in enumerate(m.atoms) if ATOMS[a.kind].sifted
-                      and isinstance(a.args[0], str)), None)
-            if i is None:
-                out.append(m)
-                break
-            sym, val = m.atoms[i].args
-            mapping = {sym: val}
-            m = make_monomial(
-                m.scalar, m.lam, m.twopi, m.vreg,
-                tuple(a.substitute(mapping) for a in m.atoms[:i] + m.atoms[i + 1:]),
-                tuple(op.substitute(mapping) for op in m.ops))
+        mapping, atoms = unify(m.atoms)
+        if mapping:
+            m = make_monomial(m.scalar, m.lam, m.twopi, m.vreg, atoms,
+                              [op.substitute(mapping) for op in m.ops])
+        out.append(m)
     return OperatorExpr.from_monomials(out)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import opalg
@@ -58,18 +58,13 @@ class Leg(Record):
 
 
 class VertexRule(Record):
-    """Opaque momentum-space factor attached to an interaction point."""
+    """A constant momentum-space factor attached to an interaction point."""
 
-    factor: complex | Callable[[Sequence[Leg]], complex] = 0.0
+    factor: complex = 0.0
 
     def __post_init__(self):
-        if not callable(self.factor) and not cmath.isfinite(self.factor):
+        if not cmath.isfinite(self.factor):
             raise ValueError(f"vertex factor {self.factor} is not finite")
-
-    def value(self, legs: Sequence[Leg]) -> complex:
-        if callable(self.factor):
-            return complex(self.factor(legs))
-        return complex(self.factor)
 
 
 class GreenFunction(Record):
@@ -160,7 +155,7 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
     """
     for leg in g.legs:
         _check_on_shell(leg, recipe.masses, shell_tol)
-    vertex_sum = sum((v.value(g.legs) for v in g.vertices), 0j)
+    vertex_sum = sum((v.factor for v in g.vertices), 0j)
     if vertex_sum == 0:
         connected = 0j
     else:

@@ -22,7 +22,11 @@ def rng():
     return random.Random(20240826)
 
 
-def random_symbol(rng, pool=("k", "h", "q", "p2", "r")):
+MOM_SYMBOLS = ("k", "h", "q", "p2", "r")
+INNER_SYMBOLS = ("K", "H", "Q", "R")
+
+
+def random_symbol(rng, pool=MOM_SYMBOLS):
     return rng.choice(pool)
 
 
@@ -35,17 +39,18 @@ def random_mom(rng):
     return random_symbol(rng) if rng.random() < 0.5 else random_bound_mom(rng)
 
 
-def random_inner(rng, allow_onshell=False):
+def random_inner(rng, allow_onshell=False, shared_symbols=False):
+    """With shared_symbols, an inner symbol may also name a momentum."""
     r = rng.random()
     if r < 0.4:
-        return rng.choice(("K", "H", "Q", "R"))
+        return rng.choice(INNER_SYMBOLS + (MOM_SYMBOLS if shared_symbols else ()))
     if allow_onshell and r < 0.55:
         return opalg.OnShell(random_mom(rng))
     spatial = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
     return (sum(abs(c) for c in spatial) + rng.randint(1, 2), *spatial)
 
 
-def random_ladder(rng, dagger=None, allow_onshell=False):
+def random_ladder(rng, dagger=None, allow_onshell=False, shared_symbols=False):
     field = rng.choice([opalg.SCALAR, opalg.DIRAC_PARTICLE,
                         opalg.DIRAC_ANTIPARTICLE, opalg.GAUGE])
     kwargs = {}
@@ -57,23 +62,24 @@ def random_ladder(rng, dagger=None, allow_onshell=False):
     if dagger is None:
         dagger = rng.random() < 0.5
     return opalg.LadderOperator(field, dagger, random_mom(rng),
-                                random_inner(rng, allow_onshell), **kwargs)
+                                random_inner(rng, allow_onshell, shared_symbols),
+                                **kwargs)
 
 
-def random_product(rng, max_ops=4, allow_onshell=False):
+def random_product(rng, max_ops=4, allow_onshell=False, shared_symbols=False):
     n = rng.randint(0, max_ops)
     expr = opalg.OperatorExpr.number(
         opalg.CRat(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2)))
         or opalg.ONE)
     for _ in range(n):
-        expr = expr * opalg.OperatorExpr.from_op(
-            random_ladder(rng, allow_onshell=allow_onshell))
+        expr = expr * opalg.OperatorExpr.from_op(random_ladder(
+            rng, allow_onshell=allow_onshell, shared_symbols=shared_symbols))
     return expr
 
 
-def random_sum(rng, allow_onshell=False, max_ops=5):
+def random_sum(rng, allow_onshell=False, max_ops=5, shared_symbols=False):
     """One to three random products added."""
     expr = opalg.OperatorExpr.zero()
     for _ in range(rng.randint(1, 3)):
-        expr = expr + random_product(rng, max_ops, allow_onshell)
+        expr = expr + random_product(rng, max_ops, allow_onshell, shared_symbols)
     return expr

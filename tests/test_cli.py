@@ -594,6 +594,11 @@ _PINNED_ARGV = [
      "a'(h;H)*b'(r,s=s1;R)*A'(p2,g=g1;P2,G=2)"],
     ["anticommutator", "b(k,s=1;K)*d(q,s=2;Q)*a'(p;P)",
      "d'(r,s=s1;R)*b'(h,s=1;H)*a(p2;P2)"],
+    # parenthesised sums, minus factors and scale factors
+    ["vev", "(2*a(k;K) - 1/2*L^-4*a(q;Q))*-(a'(h;H) + (2pi)^3*w(h)*a'(k;~k))"
+            "*(1-i)"],
+    ["commutator", "-(a(k;K) + 3*L^2*b(q,s=1;Q))*(2pi)^-7",
+     "(a'(h;H) - i*d3(h-k)*b'(p,s=t;~p)) -2*L^4*a'(q;Q) (3+w(k)^2)*-i"],
     *(["reduce", f"{kind}_greens.txt", "--legs", f"{kind}_legs.txt", *fmt]
       for kind in ("scalar", "gauge", "dirac")
       for fmt in ((), ("--format", "json"))),

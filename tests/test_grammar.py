@@ -10,7 +10,7 @@ from innerqft.grammar import ParseError, parse_expression, parse_state, \
     print_expression
 from innerqft.opalg import CRat, OperatorExpr
 
-from conftest import random_ladder, random_product
+from conftest import random_ladder, random_product, random_sum
 
 
 def test_parse_simple_operators():
@@ -243,6 +243,37 @@ def test_parse_merges_a_sum_once(monkeypatch):
     # equal steps in N add equal numbers of monomials
     counts = [fed_for(n) for n in (100, 200, 300)]
     assert counts[2] - counts[1] == counts[1] - counts[0] <= 10 * 100
+
+
+def test_parse_canonicalizes_each_term_once(monkeypatch):
+    """A term of many factors is one `opalg.product` of bare monomials: one
+    make_monomial call per term of the text."""
+    text = str(opalg.vev(parse_expression(
+        " ".join([f"a(k{j};K{j})" for j in range(1, 5)]
+                 + [f"a'(h{j};H{j})" for j in range(1, 5)]))))
+    real = opalg.make_monomial
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opalg, "make_monomial", counting)
+    e = parse_expression(text)
+    assert len(e.terms) == 24 and calls[0] == 24
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_parenthesised_factors_parse_to_products(r):
+    """`(x)*(y)`, `-(x)*z` and juxtaposed factors parse to the products
+    that `*` builds from the sums they print."""
+    x, y, z = (random_sum(r, allow_onshell=True, max_ops=2) for _ in range(3))
+    assert parse_expression(f"({x})*({y})") == x * y
+    assert parse_expression(f"-({x})*({z})") == -(x * z)
+    assert parse_expression(f"({x}) ({y})*-({z})") == x * y * -z
+    assert parse_expression(f"2i*L^-4 ({x}) (2pi)^3") == (
+        x.scale((0, 2)) * parse_expression("L^-4*(2pi)^3"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from innerqft import fock, gravlimit, opalg
 from innerqft.fock import FieldMasses, FockState
+from innerqft.grammar import parse_expression
 from innerqft.gravlimit import (RegularizationConfig, barred, grav_limit_expr,
                                 project_state)
 from innerqft.opalg import (Delta3, ERatioPow, Metric, OmegaPow, OnShell,
@@ -80,6 +81,27 @@ def test_unresolved_inner_label_raises():
     e = expr_of(make_monomial(1, atoms=(opalg.Delta4("K", "H"),)))
     with pytest.raises(gravlimit.UnresolvedInnerLabel):
         grav_limit_expr(e)
+    e = commutator(opalg.a("k", "K"), opalg.a("h", "H", dagger=True))
+    with pytest.raises(gravlimit.UnresolvedInnerLabel,
+                       match="^inner label 'H' is not tied to any momentum$"):
+        grav_limit_expr(e)
+
+
+def test_distinct_bound_momenta_stay_apart():
+    """A d3 class never joins two distinct bound momenta, so a d4 between
+    the inner labels of their operators does not collapse, with or without
+    a contradictory d3 pair."""
+    ops = "d4(H-K)*a'([1,0,0];H)*a'([2,0,0];K)"
+    for text in (ops, "d3(k-[1,0,0])*d3(k-[2,0,0])*" + ops):
+        with pytest.raises(gravlimit.UnresolvedInnerLabel,
+                           match="^d4 over 'H', 'K' does not collapse$"):
+            grav_limit_expr(parse_expression(text))
+
+
+def test_d3_classes_tie_inner_symbols_shared_with_momenta():
+    e = parse_expression("d4(k-h)*d3(k-h)*a'(k;k)*a'(h;h)")
+    assert str(grav_limit_expr(e)) == \
+        "1*L^4*(2pi)^-4*d3(h-k)*a'(k;~k)*a'(h;~h)"
 
 
 def test_projection_sets_on_shell_inner():

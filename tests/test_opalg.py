@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerqft import opalg
+from innerqft.grammar import parse_expression
 from innerqft.opalg import (CRat, Delta3, Delta4, ERatioPow, Metric, OmegaPow,
                             OperatorExpr, SpinDelta, anticommutator,
                             commutator, delta_resolve, make_monomial,
@@ -709,22 +710,66 @@ def delta_resolve_oracle(e, bindings=None):
     return OperatorExpr.from_monomials(out)
 
 
+def _resolved(resolve, e, bindings=None):
+    """The result of `resolve`, or the type of the ValueError it raised."""
+    try:
+        return resolve(e, bindings)
+    except ValueError as exc:
+        return type(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_delta_resolve_matches_oracle(r, bind):
     """Normal forms of random sums carry d3, d4 and kd atoms over symbols,
-    bound labels and on-shell labels; a square repeats them."""
-    e = reduce_to_normal_form(random_sum(r, allow_onshell=True, max_ops=4))
+    bound labels and on-shell labels; a square repeats them. An inner symbol
+    may also name a momentum, so that a substitution can put a label of one
+    type in a slot of another: both then raise ValueError."""
+    e = reduce_to_normal_form(random_sum(r, allow_onshell=True, max_ops=4,
+                                         shared_symbols=True))
     if r.random() < 0.5:
         e = e * e
     bindings = None
     if bind:
         bindings = {"k": random_bound_mom(r), "H": random_inner(r),
                     "s": r.choice((1, 2, "t")), r.choice("hq"): "p2"}
-    got = delta_resolve(e, bindings)
-    want = delta_resolve_oracle(e, bindings)
+    got = _resolved(delta_resolve, e, bindings)
+    want = _resolved(delta_resolve_oracle, e, bindings)
     assert got == want
     assert str(got) == str(want)
+
+
+def test_delta_resolve_symbols_shared_by_momenta_and_inner_labels():
+    """A symbol bound once is not substituted again, even where its value
+    holds it (`h` to `~h`), and a value of the wrong type raises."""
+    assert delta_resolve(parse_expression("d3(K-h)*d4(K-~h)")) == \
+        OperatorExpr.number(1)
+    for text in ("2*d4(k-~k)*a(k;K)", "d3(K-[4,-4/3,-2])*d4(K-h)"):
+        with pytest.raises(ValueError):
+            delta_resolve(parse_expression(text))
+
+
+def test_delta_resolve_makes_one_monomial_per_term(monkeypatch):
+    """One make_monomial call per term that has deltas to consume, however
+    many it has; a term without any is kept as it is."""
+    e = reduce_to_normal_form(opalg.b("k", "s", "K") * opalg.b("h", "t", "H")
+                              * opalg.b("q", "t", "Q", dagger=True)
+                              * opalg.b("p", "s", "P", dagger=True))
+    e = e * e
+    with_deltas = [m for m in e.terms if any(a.kind == "d3" for a in m.atoms)]
+    assert 0 < len(with_deltas) < len(e.terms)
+    real = opalg.make_monomial
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opalg, "make_monomial", counting)
+    got = delta_resolve(e)
+    assert calls[0] == len(with_deltas)
+    monkeypatch.setattr(opalg, "make_monomial", real)
+    assert got == delta_resolve_oracle(e)
 
 
 def test_delta_resolve_rejects_malformed_bindings():
