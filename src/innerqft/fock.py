@@ -1,8 +1,8 @@
 """Multi-quanta states: vacuum construction, inner products, eigen-actions.
 
 A FockState is an OperatorExpr of pure creation monomials understood as
-acting on the vacuum. Applying an arbitrary expression normal-orders it and
-drops every monomial that still contains an annihilator.
+acting on the vacuum. Applying an arbitrary expression normal-orders it on
+the vacuum, dropping each term as soon as it ends in an annihilator.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ class FockState(Record):
 
 def apply(e: OperatorExpr, s: FockState) -> FockState:
     """Left-multiply and annihilate the vacuum on the right."""
-    reduced = reduce_to_normal_form(e * s.expr)
-    kept = [m for m in reduced.terms if all(op.dagger for op in m.ops)]
-    return FockState(OperatorExpr.from_monomials(kept))
+    return FockState(OperatorExpr.from_monomials(opalg._wick(e * s.expr, True)))
 
 
 def inner_product(bra: FockState, ket: FockState) -> OperatorExpr:

@@ -36,16 +36,18 @@ class RegularizationConfig(Record):
         return Fraction(self.v_reg) / Fraction(self.lam) ** 4
 
 
+def _barred_ops(ops: tuple) -> tuple:
+    """Each operator with its inner label K set to its own on-shell k."""
+    return tuple(opalg.LadderOperator(op.field, op.dagger, op.mom, OnShell(op.mom),
+                                      op.spin, op.pol, op.ipol)
+                 for op in ops)
+
+
 def barred(op_expr: OperatorExpr) -> OperatorExpr:
     """Elide inner labels: every operator's K becomes its own on-shell k."""
-    monos = []
-    for m in op_expr.terms:
-        ops = tuple(
-            opalg.LadderOperator(op.field, op.dagger, op.mom, OnShell(op.mom),
-                                 op.spin, op.pol, op.ipol)
-            for op in m.ops)
-        monos.append(make_monomial(m.scalar, m.lam, m.twopi, m.vreg, m.atoms, ops))
-    return OperatorExpr.from_monomials(monos)
+    return OperatorExpr.from_monomials(
+        make_monomial(m.scalar, m.lam, m.twopi, m.vreg, m.atoms, _barred_ops(m.ops))
+        for m in op_expr.terms)
 
 
 def _resolve_inner(label: Label, classes: dict, inner_to_mom: dict) -> Label:
@@ -68,13 +70,14 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
     monomial's d3 atoms (`opalg.unify`, which never joins two distinct
     bound momenta). A d4 atom whose arguments collapse to the same value
     becomes Vreg/(2pi)^4, one over two distinct bound values kills the
-    monomial, and any other raises UnresolvedInnerLabel. Vreg powers reduce
-    via cfg.ratio; the result is barred: every operator's inner label
-    becomes OnShell(its momentum).
+    monomial, and any other raises UnresolvedInnerLabel. A monomial whose
+    d3 atoms contradict each other is zero. Vreg powers reduce via
+    cfg.ratio; the result is barred: every operator's inner label becomes
+    OnShell(its momentum).
     """
     monos = []
     for m in e.terms:
-        classes, _ = opalg.unify([a for a in m.atoms if a.kind == "d3"])
+        classes, left = opalg.unify([a for a in m.atoms if a.kind == "d3"])
         inner_to_mom = {op.inner: op.mom for op in reversed(m.ops)
                         if isinstance(op.inner, str)}
         vreg = m.vreg  # each collapsed d4 is one more Vreg/(2pi)^4
@@ -94,12 +97,15 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
             else:
                 atoms.append(a)
         else:
+            # unify leaves a d3 only where it stopped at a false one
+            if any(a.kind == "d3" for a in left):
+                continue
             # each Vreg is cfg.ratio * L^4
             scalar = m.scalar * CRat(cfg.ratio ** vreg) if vreg else m.scalar
             monos.append(make_monomial(scalar, m.lam + 4 * vreg,
                                        m.twopi - 4 * (vreg - m.vreg), 0,
-                                       atoms, m.ops))
-    return barred(OperatorExpr.from_monomials(monos))
+                                       atoms, _barred_ops(m.ops)))
+    return OperatorExpr.from_monomials(monos)
 
 
 def project_state(s: FockState) -> FockState:

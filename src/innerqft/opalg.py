@@ -679,26 +679,52 @@ def _insert(x: LadderOperator, term: tuple, contacts: dict | None) -> list:
     return out
 
 
-def reduce_to_normal_form(e: OperatorExpr, keep_contact: bool = True) -> OperatorExpr:
-    """Rewrite so creators stand left of annihilators in every monomial.
+def _wick(e: OperatorExpr, on_vacuum: bool, keep_contact: bool = True) -> list:
+    """The normal-ordered monomials of `e`, unmerged across its terms.
 
-    Wick insertion: each monomial's operators are inserted right to left
-    into the normal-ordered product of the operators after them
-    (`_insert`). Operators of distinct species (anti)commute freely; an
+    Each monomial's operators are inserted right to left into the
+    normal-ordered product of the operators after them (`_insert`). Equal
+    terms merge after each insertion, in place, and a zero sum is skipped
+    where it is read, so coincident operators, whose pairings all merge,
+    cost polynomial time; distinct ones cost the number of partial pairings.
+
+    With `on_vacuum` the product acts on |0>. Insertion removes only
+    creators, each contracted with an annihilator inserted to its left, and
+    annihilators come last in normal order, so a term ending in one is
+    dropped at once and what is left is creators only.
+    """
+    contacts = {} if keep_contact else None
+    monos = []
+    for m in e.terms:
+        # each term's (lam, twopi, atoms, ops) mapped to its scalar
+        terms = {(m.lam, m.twopi, m.atoms, ()): m.scalar}
+        for x in reversed(m.ops):
+            merged: dict = {}
+            for key, s in terms.items():
+                if not s:
+                    continue
+                for t in _insert(x, (s, *key), contacts):
+                    ops = t[4]
+                    if on_vacuum and ops and not ops[-1].dagger:
+                        continue
+                    k = t[1:]
+                    prev = merged.get(k)
+                    merged[k] = t[0] if prev is None else prev + t[0]
+            terms = merged
+        monos.extend(Monomial(s, lam, tp, m.vreg, atoms, ops)
+                     for (lam, tp, atoms, ops), s in terms.items())
+    return monos
+
+
+def reduce_to_normal_form(e: OperatorExpr, keep_contact: bool = True) -> OperatorExpr:
+    """Rewrite so creators stand left of annihilators in every monomial
+    (`_wick`). Operators of distinct species (anti)commute freely; an
     annihilator passing a creator of its own species emits the contact
     term of the governing (anti)commutation relation, each distinct pair's
     canonicalized once per call. With keep_contact=False this is normal
     ordering: contact terms are discarded, signs are kept.
     """
-    contacts = {} if keep_contact else None
-    done: list[Monomial] = []
-    for m in e.terms:
-        terms = [(m.scalar, m.lam, m.twopi, m.atoms, ())]
-        for x in reversed(m.ops):
-            terms = [t for term in terms for t in _insert(x, term, contacts)]
-        done.extend(Monomial(s, lam, tp, m.vreg, atoms, ops)
-                    for s, lam, tp, atoms, ops in terms)
-    return OperatorExpr.from_monomials(done)
+    return OperatorExpr.from_monomials(_wick(e, False, keep_contact))
 
 
 def normal_order(e: OperatorExpr) -> OperatorExpr:
@@ -714,40 +740,9 @@ def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
 
 
 def vev(e: OperatorExpr) -> OperatorExpr:
-    """Vacuum expectation value: the operator-free part of the normal form.
-
-    Each monomial's operators are inserted right to left as in
-    `reduce_to_normal_form`, keeping only what can still reach the vacuum
-    part. Insertion removes only creators, each contracted with an
-    annihilator inserted to its left, and in normal order annihilators come
-    last, so a term whose last operator is an annihilator keeps it and is
-    dropped at once. Equal terms merge after each insertion, in place, and
-    a term whose scalars sum to zero is skipped where it is read, so that
-    coincident operators, whose pairings all merge, cost polynomial time;
-    distinct ones cost the number of partial pairings.
-    """
-    contacts: dict = {}
-    monos = []
-    for m in e.terms:
-        # each term's (lam, twopi, atoms, ops) mapped to its scalar
-        terms = {(m.lam, m.twopi, m.atoms, ()): m.scalar}
-        for x in reversed(m.ops):
-            merged: dict = {}
-            for key, s in terms.items():
-                if not s:
-                    continue
-                for t in _insert(x, (s, *key), contacts):
-                    ops = t[4]
-                    if ops and not ops[-1].dagger:
-                        continue
-                    k = t[1:]
-                    prev = merged.get(k)
-                    merged[k] = t[0] if prev is None else prev + t[0]
-            terms = merged
-        monos.extend(Monomial(s, lam, tp, m.vreg, atoms)
-                     for (lam, tp, atoms, ops), s in terms.items()
-                     if s and not ops)
-    return OperatorExpr.from_monomials(monos)
+    """Vacuum expectation value: the operator-free part of `e` acting on
+    |0> (`_wick`)."""
+    return OperatorExpr.from_monomials(m for m in _wick(e, True) if not m.ops)
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,9 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
     ins = [l for l in g.legs if l.direction == "in"]
     outs = [l for l in g.legs if l.direction == "out"]
     if len(ins) == 1 and len(outs) == 1 and not g.vertices:
-        norm = elastic_overlap([ins[0], Leg("out", ins[0].field, ins[0].mom,
-                                            ins[0].spin, ins[0].pol, ins[0].ipol)],
-                               cfg)
-        if not norm.is_zero() and elastic == norm:
-            invariance = Fraction(1)
-        else:
-            invariance = Fraction(0)
+        # the overlap equals the in leg's norm, which is never zero, exactly
+        # when both legs build one operator; else a d3, kd, eta or ETA kills it
+        invariance = Fraction(_leg_operator(ins[0]) == _leg_operator(outs[0]))
     return Amplitude(connected, elastic, invariance)
 
 

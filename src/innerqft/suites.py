@@ -118,7 +118,8 @@ EXACT_CASES = {
         ("fock.species_orthogonality", "inner", ("b'(h,s=t;H)", "a'(k;K)"), "0"),
     ),
     # one name per regularization of suite_gravlimit: the configured one,
-    # then L = 2 with Vreg = 16, where Vreg/L^4 is still 1
+    # then L = 2 with Vreg = 16, where Vreg/L^4 is 1; each row collapses one
+    # d4, so its limit carries one factor of Vreg/L^4
     "gravlimit": (
         (("gravlimit.scalar_barred_ccr", "gravlimit.scalar_lambda_independent"),
          "commutator", ("a(k;~k)", "a'(h;~h)"), "2*(2pi)^3*w(k)*d3(h-k)"),
@@ -132,10 +133,11 @@ EXACT_CASES = {
 }
 
 
-def _table(rows, finish=lambda e: e) -> list[Case]:
-    """One exact case per row: `finish` of the operation on the operands."""
+def _table(rows, finish=lambda e: e, scale=1) -> list[Case]:
+    """One exact case per row: `finish` of the operation on the operands,
+    against the expected text times `scale`."""
     return [_exact(name, finish(_OPERATIONS[op](*map(parse_expression, operands))),
-                   parse_expression(want))
+                   parse_expression(want).scale(scale))
             for name, op, operands, want in rows]
 
 
@@ -346,7 +348,7 @@ def suite_gravlimit(cfg: RunConfig) -> list[Case]:
     cases = []
     for i, reg in enumerate((cfg.reg(), RegularizationConfig(2.0, 16.0))):
         cases += _table([(names[i], *row) for names, *row in EXACT_CASES["gravlimit"]],
-                        lambda e: grav_limit_expr(e, reg))
+                        lambda e: grav_limit_expr(e, reg), reg.ratio)
     op = opalg.LadderOperator(opalg.SCALAR, True, (2, 2, 0), (9, 0, 0, 0))
     state = FockState.ket(op)
     once = gravlimit.project_state(state)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from innerqft import fock, gravlimit, opalg
+from innerqft import fock, gravlimit, opalg, suites
+from innerqft.config import RunConfig
 from innerqft.fock import FieldMasses, FockState
 from innerqft.grammar import parse_expression
 from innerqft.gravlimit import (RegularizationConfig, barred, grav_limit_expr,
@@ -96,6 +97,26 @@ def test_distinct_bound_momenta_stay_apart():
         with pytest.raises(gravlimit.UnresolvedInnerLabel,
                            match="^d4 over 'H', 'K' does not collapse$"):
             grav_limit_expr(parse_expression(text))
+
+
+def test_contradictory_d3_pair_kills_the_limit():
+    """Two d3 atoms that bind one momentum to two distinct bound values make
+    the monomial zero, as delta_resolve finds, with no d4 to resolve."""
+    e = parse_expression("d3(k-[1,0,0])*d3(k-[2,0,0])*a'(q;Q)")
+    assert opalg.delta_resolve(e).is_zero()
+    assert grav_limit_expr(e).is_zero()
+    kept = parse_expression("d3(k-[1,0,0])*d3(k-[1,0,0])*a'(q;Q)")
+    assert str(grav_limit_expr(kept)) == \
+        "1*d3(k-[1,0,0])*d3(k-[1,0,0])*a'(q;~q)"
+
+
+@pytest.mark.parametrize("lam, v_reg", [(1.0, 2.0), (2.0, 1.0), (0.5, 3.0),
+                                        (2.0, 16.0), (1.5, 0.25)])
+def test_gravlimit_suite_passes_under_any_ratio(lam, v_reg):
+    """Each exact gravlimit row collapses one d4, so its limit carries one
+    factor of Vreg/L^4 under the configured regularization."""
+    cases = suites.suite_gravlimit(RunConfig(lam=lam, v_reg=v_reg))
+    assert [c.name for c in cases if not c.passed] == []
 
 
 def test_d3_classes_tie_inner_symbols_shared_with_momenta():

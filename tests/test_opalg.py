@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerqft import opalg
+from innerqft import fock, opalg
+from innerqft.fock import FockState
 from innerqft.grammar import parse_expression
 from innerqft.opalg import (CRat, Delta3, Delta4, ERatioPow, Metric, OmegaPow,
                             OperatorExpr, SpinDelta, anticommutator,
@@ -443,31 +444,38 @@ def test_pauli_zeros_cancel_within_vev(r):
 
 def test_coincident_vev_cost_is_polynomial(monkeypatch):
     """A product of n coincident annihilators and creators has n! pairings
-    that merge into one term; the contractions made must grow polynomially
-    in n, not as n!."""
-    real = opalg._contact_factors
-    calls = [0]
+    that merge; the terms the Wick insertions make must grow polynomially
+    in n, not as n!, for `vev`, `reduce_to_normal_form` and `fock.apply`
+    alike. The normal form keeps one term per number of contractions,
+    n + 1 in all; the other two keep one."""
+    real = opalg._insert
+    made = [0]
 
-    def counting(lo, hi):
-        calls[0] += 1
-        if calls[0] > 10_000:
-            raise AssertionError("vev enumerates the pairings one by one")
-        return real(lo, hi)
+    def counting(x, term, contacts):
+        out = real(x, term, contacts)
+        made[0] += len(out)
+        if made[0] > 10_000:
+            raise AssertionError("the insertions enumerate the pairings one by one")
+        return out
 
-    monkeypatch.setattr(opalg, "_contact_factors", counting)
+    monkeypatch.setattr(opalg, "_insert", counting)
     k = (Fraction(1, 2), Fraction(0), Fraction(-1))
 
-    def calls_for(n):
+    def terms_made(op, n, n_terms):
         x = opalg.a(k, opalg.OnShell(k))
         e = OperatorExpr.number(1)
         for _ in range(n):
             e = x * e * x.dagger()
-        calls[0] = 0
-        assert len(vev(e).terms) == 1
-        return calls[0]
+        made[0] = 0
+        assert len(op(e).terms) == n_terms
+        return made[0]
 
-    counts = [calls_for(n) for n in range(4, 10)]
-    assert all(b <= 3 * a for a, b in zip(counts, counts[1:])), counts
+    for name, op, one_term in (
+            ("vev", vev, True),
+            ("reduce_to_normal_form", reduce_to_normal_form, False),
+            ("fock.apply", lambda e: fock.apply(e, FockState.vacuum()).expr, True)):
+        counts = [terms_made(op, n, 1 if one_term else n + 1) for n in range(4, 10)]
+        assert all(b <= 3 * a for a, b in zip(counts, counts[1:])), (name, counts)
 
 
 # -- the reducer against the swap reducer ----------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerqft import cli, opalg, smatrix
 from innerqft.fock import FieldMasses
@@ -109,6 +111,48 @@ def test_two_point_different_momenta_no_overlap():
     amp = lsz_reduce(g, recipe(), RegularizationConfig())
     assert amp.elastic.is_zero()
     assert amp.invariance == Fraction(0)
+
+
+# momenta that differ only in number type or in the sign of a zero
+_TWO_LEG_MOMS = ((1, 0, 0), (1.0, -0.0, 0.0), (Fraction(1, 2), 2, 0),
+                 (0.5, 2.0, 0.0))
+
+
+@st.composite
+def _two_leg_inputs(draw):
+    """One in and one out leg, in either order; the out leg repeats the in
+    leg's labels half the time, else draws its own."""
+    def leg(direction):
+        fld = draw(st.sampled_from(opalg.FIELDS))
+        labels = {}
+        if fld in (opalg.DIRAC_PARTICLE, opalg.DIRAC_ANTIPARTICLE):
+            labels["spin"] = draw(st.sampled_from((1, 2)))
+        elif fld == opalg.GAUGE:
+            labels["pol"] = draw(st.sampled_from((0, 2)))
+            labels["ipol"] = draw(st.sampled_from((1, 3)))
+        return Leg(direction, fld, draw(st.sampled_from(_TWO_LEG_MOMS)), **labels)
+
+    leg_in = leg("in")
+    if draw(st.booleans()):
+        leg_out = Leg("out", leg_in.field, draw(st.sampled_from(_TWO_LEG_MOMS)),
+                      leg_in.spin, leg_in.pol, leg_in.ipol)
+    else:
+        leg_out = leg("out")
+    return (leg_in, leg_out) if draw(st.booleans()) else (leg_out, leg_in)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_leg_inputs(),
+       st.sampled_from([RegularizationConfig(), RegularizationConfig(2.0, 1.0)]))
+def test_two_leg_invariance_is_the_norm_comparison(legs, reg):
+    """The invariance flag of a vertex-free 1->1 input is 1 exactly when the
+    elastic overlap equals the in leg's norm, built as its own overlap."""
+    leg_in = next(l for l in legs if l.direction == "in")
+    norm = elastic_overlap([leg_in, Leg("out", leg_in.field, leg_in.mom,
+                                        leg_in.spin, leg_in.pol, leg_in.ipol)], reg)
+    amp = lsz_reduce(GreenFunction(legs), recipe(), reg)
+    assert not norm.is_zero()
+    assert amp.invariance == Fraction(amp.elastic == norm)
 
 
 def test_off_shell_leg_rejected():
