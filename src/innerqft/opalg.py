@@ -376,7 +376,7 @@ def _atom_text(atom: Atom) -> str:
     return s if atom.power == 1 else f"{s}^{atom.power}"
 
 
-_ATOM_KEY = attrgetter("key")
+_KEY = attrgetter("key")
 
 
 def OmegaPow(mom: Label, power: int = 1) -> Atom:
@@ -430,8 +430,7 @@ class Monomial(Record):
     ops: tuple = ()
 
     def sort_key(self):
-        return (tuple(op.key for op in self.ops),
-                tuple(a.key for a in self.atoms),
+        return (tuple(map(_KEY, self.ops)), tuple(map(_KEY, self.atoms)),
                 self.lam, self.twopi, self.vreg)
 
     def structure_key(self):
@@ -498,7 +497,7 @@ def make_monomial(scalar, lam=0, twopi=0, vreg=0,
                     continue
         kept.append(a)
     kept.extend(a for a in merged.values() if a.power)
-    kept.sort(key=_ATOM_KEY)
+    kept.sort(key=_KEY)
     return Monomial(scalar, lam, twopi, vreg, tuple(kept), tuple(ops))
 
 
@@ -513,15 +512,13 @@ class OperatorExpr(Record):
         for m in monos:
             if m is None:
                 continue
-            key = m.structure_key()
-            if key in merged:
-                merged[key] = Monomial(merged[key].scalar + m.scalar, m.lam,
+            key, n = m.structure_key(), len(merged)
+            prev = merged.setdefault(key, m)  # hashes the key once
+            if len(merged) == n:
+                merged[key] = Monomial(prev.scalar + m.scalar, m.lam,
                                        m.twopi, m.vreg, m.atoms, m.ops)
-            else:
-                merged[key] = m
-        terms = tuple(sorted((m for m in merged.values() if m.scalar),
-                             key=Monomial.sort_key))
-        return cls(terms)
+        terms = [m for m in merged.values() if m.scalar]
+        return cls(tuple(sorted(terms, key=Monomial.sort_key) if len(terms) > 1 else terms))
 
     @classmethod
     def zero(cls) -> "OperatorExpr":
@@ -588,7 +585,8 @@ def product(factors: Iterable[Iterable[Monomial]]) -> OperatorExpr:
     for ms in itertools.product(*factors):
         scalar, lam, twopi, vreg, atoms, ops = ONE, 0, 0, 0, [], []
         for m in ms:
-            scalar = scalar * m.scalar
+            if m.scalar is not ONE and m.scalar != ONE:
+                scalar = m.scalar if scalar is ONE else scalar * m.scalar
             lam += m.lam
             twopi += m.twopi
             vreg += m.vreg
@@ -621,17 +619,45 @@ def _contact_factors(lo: LadderOperator, hi: LadderOperator):
 _MERGING = frozenset(k for k, spec in ATOMS.items() if spec.merges)
 
 
-def _join_atoms(xs: tuple, ys: tuple) -> tuple:
-    """The canonical atoms of a product of two canonical atom tuples.
+def _insert(x: int, term: tuple, ctx: tuple) -> list:
+    """The terms of `x` times one normal-ordered term ((lam, twopi, atoms,
+    ops), scalar), coded as in `_wick`. `x` moves right past each operator
+    of smaller code, the sign flipping when both are fermionic, and an
+    annihilator passing a creator of its own field leaves their contact
+    term; `x` lands before the first operator not below it, where an equal
+    fermion makes the term zero. `ctx` is (cache, contact): the cache maps
+    each pair met in one call to its coded contact term or None, so that a
+    pair is canonicalized once; a None cache drops contact terms."""
+    (lam, tp, atoms, ops), s = term
+    contacts, contact = ctx
+    out = []
+    for i, y in enumerate(ops):
+        if y >= x:
+            if x & 2 and y == x:
+                return out
+            break
+        if contacts is not None:
+            c = contacts.get((x, y), False)
+            if c is False:
+                c = contacts[x, y] = contact(x, y)
+            if c is not None:
+                cs, clam, ctp, catoms = c
+                out.append(((lam + clam, tp + ctp,
+                             tuple(sorted(atoms + catoms)) if atoms else catoms,
+                             ops[:i] + ops[i + 1:]), s * cs))
+        if x & y & 2:
+            s = -s
+    else:
+        i = len(ops)
+    out.append(((lam, tp, atoms, ops[:i] + (x,) + ops[i:]), s))
+    return out
 
-    Both sides are already evaluated, collapsed and sorted, as make_monomial
-    leaves them, so only energy atoms with equal arguments can meet: their
-    powers add, and a power that cancels drops the atom.
-    """
-    if not xs or not ys:
-        return xs or ys
+
+def _merge_powers(atoms: list) -> tuple:
+    """Atoms in key order, equal energy atoms multiplied: their powers
+    add, and a power that cancels drops the atom."""
     out: list[Atom] = []
-    for a in sorted(xs + ys, key=_ATOM_KEY):
+    for a in atoms:
         if (out and a.kind in _MERGING and out[-1].kind == a.kind
                 and out[-1].args == a.args):
             prev = out.pop()
@@ -642,77 +668,77 @@ def _join_atoms(xs: tuple, ys: tuple) -> tuple:
     return tuple(out)
 
 
-def _insert(x: LadderOperator, term: tuple, contacts: dict | None) -> list:
-    """The terms of `x` times one normal-ordered term (scalar, lam, twopi,
-    canonical atoms, ops): `x` moves right past every operator of smaller
-    key, the sign flipping when both are fermionic; an annihilator passing a
-    creator of its own field also leaves that pair's contact term. `x` lands
-    before the first operator not below it; an equal fermion there makes
-    the term zero.
-
-    `contacts` maps each (annihilator, creator) pair met in one call to its
-    canonical contact monomial, None when a false delta makes it zero, so
-    that a pair is canonicalized once; passing None discards contact terms.
-    """
-    s, lam, tp, atoms, ops = term
-    out = []
-    if x.dagger:
-        contacts = None
-    for i, y in enumerate(ops):
-        if not y.key < x.key:
-            if x.fermionic and y.key == x.key:
-                return out
-            break
-        if contacts is not None and y.dagger and y.field == x.field:
-            c = contacts.get((x, y), False)
-            if c is False:
-                cs, clam, ctp, catoms = _contact_factors(x, y)
-                c = contacts[x, y] = make_monomial(cs, clam, ctp, 0, catoms)
-            if c is not None:
-                out.append((s * c.scalar, lam + c.lam, tp + c.twopi,
-                            _join_atoms(atoms, c.atoms), ops[:i] + ops[i + 1:]))
-        if x.fermionic and y.fermionic:
-            s = -s
-    else:
-        i = len(ops)
-    out.append((s, lam, tp, atoms, ops[:i] + (x,) + ops[i:]))
-    return out
-
-
 def _wick(e: OperatorExpr, on_vacuum: bool, keep_contact: bool = True) -> list:
     """The normal-ordered monomials of `e`, unmerged across its terms.
 
-    Each monomial's operators are inserted right to left into the
-    normal-ordered product of the operators after them (`_insert`). Equal
-    terms merge after each insertion, in place, and a zero sum is skipped
-    where it is read, so coincident operators, whose pairings all merge,
-    cost polynomial time; distinct ones cost the number of partial pairings.
+    Terms are coded per call: an operator is 4 * its rank in key order, plus
+    2 if fermionic and 1 if a creator; the atoms are a sorted tuple of atom
+    codes, a multiset; the scalar is the plain int or Fraction of the
+    contact factors and signs gathered. Each monomial's operators are
+    inserted right to left into the normal-ordered product of those after
+    them (`_insert`); equal terms merge after each insertion and a zero sum
+    is skipped where it is read, so coincident operators, whose pairings all
+    merge, cost polynomial time. Each surviving term is decoded once: atoms
+    in key order, equal energy atoms multiplied, the monomial's scalar.
 
-    With `on_vacuum` the product acts on |0>. Insertion removes only
-    creators, each contracted with an annihilator inserted to its left, and
-    annihilators come last in normal order, so a term ending in one is
-    dropped at once and what is left is creators only.
+    With `on_vacuum` the product acts on |0>: a term ending in an
+    annihilator is dropped at once, as annihilators come last in normal
+    order and insertion only removes creators, so creators are left.
     """
-    contacts = {} if keep_contact else None
-    monos = []
+    ops = sorted({op for m in e.terms for op in m.ops}, key=_KEY)
+    rank = {op: 4 * r + 2 * op.fermionic + op.dagger for r, op in enumerate(ops)}
+    codes: dict = {}        # atom -> code
+    known: dict = {(): ()}  # code tuple -> the canonical atoms it was made from
+
+    def code(atoms):
+        k = tuple(sorted([codes.setdefault(a, len(codes)) for a in atoms]))
+        known[k] = atoms
+        return k
+
+    def contact(x, y):
+        lo, hi = ops[x >> 2], ops[y >> 2]
+        if not y & 1 or lo.field != hi.field:
+            return None
+        cs, clam, ctp, catoms = _contact_factors(lo, hi)
+        c = make_monomial(cs, clam, ctp, 0, catoms)
+        if c is None:
+            return None
+        cs = c.scalar.re  # contact factors are real
+        return (cs.numerator if cs.denominator == 1 else cs), c.lam, c.twopi, code(c.atoms)
+
+    touching = ({} if keep_contact else None, contact)
+    coded = []
     for m in e.terms:
-        # each term's (lam, twopi, atoms, ops) mapped to its scalar
-        terms = {(m.lam, m.twopi, m.atoms, ()): m.scalar}
-        for x in reversed(m.ops):
+        terms = {(m.lam, m.twopi, code(m.atoms) if m.atoms else (), ()): 1}
+        for x in map(rank.__getitem__, reversed(m.ops)):
+            ctx = (None, None) if x & 1 else touching
             merged: dict = {}
-            for key, s in terms.items():
-                if not s:
-                    continue
-                for t in _insert(x, (s, *key), contacts):
-                    ops = t[4]
-                    if on_vacuum and ops and not ops[-1].dagger:
-                        continue
-                    k = t[1:]
-                    prev = merged.get(k)
-                    merged[k] = t[0] if prev is None else prev + t[0]
+            for term in terms.items():
+                if term[1]:
+                    for k, s in _insert(x, term, ctx):
+                        if not (on_vacuum and k[3] and not k[3][-1] & 1):
+                            prev = merged.get(k)
+                            merged[k] = s if prev is None else prev + s
             terms = merged
-        monos.extend(Monomial(s, lam, tp, m.vreg, atoms, ops)
-                     for (lam, tp, atoms, ops), s in terms.items())
+        coded.append((m, terms))
+    place = None  # atom code -> its place in key order
+    monos = []
+    for m, terms in coded:
+        scalars = {1: m.scalar}
+        for (lam, tp, k, xs), s in terms.items():
+            if s:
+                atoms = known.get(k)
+                if atoms is None:
+                    if place is None:
+                        by_key = sorted(codes, key=_KEY)
+                        place = dict(zip(map(codes.__getitem__, by_key), itertools.count()))
+                    atoms = _merge_powers([by_key[r] for r in sorted(map(place.__getitem__, k))])
+                c = scalars.get(s)
+                if c is None:
+                    c = CRat(Fraction(s))
+                    c = scalars[s] = c if m.scalar == ONE else m.scalar * c
+                xs = tuple([ops[x >> 2] for x in xs])
+                monos.append(Monomial(c, lam, tp, m.vreg, atoms, xs))
     return monos
 
 
@@ -767,7 +793,7 @@ def unify(atoms: Sequence[Atom]) -> tuple[dict, list]:
     sifted = [a for a in atoms if ATOMS[a.kind].sifted]
     rest = [a for a in atoms if not ATOMS[a.kind].sifted]
     while heads := [a for a in sifted if isinstance(a.args[0], str)]:
-        head = min(heads, key=_ATOM_KEY)
+        head = min(heads, key=_KEY)
         sifted.remove(head)
         sym, val = head.args
         step = {sym: val}

@@ -44,6 +44,18 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that stops early (`verify ... | head -1`) closes the pipe:
+    the command exits 1 and writes nothing to stderr."""
+    proc = subprocess.Popen(CMD + ["verify", "--suite", "ccr", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=ENV)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_verify_fail_exit_code():
     # an absurdly strict tolerance makes the numeric suites fail...
     assert main(["verify", "--suite", "unitarity", "--tol", "1e-30"]) == 1

@@ -263,6 +263,25 @@ def test_parse_canonicalizes_each_term_once(monkeypatch):
     assert len(e.terms) == 24 and calls[0] == 24
 
 
+def test_parse_skips_unit_scalars(monkeypatch):
+    """A term's bare factors carry unit scalars; `opalg.product` multiplies
+    only the others: parsing the printed vev(a^4 a'^4) makes no CRat
+    product with a unit operand."""
+    text = str(opalg.vev(parse_expression(
+        " ".join([f"a(k{j};K{j})" for j in range(1, 5)]
+                 + [f"a'(h{j};H{j})" for j in range(1, 5)]))))
+    real = CRat.__mul__
+    units = [0]
+
+    def counting(x, y):
+        units[0] += opalg.ONE in (x, y)
+        return real(x, y)
+
+    monkeypatch.setattr(CRat, "__mul__", counting)
+    assert len(parse_expression(text).terms) == 24
+    assert units[0] == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_parenthesised_factors_parse_to_products(r):

@@ -22,6 +22,14 @@ def expr_of(*monos):
     return OperatorExpr.from_monomials(list(monos))
 
 
+def assert_same_expression(got, want):
+    """Equal, printed alike, and every scalar part a Fraction."""
+    assert got == want
+    assert str(got) == str(want)
+    assert all(type(x) is Fraction
+               for m in got.terms for x in (m.scalar.re, m.scalar.im))
+
+
 # -- exact scalar arithmetic -------------------------------------------------
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -275,8 +283,8 @@ def balanced_product(r, allow_onshell):
 def test_vev_matches_normal_form_oracle(r, allow_onshell):
     e = random_sum(r, allow_onshell)
     got = vev(e)
-    assert got == vev_oracle(e)
-    assert got == vev_pairing_oracle(e)
+    assert_same_expression(got, vev_oracle(e))
+    assert_same_expression(got, vev_pairing_oracle(e))
 
 
 @settings(max_examples=150, deadline=None)
@@ -286,8 +294,8 @@ def test_vev_matches_oracle_on_balanced_products(r, allow_onshell):
     if r.random() < 0.3:
         e = e + balanced_product(r, allow_onshell)
     got = vev(e)
-    assert got == vev_oracle(e)
-    assert got == vev_pairing_oracle(e)
+    assert_same_expression(got, vev_oracle(e))
+    assert_same_expression(got, vev_pairing_oracle(e))
 
 
 def test_scalar_ladder_vev_matches_oracle():
@@ -298,8 +306,8 @@ def test_scalar_ladder_vev_matches_oracle():
         e = e * opalg.a(f"h{i}", f"H{i}", dagger=True)
     got = vev(e)
     assert len(got.terms) == 120
-    assert got == vev_oracle(e)
-    assert got == vev_pairing_oracle(e)
+    assert_same_expression(got, vev_oracle(e))
+    assert_same_expression(got, vev_pairing_oracle(e))
 
 
 # -- vev on repeated operators against both oracles -----------------------------
@@ -396,8 +404,8 @@ def test_vev_matches_both_oracles_on_repeated_operators(pool_name, r):
     pool = operator_pool(r, **POOLS[pool_name])
     e = expr_of(pooled_term(r, pool, pooled_ops(r, pool, r.randint(1, 4))))
     got = vev(e)
-    assert got == vev_pairing_oracle(e)
-    assert got == vev_oracle(e)
+    assert_same_expression(got, vev_pairing_oracle(e))
+    assert_same_expression(got, vev_oracle(e))
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,7 +424,7 @@ def test_vev_matches_oracle_on_sums_sharing_suffixes(r, pool_name):
             ops = tuple(r.sample(ops, len(ops)))
         terms.append(pooled_term(r, pool, ops))
     e = expr_of(*terms)
-    assert vev(e) == vev_pairing_oracle(e)
+    assert_same_expression(vev(e), vev_pairing_oracle(e))
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,7 +447,24 @@ def test_pauli_zeros_cancel_within_vev(r):
         mp.setattr(OperatorExpr, "from_monomials", classmethod(counting))
         got = vev(e)
     assert fed[-1] == len(got.terms)
-    assert got == vev_pairing_oracle(e)
+    assert_same_expression(got, vev_pairing_oracle(e))
+
+
+@pytest.mark.parametrize("pool_name", sorted(POOLS))
+@settings(max_examples=40, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_apply_matches_the_swap_oracle(pool_name, r):
+    """fock.apply(e, s) is the creator-only part of the swap reducer's
+    normal form of e times s: e's annihilators contract with the ket's
+    creators and with its own."""
+    pool = operator_pool(r, **POOLS[pool_name])
+    ops = pooled_ops(r, pool, r.randint(0, 2))
+    e = expr_of(pooled_term(r, pool, ops + tuple(r.choices(pool, k=r.randint(0, 2)))))
+    ket = FockState.ket(*(p.adjoint() for p in r.choices(pool, k=r.randint(0, 3))))
+    want = OperatorExpr.from_monomials(
+        m for m in swap_reduce_oracle(e * ket.expr).terms
+        if all(op.dagger for op in m.ops))
+    assert_same_expression(fock.apply(e, ket).expr, want)
 
 
 def test_coincident_vev_cost_is_polynomial(monkeypatch):
@@ -516,9 +541,7 @@ def swap_reduce_oracle(e, keep_contact=True):
 def assert_reduces_like_the_oracle(e):
     for keep_contact in (True, False):
         got = reduce_to_normal_form(e, keep_contact)
-        want = swap_reduce_oracle(e, keep_contact)
-        assert got == want
-        assert str(got) == str(want)
+        assert_same_expression(got, swap_reduce_oracle(e, keep_contact))
 
 
 @settings(max_examples=150, deadline=None)
@@ -623,6 +646,37 @@ def test_ladder_canonicalizes_each_contact_factor_once(n, monkeypatch):
         calls[0] = 0
         vev(product(factors))
         assert calls[0] == want
+
+
+def test_ladder_vev_codes_each_term_once(monkeypatch):
+    """vev(a^6 a'^6), every label a distinct symbol: the insertions return
+    3,199 coded terms, 36 contact factors are made, and the Wick loop
+    builds one Monomial per output term, 720, besides the 36 contact
+    monomials."""
+    calls = counting_contacts(monkeypatch)
+    real_insert = opalg._insert
+    inserted = [0]
+
+    def counting_insert(x, term, ctx):
+        out = real_insert(x, term, ctx)
+        inserted[0] += len(out)
+        return out
+
+    e = product([opalg.a(f"k{i}", f"K{i}") for i in range(6)]
+                + [opalg.a(f"h{i}", f"H{i}", dagger=True) for i in range(6)])
+    real_init = opalg.Monomial.__init__
+    built = [0]
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(opalg, "_insert", counting_insert)
+    monkeypatch.setattr(opalg.Monomial, "__init__", counting_init)
+    assert len(vev(e).terms) == 720
+    assert inserted[0] == 3199
+    assert calls[0] == 36
+    assert built[0] == 720 + 36
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -87,6 +87,31 @@ def test_tracer_patch_points_are_recorded(monkeypatch, tmp_path):
     assert tracer.counts["opalg.OperatorExpr.from_monomials.calls"] > 0
 
 
+def test_tracer_counts_the_wick_loop(monkeypatch):
+    """The Wick loop makes its contact factors through the module global
+    `opalg.make_monomial` and hands its result to
+    `OperatorExpr.from_monomials`, so the tracer's rebound counters see
+    every call: vev(a^3 a'^3) makes 9 contact monomials and one merge of
+    its 6 terms."""
+    tracing = _load("tracing", monkeypatch)
+    e = opalg.OperatorExpr.number(1)
+    for x in ([opalg.a(f"k{i}", f"K{i}") for i in range(3)]
+              + [opalg.a(f"h{i}", f"H{i}", dagger=True) for i in range(3)]):
+        e = e * x
+    tracer = tracing.Tracer().install()
+    try:
+        assert len(opalg.vev(e).terms) == 6
+    finally:
+        tracer.remove()
+    assert tracer.exact_counts() == {
+        **dict.fromkeys(tracing.EXACT, 0),
+        "opalg.make_monomial.calls": 9,
+        "opalg.OperatorExpr.from_monomials.calls": 1,
+        "opalg.OperatorExpr.from_monomials.monomials_in": 6,
+        "opalg.OperatorExpr.from_monomials.terms_out": 6,
+        "opalg.vev.calls": 1, "opalg.vev.terms_out": 6}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_vev_outputs_parse_back(seed, tmp_path, monkeypatch):
     """parse(print(e)) == e for the printed vev of every smoke vev-ladder
