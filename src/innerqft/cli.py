@@ -267,6 +267,13 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] in _EXPRESSION_COMMANDS \
             and not {"-h", "--help", "--"} & set(argv[1:]):
         argv.insert(1, "--")
+    # argparse reads a flag value such as `-1e-3` or `-inf` as an option;
+    # joined to its flag, it reaches the flag's converter and range check
+    for i in reversed(range(1, argv.index("--") if "--" in argv else len(argv))):
+        flag, value = argv[i - 1], argv[i]
+        if flag[:2] == "--" and flag in _FIELD_OF \
+                and value[:1] == "-" and value[:2] != "--":
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -57,6 +57,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<sym>[-+*()\[\],;='^/~])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 _HEADS = {head: field for field, head in FIELD_HEAD.items()}
@@ -64,14 +65,12 @@ _HEADS = {head: field for field, head in FIELD_HEAD.items()}
 
 def _tokenize(src: str):
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        if kind != "ws":
+            tokens.append((kind, text, pos))
     tokens.append(("eof", "", len(src)))
     return tokens
 

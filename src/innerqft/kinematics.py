@@ -51,15 +51,17 @@ def on_shell_energy(spatial, mass: float) -> float:
 
 
 class MassShellMomentum(Record):
-    """Spatial momentum plus mass; energy is derived and always positive."""
+    """Spatial momentum plus a positive mass; the energy is derived."""
 
     spatial: tuple[float, float, float]
     mass: float
 
+    def __post_init__(self):
+        if not self.mass > 0:
+            raise ValueError("mass must be positive")
+
     @classmethod
     def of(cls, spatial, mass: float) -> "MassShellMomentum":
-        if mass <= 0:
-            raise ValueError("mass must be positive")
         return cls(tuple(float(c) for c in spatial), float(mass))
 
     @property
@@ -108,18 +110,13 @@ def _gram_schmidt_spacelike(timelike: FourVector) -> list[FourVector]:
     return out
 
 
-def build_spacetime_polarizations(k: MassShellMomentum, mu: float) -> PolarizationBasis:
-    """eps(k,0) = k/mu plus three transversal unit vectors.
+def build_spacetime_polarizations(k: MassShellMomentum) -> PolarizationBasis:
+    """eps(k,0) = k/m plus three transversal unit vectors, m = k.mass.
 
-    Requires mu > 0 and k on shell with mass mu; the gamma=0 vector divides
-    by mu, so the massless case is rejected.
+    The gamma=0 vector divides by m, which MassShellMomentum keeps positive.
     """
-    if mu <= 0:
-        raise ValueError("spacetime polarizations need a positive mass")
-    if abs(k.mass - mu) > 1e-9 * max(1.0, mu):
-        raise ValueError("momentum is not on the requested mass shell")
     k4 = k.four_vector()
-    eps0 = FourVector.of(k4.as_array() / mu)
+    eps0 = FourVector.of(k4.as_array() / k.mass)
     trans = _gram_schmidt_spacelike(k4)
     return PolarizationBasis(spacetime=(eps0, *trans))
 
@@ -137,11 +134,12 @@ def build_inner_polarizations(K: FourVector) -> PolarizationBasis:
 
 
 def spacetime_completeness_residual(basis: PolarizationBasis,
-                                    k: MassShellMomentum, mu: float) -> float:
-    """Max entrywise residual of sum_{g=1..3} eps^r eps^s = -eta^{rs} + k^r k^s / mu^2."""
+                                    k: MassShellMomentum) -> float:
+    """Max entrywise residual of sum_{g=1..3} eps^r eps^s = -eta^{rs} + k^r k^s / m^2,
+    m = k.mass."""
     eps = basis.spacetime
     k4 = k.four_vector().as_array()
-    target = -np.linalg.inv(ETA) + np.outer(k4, k4) / mu**2
+    target = -np.linalg.inv(ETA) + np.outer(k4, k4) / k.mass**2
     got = sum(np.outer(e.as_array(), e.as_array()) for e in eps[1:4])
     return float(np.max(np.abs(got - target)))
 
@@ -198,8 +196,8 @@ class DiracSpinor(Record):
     """u/v solution with ubar u = 1, vbar v = -1, u^dag u = k0/m.
 
     `components`, derived from the labels when the spinor is built, takes
-    no part in comparison. The normalization divides by the mass, so m = 0
-    is rejected.
+    no part in comparison. The normalization divides by the mass, which
+    MassShellMomentum keeps positive.
     """
 
     __slots__ = ("components",)
@@ -209,8 +207,6 @@ class DiracSpinor(Record):
 
     def __post_init__(self):
         k, s = self.momentum, self.spin
-        if k.mass <= 0:
-            raise ValueError("spinor normalization requires m > 0")
         if s not in (1, 2):
             raise ValueError("spin label must be 1 or 2")
         if self.kind not in ("u", "v"):

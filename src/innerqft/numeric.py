@@ -40,10 +40,6 @@ class PropagatorSpec(Record):
         if self.i_epsilon <= 0:
             raise ValueError("i_epsilon must be positive")
 
-    @property
-    def lambda_power(self) -> int:
-        return 2 if self.kind == "gauge" else 4
-
     def denominator(self, k: FourVector) -> complex:
         return minkowski_dot(k, k) - self.mass**2 + 1j * self.i_epsilon
 
@@ -123,9 +119,8 @@ def _numerator_residual(kind: str, masses: FieldMasses) -> float:
             target = (slash(k.four_vector()) + masses.dirac * np.eye(4)) / (2 * masses.dirac)
             worst = max(worst, float(np.max(np.abs(spin_sum(k, "u") - target))))
         else:
-            mu = masses.gauge
-            k = MassShellMomentum.of(spatial, mu)
-            eps = build_spacetime_polarizations(k, mu).spacetime
+            k = MassShellMomentum.of(spatial, masses.gauge)
+            eps = build_spacetime_polarizations(k).spacetime
             got = sum((1.0 if g == 0 else -1.0)
                       * np.outer(eps[g].as_array(), eps[g].as_array())
                       for g in range(4))

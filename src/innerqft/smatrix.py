@@ -36,6 +36,10 @@ def __getattr__(name: str):
 
 
 class Leg(Record):
+    """`op`, the leg's barred creator, is built once from the fields and is
+    not a field; building it checks the field, discrete labels and momentum."""
+
+    __slots__ = ("op",)
     direction: str                 # "in" or "out"
     field: str                     # opalg field kind
     mom: tuple                     # bound spatial momentum
@@ -45,8 +49,6 @@ class Leg(Record):
     energy: float | None = None    # optional, validated against the shell
 
     def __post_init__(self):
-        """The field, discrete labels and momentum are checked by building
-        the leg's operator; only the rules of legs are checked here."""
         if self.direction not in ("in", "out"):
             raise ValueError("leg direction must be 'in' or 'out'")
         if any(v is not None and not isinstance(v, int)
@@ -54,7 +56,15 @@ class Leg(Record):
             raise ValueError("leg spin and polarizations are bound integers")
         if self.energy is not None and not math.isfinite(self.energy):
             raise ValueError("leg energy must be finite")
-        _leg_operator(self)
+        try:
+            mom = tuple(float(c) for c in self.mom)
+        except OverflowError:
+            mom = None
+        if mom is None or not all(map(math.isfinite, mom)):
+            raise ValueError("leg momentum components must be finite and "
+                             "within float range")
+        object.__setattr__(self, "op", opalg.LadderOperator(
+            self.field, True, mom, OnShell(mom), self.spin, self.pol, self.ipol))
 
 
 class VertexRule(Record):
@@ -97,16 +107,8 @@ class Amplitude(Record):
     invariance: Fraction | None = None
 
 
-def _leg_operator(leg: Leg) -> opalg.LadderOperator:
-    try:
-        mom = tuple(float(c) for c in leg.mom)
-    except OverflowError:
-        mom = None
-    if mom is None or not all(map(math.isfinite, mom)):
-        raise ValueError("leg momentum components must be finite and "
-                         "within float range")
-    return opalg.LadderOperator(leg.field, True, mom, OnShell(mom), leg.spin,
-                                leg.pol, leg.ipol)
+# the tolerance of `lsz_reduce`'s check that a leg with an energy is on shell
+SHELL_TOL = 1e-9
 
 
 def _check_on_shell(leg: Leg, masses: FieldMasses, tol: float) -> None:
@@ -134,16 +136,14 @@ def elastic_overlap(legs: Sequence[Leg], cfg: RegularizationConfig
     gravitational-limit contact factor. `vev` merges equal partial sums as
     it goes, so identical coincident legs cost polynomial time.
     """
-    ins = [_leg_operator(l) for l in legs if l.direction == "in"]
-    outs = [_leg_operator(l) for l in legs if l.direction == "out"]
-    prod = OperatorExpr.from_monomials([make_monomial(
-        1, ops=tuple(op.adjoint() for op in outs) + tuple(ins))])
+    ops = [l.op.adjoint() for l in legs if l.direction == "out"]
+    ops += [l.op for l in legs if l.direction == "in"]
+    prod = OperatorExpr.from_monomials([make_monomial(1, ops=ops)])
     return grav_limit_expr(vev(prod), cfg)
 
 
 def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
-               cfg: RegularizationConfig = RegularizationConfig(),
-               shell_tol: float = 1e-9) -> Amplitude:
+               cfg: RegularizationConfig = RegularizationConfig()) -> Amplitude:
     """Momentum-space LSZ assembly for a Green-function specification.
 
     Each external leg contributes i/sqrt(Z); its amputation factor cancels
@@ -154,7 +154,7 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
     barred overlap.
     """
     for leg in g.legs:
-        _check_on_shell(leg, recipe.masses, shell_tol)
+        _check_on_shell(leg, recipe.masses, SHELL_TOL)
     vertex_sum = sum((v.factor for v in g.vertices), 0j)
     if vertex_sum == 0:
         connected = 0j
@@ -167,12 +167,11 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
         raise ValueError(f"connected amplitude {connected} is not finite")
     elastic = elastic_overlap(g.legs, cfg)
     invariance = None
-    ins = [l for l in g.legs if l.direction == "in"]
-    outs = [l for l in g.legs if l.direction == "out"]
-    if len(ins) == 1 and len(outs) == 1 and not g.vertices:
+    if len(g.legs) == 2 and not g.vertices \
+            and g.legs[0].direction != g.legs[1].direction:
         # the overlap equals the in leg's norm, which is never zero, exactly
-        # when both legs build one operator; else a d3, kd, eta or ETA kills it
-        invariance = Fraction(_leg_operator(ins[0]) == _leg_operator(outs[0]))
+        # when both legs have one operator; else a d3, kd, eta or ETA kills it
+        invariance = Fraction(g.legs[0].op == g.legs[1].op)
     return Amplitude(connected, elastic, invariance)
 
 

@@ -207,9 +207,9 @@ def suite_kinematics(cfg: RunConfig) -> list[Case]:
     for _ in range(100):
         mu = rng.uniform(0.5, 2.0)
         k = MassShellMomentum.of([rng.uniform(-2, 2) for _ in range(3)], mu)
-        basis = kinematics.build_spacetime_polarizations(k, mu)
+        basis = kinematics.build_spacetime_polarizations(k)
         worst_c = max(worst_c,
-                      kinematics.spacetime_completeness_residual(basis, k, mu))
+                      kinematics.spacetime_completeness_residual(basis, k))
         eps = basis.spacetime
         k4 = k.four_vector()
         worst_o = max(worst_o, max(abs(kinematics.minkowski_dot(k4, eps[g]))

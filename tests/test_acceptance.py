@@ -127,8 +127,8 @@ def test_04_polarization_and_spinor_identities():
     for _ in range(100):
         mu = rng.uniform(0.5, 2.0)
         k = MassShellMomentum.of([rng.uniform(-2, 2) for _ in range(3)], mu)
-        basis = kinematics.build_spacetime_polarizations(k, mu)
-        ok &= kinematics.spacetime_completeness_residual(basis, k, mu) <= TOL
+        basis = kinematics.build_spacetime_polarizations(k)
+        ok &= kinematics.spacetime_completeness_residual(basis, k) <= TOL
         eps = basis.spacetime
         for g in range(4):
             for g2 in range(4):

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import importlib
 import io
 import json
 import os
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import innerqft
 from innerqft import opalg, suites
 from innerqft.cli import build_parser, main
 from innerqft.config import RunConfig
@@ -417,15 +415,6 @@ def test_exact_commands_import_no_dataclasses_inspect_or_typing(tmp_path):
         ["reduce", []]]
 
 
-def test_package_names_resolve_lazily():
-    for name, module in innerqft._MODULE_OF.items():
-        home = importlib.import_module(f"innerqft.{module}")
-        assert getattr(innerqft, name) is getattr(home, name)
-    assert innerqft.numeric is importlib.import_module("innerqft.numeric")
-    with pytest.raises(AttributeError):
-        innerqft.no_such_name
-
-
 def test_suite_choices_are_the_suites():
     (sub,) = [a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
@@ -613,6 +602,14 @@ def test_bad_format_reads_the_same_from_flag_and_file(tmp_path, capsys):
 def test_bad_flag_value_names_the_flag(flag, value, capsys):
     assert main(["verify", "--suite", "ccr", flag, value]) == 2
     assert capsys.readouterr().err == f"error: {flag}: bad number '{value}'\n"
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan"])
+def test_flag_value_with_a_leading_minus_reaches_the_range_check(value, capsys):
+    for argv in (["--tol", value], [f"--tol={value}"]):
+        assert main(["verify", "--suite", "ccr", *argv]) == 2
+        assert capsys.readouterr().err == \
+            "error: tolerance must be finite and positive\n"
 
 
 def test_reduce_accepts_a_rounded_on_shell_energy_at_large_momentum(tmp_path,

@@ -84,15 +84,18 @@ def test_parse_ket():
 def test_parse_errors():
     for bad in ["a(k)", "a(k;K", "x(k;K)", "a(k,s=1;K)", "A(k,g=1;K)",
                 "b(k;K)", "A(k,g=5;K,G=1)", "A(k,g=1;K,G=0)",
-                "a([1,2];K)", "1 +", "* a(k;K)", "a(k;K) @"]:
+                "a([1,2];K)", "1 +", "* a(k;K)", "a(k;K) @",
+                "a(k;K) @ a'(h;H)"]:
         with pytest.raises(ParseError):
             parse_expression(bad)
 
 
 def test_parse_error_reports_position():
-    with pytest.raises(ParseError) as exc:
-        parse_expression("a(k;K) @")
-    assert exc.value.pos == 7
+    for text in ("a(k;K) @", "a(k;K) @ a'(h;H)"):
+        with pytest.raises(ParseError,
+                           match=r"^unexpected character '@' \(column 8\)$") as exc:
+            parse_expression(text)
+        assert exc.value.pos == 7
 
 
 def test_print_zero():

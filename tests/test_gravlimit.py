@@ -99,6 +99,18 @@ def test_distinct_bound_momenta_stay_apart():
             grav_limit_expr(parse_expression(text))
 
 
+def test_d4_over_distinct_bound_inner_vectors_kills_its_monomial():
+    """make_monomial already drops such a monomial, so it is built directly;
+    the limit drops it and keeps the other term."""
+    d4 = opalg.Delta4((1, 0, 0, 0), (2, 0, 0, 0))
+    assert make_monomial(1, atoms=[d4]) is None
+    kept = parse_expression("a'([1,0,0];H)")
+    killed = opalg.Monomial(opalg.CRat.of(1), atoms=(d4,), ops=kept.terms[0].ops)
+    e = OperatorExpr.from_monomials([killed, *kept.terms])
+    assert len(e.terms) == 2
+    assert grav_limit_expr(e) == grav_limit_expr(kept) != OperatorExpr.zero()
+
+
 def test_contradictory_d3_pair_kills_the_limit():
     """Two d3 atoms that bind one momentum to two distinct bound values make
     the monomial zero, as delta_resolve finds, with no d4 to resolve."""

@@ -24,9 +24,6 @@ def test_propagator_spec_validation():
         PropagatorSpec("tensor", 1.0)
     with pytest.raises(ValueError):
         PropagatorSpec("scalar", 1.0, i_epsilon=0.0)
-    assert PropagatorSpec("scalar", 1.0).lambda_power == 4
-    assert PropagatorSpec("dirac", 1.0).lambda_power == 4
-    assert PropagatorSpec("gauge", 1.0).lambda_power == 2
 
 
 def test_scalar_propagator_value():
@@ -325,6 +322,23 @@ def test_many_coincident_bosons_give_the_closed_form(name, n):
     assert got == coincident_closed_form(n, fld, labels)
 
 
+@pytest.mark.parametrize("n", [1, 6])
+def test_each_leg_builds_its_creator_once(n, monkeypatch):
+    """`Leg.op` serves the overlap and the invariance flag: building and
+    reducing 2n legs builds 2n creators."""
+    real, creators = opalg.LadderOperator.__post_init__, []
+
+    def counting(op):
+        real(op)
+        creators.append(op.dagger)
+
+    monkeypatch.setattr(opalg.LadderOperator, "__post_init__", counting)
+    legs = tuple(Leg(d, opalg.SCALAR, (i % 3, 0, 0)) for d in ("in", "out")
+                 for i in range(n))
+    lsz_reduce(GreenFunction(legs), recipe(), RegularizationConfig())
+    assert creators.count(True) == 2 * n
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_coincident_legs_make_one_contact_factor(n, monkeypatch):
     """2n identical scalar legs meet one annihilator/creator pair, whose
@@ -437,6 +451,14 @@ def test_vacuum_phase_flagged():
     s = np.diag([np.exp(0.2j), 1.0, 1.0, 1.0])
     t = ToySMatrix(s, np.eye(4), vacuum_index=0, one_particle_indices=(1,))
     assert not vacuum_and_one_particle_checks(t).passed
+
+
+def test_vacuum_mixing_flagged():
+    s = np.eye(4, dtype=complex)[[1, 0, 2, 3]]  # S swaps the vacuum and state 1
+    t = ToySMatrix(s, np.eye(4), vacuum_index=0, one_particle_indices=(2,))
+    assert vacuum_and_one_particle_checks(t).violations == (
+        "vacuum: S[0,0] = 0+0j, want 1 (zero-phase convention)",
+        "vacuum: S mixes the vacuum with other sectors")
 
 
 def test_one_particle_mixing_flagged():
