@@ -1,4 +1,4 @@
-"""Text grammar for operator expressions and kets.
+"""Text grammar for operator expressions.
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (['*'] factor)*          -- juxtaposition multiplies
@@ -15,7 +15,6 @@
     mom    := ident | '[' number ',' number ',' number ']'
     inner  := ident | '[' number{4 comma-separated} ']' | '~' mom
     disc   := ident | int
-    ket    := expr '|0>'
 
 A term is a list of factors, each a bare monomial or the terms of a
 parenthesised sum; `opalg.product` canonicalizes each term of their product
@@ -53,7 +52,6 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<ket>\|0>)
   | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<sym>[-+*()\[\],;='^/~])
@@ -289,26 +287,15 @@ class _Parser:
         raise ParseError("expected a label symbol or bound vector", pos)
 
 
-def _parse(src: str, ket: bool) -> OperatorExpr:
+def parse_expression(src: str) -> OperatorExpr:
+    """Parse an operator expression in the grammar above."""
     p = _Parser(src)
     try:
         expr = p.parse_expr()
     except RecursionError:
         raise ParseError("expression nested too deeply", p.peek()[2]) from None
-    if ket and p.peek()[0] == "ket":
-        p.next()
     p.expect("eof")
     return expr
-
-
-def parse_expression(src: str) -> OperatorExpr:
-    """Parse an operator expression in the grammar above."""
-    return _parse(src, ket=False)
-
-
-def parse_state(src: str):
-    """Parse `expr |0>` (or a bare expression, treated as a ket prefix)."""
-    return _parse(src, ket=True)
 
 
 def print_expression(e: OperatorExpr) -> str:

@@ -68,12 +68,13 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
     An inner symbol is tied to the momentum of the first operator that
     carries it, and each momentum to the label of its class under the
     monomial's d3 atoms (`opalg.unify`, which never joins two distinct
-    bound momenta). A d4 atom whose arguments collapse to the same value
-    becomes Vreg/(2pi)^4, one over two distinct bound values kills the
-    monomial, and any other raises UnresolvedInnerLabel. A monomial whose
-    d3 atoms contradict each other is zero. Vreg powers reduce via
-    cfg.ratio; the result is barred: every operator's inner label becomes
-    OnShell(its momentum).
+    bound momenta). Each d4 atom is decided by make_monomial's rule,
+    `opalg._labels_bound_equal`: equal arguments make it one Vreg/(2pi)^4,
+    distinct ones (bound values, or on-shell labels of bound momenta) make
+    the monomial zero, and undecided ones raise UnresolvedInnerLabel. A
+    monomial whose d3 atoms contradict each other is zero. Vreg powers
+    reduce via cfg.ratio; the result is barred: every operator's inner
+    label becomes OnShell(its momentum).
     """
     monos = []
     for m in e.terms:
@@ -84,14 +85,14 @@ def grav_limit_expr(e: OperatorExpr, cfg: RegularizationConfig = RegularizationC
         atoms = []
         for a in m.atoms:
             if a.kind == "d4":
-                ra, rb = (_resolve_inner(x, classes, inner_to_mom) for x in a.args)
-                if ra == rb:
-                    vreg += 1
-                elif isinstance(ra, tuple) and isinstance(rb, tuple):
-                    break  # the monomial is zero
-                else:
+                eq = opalg._labels_bound_equal(
+                    *(_resolve_inner(x, classes, inner_to_mom) for x in a.args))
+                if eq is None:
                     raise UnresolvedInnerLabel(
                         f"d4 over {a.args[0]!r}, {a.args[1]!r} does not collapse")
+                if not eq:
+                    break  # the monomial is zero
+                vreg += 1
             elif a.kind == "d4(0)":
                 vreg += 1
             else:

@@ -76,13 +76,6 @@ class MassShellMomentum(Record):
 # Polarization bases
 
 
-class PolarizationBasis(Record):
-    """Spacetime vectors eps(k, 0..3) and/or inner vectors E(K, 1..3)."""
-
-    spacetime: tuple[FourVector, ...] | None = None
-    inner: tuple[FourVector, ...] | None = None
-
-
 def _gram_schmidt_spacelike(timelike: FourVector) -> list[FourVector]:
     """Three Minkowski-orthonormal spacelike vectors orthogonal to `timelike`.
 
@@ -110,19 +103,19 @@ def _gram_schmidt_spacelike(timelike: FourVector) -> list[FourVector]:
     return out
 
 
-def build_spacetime_polarizations(k: MassShellMomentum) -> PolarizationBasis:
-    """eps(k,0) = k/m plus three transversal unit vectors, m = k.mass.
+def build_spacetime_polarizations(k: MassShellMomentum) -> tuple[FourVector, ...]:
+    """(eps(k,0), ..., eps(k,3)): k/m plus three transversal unit vectors, m = k.mass.
 
     The gamma=0 vector divides by m, which MassShellMomentum keeps positive.
     """
     k4 = k.four_vector()
     eps0 = FourVector.of(k4.as_array() / k.mass)
     trans = _gram_schmidt_spacelike(k4)
-    return PolarizationBasis(spacetime=(eps0, *trans))
+    return (eps0, *trans)
 
 
-def build_inner_polarizations(K: FourVector) -> PolarizationBasis:
-    """Three inner polarization vectors E(K, 1..3) transversal to K.
+def build_inner_polarizations(K: FourVector) -> tuple[FourVector, ...]:
+    """(E(K,1), E(K,2), E(K,3)): three inner polarization vectors transversal to K.
 
     Only defined for K^2 > 0: the completeness projector carries 1/K^2 and
     is singular on the light cone, and spacelike K is outside the support.
@@ -130,26 +123,24 @@ def build_inner_polarizations(K: FourVector) -> PolarizationBasis:
     K2 = minkowski_dot(K, K)
     if K2 <= 0:
         raise ValueError("inner polarizations require K^2 > 0")
-    return PolarizationBasis(inner=tuple(_gram_schmidt_spacelike(K)))
+    return tuple(_gram_schmidt_spacelike(K))
 
 
-def spacetime_completeness_residual(basis: PolarizationBasis,
-                                    k: MassShellMomentum) -> float:
+def spacetime_completeness_residual(eps: tuple, k: MassShellMomentum) -> float:
     """Max entrywise residual of sum_{g=1..3} eps^r eps^s = -eta^{rs} + k^r k^s / m^2,
     m = k.mass."""
-    eps = basis.spacetime
     k4 = k.four_vector().as_array()
     target = -np.linalg.inv(ETA) + np.outer(k4, k4) / k.mass**2
     got = sum(np.outer(e.as_array(), e.as_array()) for e in eps[1:4])
     return float(np.max(np.abs(got - target)))
 
 
-def inner_completeness_residual(basis: PolarizationBasis, K: FourVector) -> float:
+def inner_completeness_residual(basis: tuple, K: FourVector) -> float:
     """Max entrywise residual of sum_G E_a E_b = -eta_{ab} + K_a K_b / K^2."""
     K2 = minkowski_dot(K, K)
     Kl = K.lower()
     target = -ETA + np.outer(Kl, Kl) / K2
-    got = sum(np.outer(e.lower(), e.lower()) for e in basis.inner)
+    got = sum(np.outer(e.lower(), e.lower()) for e in basis)
     return float(np.max(np.abs(got - target)))
 
 
@@ -192,45 +183,30 @@ def gamma_anticommutator_residual() -> float:
     return worst
 
 
-class DiracSpinor(Record):
-    """u/v solution with ubar u = 1, vbar v = -1, u^dag u = k0/m.
-
-    `components`, derived from the labels when the spinor is built, takes
-    no part in comparison. The normalization divides by the mass, which
-    MassShellMomentum keeps positive.
+def dirac_spinor(k: MassShellMomentum, s: int, kind: str) -> np.ndarray:
+    """The 4 components of the u (kind "u") or v ("v") spinor of momentum k
+    and spin s in {1, 2}: ubar u = 1, vbar v = -1, u^dag u = k0/m. The
+    normalization divides by the mass, which MassShellMomentum keeps positive.
     """
-
-    __slots__ = ("components",)
-    kind: str  # "u" or "v"
-    spin: int  # 1 or 2
-    momentum: MassShellMomentum
-
-    def __post_init__(self):
-        k, s = self.momentum, self.spin
-        if s not in (1, 2):
-            raise ValueError("spin label must be 1 or 2")
-        if self.kind not in ("u", "v"):
-            raise ValueError("spinor kind must be 'u' or 'v'")
-        m = k.mass
-        E = k.energy
-        chi = np.zeros(2, dtype=complex)
-        chi[s - 1] = 1.0
-        sig_k = sum(c * sig for c, sig in zip(k.spatial, _SIGMA))
-        lower = (sig_k @ chi) / (E + m)
-        norm = math.sqrt((E + m) / (2 * m))
-        if self.kind == "u":
-            comps = norm * np.concatenate([chi, lower])
-        else:
-            comps = norm * np.concatenate([lower, chi])
-        object.__setattr__(self, "components", comps)
-
-    def bar(self) -> np.ndarray:
-        return self.components.conj() @ GAMMA[0]
+    if s not in (1, 2):
+        raise ValueError("spin label must be 1 or 2")
+    if kind not in ("u", "v"):
+        raise ValueError("spinor kind must be 'u' or 'v'")
+    m = k.mass
+    E = k.energy
+    chi = np.zeros(2, dtype=complex)
+    chi[s - 1] = 1.0
+    sig_k = sum(c * sig for c, sig in zip(k.spatial, _SIGMA))
+    lower = (sig_k @ chi) / (E + m)
+    norm = math.sqrt((E + m) / (2 * m))
+    if kind == "u":
+        return norm * np.concatenate([chi, lower])
+    return norm * np.concatenate([lower, chi])
 
 
-def dirac_spinor(k: MassShellMomentum, s: int, kind: str) -> DiracSpinor:
-    """The u/v spinor of momentum k and spin s (see DiracSpinor)."""
-    return DiracSpinor(kind, s, k)
+def bar(spinor: np.ndarray) -> np.ndarray:
+    """The Dirac adjoint spinor^dag gamma^0."""
+    return spinor.conj() @ GAMMA[0]
 
 
 def spin_sum(k: MassShellMomentum, kind: str) -> np.ndarray:
@@ -238,5 +214,5 @@ def spin_sum(k: MassShellMomentum, kind: str) -> np.ndarray:
     total = np.zeros((4, 4), dtype=complex)
     for s in (1, 2):
         sp = dirac_spinor(k, s, kind)
-        total += np.outer(sp.components, sp.bar())
+        total += np.outer(sp, bar(sp))
     return total

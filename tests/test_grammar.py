@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerqft import grammar, numeric, opalg, suites
-from innerqft.grammar import ParseError, parse_expression, parse_state, \
-    print_expression
+from innerqft.grammar import ParseError, parse_expression, print_expression
 from innerqft.opalg import CRat, OperatorExpr
 
 from conftest import random_ladder, random_product, random_sum
@@ -74,11 +73,6 @@ def test_parse_remaining_atoms():
                        opalg.Metric(True, "g", "g2"),
                        opalg.Metric(False, "G", "G2"),
                        opalg.Delta3Zero(), opalg.Atom("d4(0)"))
-
-
-def test_parse_ket():
-    e = parse_state("a'(k;K) |0>")
-    assert e.terms[0].ops[0].dagger
 
 
 def test_parse_errors():

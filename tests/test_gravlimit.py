@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerqft import fock, gravlimit, opalg, suites
 from innerqft.config import RunConfig
@@ -8,9 +10,9 @@ from innerqft.fock import FieldMasses, FockState
 from innerqft.grammar import parse_expression
 from innerqft.gravlimit import (RegularizationConfig, barred, grav_limit_expr,
                                 project_state)
-from innerqft.opalg import (Delta3, ERatioPow, Metric, OmegaPow, OnShell,
-                            OperatorExpr, SpinDelta, anticommutator,
-                            commutator, make_monomial)
+from innerqft.opalg import (Delta3, Delta4, ERatioPow, LadderOperator, Metric,
+                            OmegaPow, OnShell, OperatorExpr, SpinDelta,
+                            anticommutator, commutator, make_monomial)
 
 
 def expr_of(*monos):
@@ -90,13 +92,38 @@ def test_unresolved_inner_label_raises():
 
 def test_distinct_bound_momenta_stay_apart():
     """A d3 class never joins two distinct bound momenta, so a d4 between
-    the inner labels of their operators does not collapse, with or without
-    a contradictory d3 pair."""
+    the inner labels of their operators is zero, as make_monomial makes a d4
+    between their on-shell labels, with or without a contradictory d3 pair.
+    A d4 between two symbolic momenta still does not collapse."""
     ops = "d4(H-K)*a'([1,0,0];H)*a'([2,0,0];K)"
-    for text in (ops, "d3(k-[1,0,0])*d3(k-[2,0,0])*" + ops):
-        with pytest.raises(gravlimit.UnresolvedInnerLabel,
-                           match="^d4 over 'H', 'K' does not collapse$"):
-            grav_limit_expr(parse_expression(text))
+    for text in (ops, "d3(k-[1,0,0])*d3(k-[2,0,0])*" + ops,
+                 "d4(H-~[2,0,0])*a'([1,0,0];H)"):
+        assert grav_limit_expr(parse_expression(text)) == OperatorExpr.zero()
+    assert str(grav_limit_expr(parse_expression("d4(H-~[1,0,0])*a'([1,0,0];H)"))) \
+        == "1*L^4*(2pi)^-4*a'([1,0,0];~[1,0,0])"
+    with pytest.raises(gravlimit.UnresolvedInnerLabel,
+                       match="^d4 over 'H', 'K' does not collapse$"):
+        grav_limit_expr(parse_expression("d4(H-K)*a'(k;H)*a'(h;K)"))
+
+
+_bound_moms = st.tuples(*[st.fractions(min_value=-3, max_value=3,
+                                       max_denominator=3)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bound_moms, st.one_of(st.none(), _bound_moms))
+def test_d4_between_bound_momenta_follows_make_monomial(k1, k2):
+    """The limit of d4(H-K)*a'(k1;H)*a'(k2;K) is zero exactly when
+    make_monomial kills d4(~k1-~k2), and otherwise carries one L^4*(2pi)^-4."""
+    k2 = k1 if k2 is None else k2
+    ops = [LadderOperator(opalg.SCALAR, True, k, inner)
+           for k, inner in ((k1, "H"), (k2, "K"))]
+    got = grav_limit_expr(expr_of(make_monomial(1, atoms=[Delta4("H", "K")], ops=ops)))
+    if make_monomial(1, atoms=[Delta4(OnShell(k1), OnShell(k2))]) is None:
+        assert got == OperatorExpr.zero()
+    else:
+        ((m,),) = [got.terms]
+        assert (m.scalar, m.lam, m.twopi, m.vreg) == (opalg.CRat.of(1), 4, -4, 0)
 
 
 def test_d4_over_distinct_bound_inner_vectors_kills_its_monomial():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from innerqft import fock, opalg
 from innerqft.fock import FockState
-from innerqft.grammar import parse_expression, parse_state, print_expression
+from innerqft.grammar import parse_expression, print_expression
 from innerqft.gravlimit import project_state
 from innerqft.opalg import (Atom, Delta3, Delta3Zero, Delta4, ERatioPow,
                             LadderOperator, OmegaPow, OnShell, OperatorExpr,
@@ -44,7 +44,7 @@ def test_d4_between_distinct_on_shell_labels_is_zero():
 def test_projected_ket_round_trips():
     ket = FockState.ket(LadderOperator(opalg.SCALAR, True, (1, 1, 0), "K"))
     projected = project_state(ket).expr
-    assert parse_state(print_expression(projected)) == projected
+    assert parse_expression(print_expression(projected)) == projected
 
 
 @pytest.mark.parametrize("inner", [
