@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -185,6 +186,13 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
     return tuple(legs)
 
 
+def _vertex_part(text: str, where: str) -> Fraction | float:
+    """The exact value of a vertex part written as a float; nan and values
+    past float range stay floats, which VertexRule reports as not finite."""
+    value = _number(float, text, where)
+    return Fraction(text) if math.isfinite(value) else value
+
+
 def load_greens(path: str) -> tuple[smatrix.VertexRule, ...]:
     vertices = []
     for where, line in _read_lines(path, "green-function"):
@@ -192,10 +200,9 @@ def load_greens(path: str) -> tuple[smatrix.VertexRule, ...]:
         if tokens[0] != "vertex" or len(tokens) not in (2, 3):
             raise ConfigError(
                 f"{where}: expected 'vertex <re> [<im>]'")
-        re = _number(float, tokens[1], where)
-        im = _number(float, tokens[2], where) if len(tokens) == 3 else 0.0
+        parts = [_vertex_part(tok, where) for tok in tokens[1:]]
         try:
-            vertices.append(smatrix.VertexRule(complex(re, im)))
+            vertices.append(smatrix.VertexRule(*parts))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return tuple(vertices)

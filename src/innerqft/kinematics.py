@@ -1,7 +1,9 @@
 """Numeric four-vector, polarization, gamma-matrix and spinor kinematics.
 
 Everything here works on (M4, eta) with eta = diag(1,-1,-1,-1) and is pure
-value-semantic: no global state, safe for concurrent use.
+value-semantic: no global state, safe for concurrent use. A four-vector is a
+float numpy array of its contravariant components (t, x, y, z); `ETA @ v`
+lowers its index. Polarization bases are plain tuples of such arrays.
 """
 
 from __future__ import annotations
@@ -17,34 +19,14 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 DEFAULT_TOL = 1e-12
 
 
-class FourVector(Record):
-    """Contravariant four-vector in natural units."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def of(cls, seq) -> "FourVector":
-        t, x, y, z = (float(c) for c in seq)
-        return cls(t, x, y, z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z], dtype=float)
-
-    def lower(self) -> np.ndarray:
-        """Covariant components a_mu = eta_{mu nu} a^nu."""
-        return ETA @ self.as_array()
-
-
-def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
+def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
+    a, b = a.tolist(), b.tolist()  # plain floats: faster than numpy scalars
+    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
 
 
 def on_shell_energy(spatial, mass: float) -> float:
     """Positive-energy dispersion sqrt(|k|^2 + m^2)."""
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError("mass must be positive")
     kx, ky, kz = (float(c) for c in spatial)
     return math.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
@@ -68,24 +50,23 @@ class MassShellMomentum(Record):
     def energy(self) -> float:
         return on_shell_energy(self.spatial, self.mass)
 
-    def four_vector(self) -> FourVector:
-        return FourVector(self.energy, *self.spatial)
+    def four_vector(self) -> np.ndarray:
+        return np.array([self.energy, *self.spatial], dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # Polarization bases
 
 
-def _gram_schmidt_spacelike(timelike: FourVector) -> list[FourVector]:
+def _gram_schmidt_spacelike(timelike: np.ndarray) -> tuple[np.ndarray, ...]:
     """Three Minkowski-orthonormal spacelike vectors orthogonal to `timelike`.
 
     Seeds with the spatial axes in fixed x, y, z order; the projector onto
     the complement of a timelike vector keeps them independent, so the
     construction is total and deterministic.
     """
-    basis: list[np.ndarray] = [timelike.as_array()]
+    basis = [timelike]
     norms = [minkowski_dot(timelike, timelike)]
-    out: list[FourVector] = []
     seeds = [np.array([0.0, 1.0, 0.0, 0.0]),
              np.array([0.0, 0.0, 1.0, 0.0]),
              np.array([0.0, 0.0, 0.0, 1.0])]
@@ -99,48 +80,44 @@ def _gram_schmidt_spacelike(timelike: FourVector) -> list[FourVector]:
         v = v / math.sqrt(-n)
         basis.append(v)
         norms.append(-1.0)
-        out.append(FourVector.of(v))
-    return out
+    return tuple(basis[1:])
 
 
-def build_spacetime_polarizations(k: MassShellMomentum) -> tuple[FourVector, ...]:
+def build_spacetime_polarizations(k: MassShellMomentum) -> tuple[np.ndarray, ...]:
     """(eps(k,0), ..., eps(k,3)): k/m plus three transversal unit vectors, m = k.mass.
 
     The gamma=0 vector divides by m, which MassShellMomentum keeps positive.
     """
     k4 = k.four_vector()
-    eps0 = FourVector.of(k4.as_array() / k.mass)
-    trans = _gram_schmidt_spacelike(k4)
-    return (eps0, *trans)
+    return (k4 / k.mass, *_gram_schmidt_spacelike(k4))
 
 
-def build_inner_polarizations(K: FourVector) -> tuple[FourVector, ...]:
+def build_inner_polarizations(K: np.ndarray) -> tuple[np.ndarray, ...]:
     """(E(K,1), E(K,2), E(K,3)): three inner polarization vectors transversal to K.
 
     Only defined for K^2 > 0: the completeness projector carries 1/K^2 and
     is singular on the light cone, and spacelike K is outside the support.
     """
-    K2 = minkowski_dot(K, K)
-    if K2 <= 0:
+    if not minkowski_dot(K, K) > 0:
         raise ValueError("inner polarizations require K^2 > 0")
-    return tuple(_gram_schmidt_spacelike(K))
+    return _gram_schmidt_spacelike(K)
 
 
 def spacetime_completeness_residual(eps: tuple, k: MassShellMomentum) -> float:
     """Max entrywise residual of sum_{g=1..3} eps^r eps^s = -eta^{rs} + k^r k^s / m^2,
     m = k.mass."""
-    k4 = k.four_vector().as_array()
+    k4 = k.four_vector()
     target = -np.linalg.inv(ETA) + np.outer(k4, k4) / k.mass**2
-    got = sum(np.outer(e.as_array(), e.as_array()) for e in eps[1:4])
+    got = sum(np.outer(e, e) for e in eps[1:4])
     return float(np.max(np.abs(got - target)))
 
 
-def inner_completeness_residual(basis: tuple, K: FourVector) -> float:
+def inner_completeness_residual(basis: tuple, K: np.ndarray) -> float:
     """Max entrywise residual of sum_G E_a E_b = -eta_{ab} + K_a K_b / K^2."""
     K2 = minkowski_dot(K, K)
-    Kl = K.lower()
+    Kl = ETA @ K
     target = -ETA + np.outer(Kl, Kl) / K2
-    got = sum(np.outer(e.lower(), e.lower()) for e in basis)
+    got = sum(np.outer(ETA @ e, ETA @ e) for e in basis)
     return float(np.max(np.abs(got - target)))
 
 
@@ -167,9 +144,9 @@ GAMMA = (
 )
 
 
-def slash(k: FourVector) -> np.ndarray:
+def slash(k: np.ndarray) -> np.ndarray:
     """k-slash = gamma^mu k_mu."""
-    kl = k.lower()
+    kl = ETA @ k
     return sum(kl[mu] * GAMMA[mu] for mu in range(4))
 
 

@@ -67,14 +67,25 @@ class Leg(Record):
             self.field, True, mom, OnShell(mom), self.spin, self.pol, self.ipol))
 
 
-class VertexRule(Record):
-    """A constant momentum-space factor attached to an interaction point."""
+def _to_float(q: Fraction) -> float:
+    """q rounded to a float; +-inf past float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
-    factor: complex = 0.0
+
+class VertexRule(Record):
+    """A constant momentum-space factor attached to an interaction point, by
+    its exact real and imaginary parts (a float counts at its binary value)."""
+
+    re: Fraction | float = 0
+    im: Fraction | float = 0
 
     def __post_init__(self):
-        if not cmath.isfinite(self.factor):
-            raise ValueError(f"vertex factor {self.factor} is not finite")
+        factor = complex(_to_float(self.re), _to_float(self.im))
+        if not cmath.isfinite(factor):
+            raise ValueError(f"vertex factor {factor} is not finite")
 
 
 class GreenFunction(Record):
@@ -149,20 +160,22 @@ def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
     Each external leg contributes i/sqrt(Z); its amputation factor cancels
     the external propagator pole exactly, so legs enter the connected part
     with residue one. The connected amplitude is the sum of vertex factors
-    times the leg prefactors; with no (or all-zero) vertices it is exactly
-    zero. The elastic contribution is assembled independently from the free
-    barred overlap.
+    times the leg prefactors. The vertex sum is exact: with no vertices, or
+    vertices that sum to zero, the connected part is exactly zero; else the
+    sum is rounded once to a complex. The elastic contribution is assembled
+    independently from the free barred overlap.
     """
     for leg in g.legs:
         _check_on_shell(leg, recipe.masses, SHELL_TOL)
-    vertex_sum = sum((v.factor for v in g.vertices), 0j)
-    if vertex_sum == 0:
+    re = sum(Fraction(v.re) for v in g.vertices)
+    im = sum(Fraction(v.im) for v in g.vertices)
+    if re == im == 0:
         connected = 0j
     else:
         prefactor = 1.0 + 0j
         for leg in g.legs:
             prefactor *= 1j / math.sqrt(recipe.z_of(leg.field))
-        connected = prefactor * vertex_sum
+        connected = prefactor * complex(_to_float(re), _to_float(im))
     if not cmath.isfinite(connected):
         raise ValueError(f"connected amplitude {connected} is not finite")
     elastic = elastic_overlap(g.legs, cfg)

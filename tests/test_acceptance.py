@@ -13,7 +13,7 @@ from innerqft.cli import main as cli_main
 from innerqft.fock import FieldMasses, FockState
 from innerqft.grammar import parse_expression
 from innerqft.gravlimit import RegularizationConfig, barred, grav_limit_expr
-from innerqft.kinematics import ETA, FourVector, MassShellMomentum
+from innerqft.kinematics import ETA, MassShellMomentum
 from innerqft.opalg import (Delta3, ERatioPow, Metric, OmegaPow,
                             OperatorExpr, SpinDelta, anticommutator,
                             commutator, make_monomial)
@@ -135,7 +135,7 @@ def test_04_polarization_and_spinor_identities():
                           - ETA[g, g2]) <= TOL
         spatial = [rng.uniform(-2, 2) for _ in range(3)]
         t = sum(abs(c) for c in spatial) + rng.uniform(0.5, 2)
-        K = FourVector(t, *spatial)
+        K = np.array([t, *spatial])
         ibasis = kinematics.build_inner_polarizations(K)
         ok &= kinematics.inner_completeness_residual(ibasis, K) <= TOL
         for E in ibasis:
@@ -225,11 +225,11 @@ def test_08_projected_unitarity():
             ok &= rep.passed and not rep.precondition_failures
     ident = smatrix.ToySMatrix(np.eye(4, dtype=complex), np.eye(4),
                                vacuum_index=0, one_particle_indices=(1, 2))
-    ok &= smatrix.vacuum_and_one_particle_checks(ident, TOL).passed
+    ok &= not smatrix.vacuum_and_one_particle_checks(ident, TOL)
     phase = smatrix.ToySMatrix(np.diag([np.exp(0.3j), 1.0, 1.0, 1.0]),
                                np.eye(4), vacuum_index=0,
                                one_particle_indices=(1,))
-    ok &= not smatrix.vacuum_and_one_particle_checks(phase, TOL).passed
+    ok &= bool(smatrix.vacuum_and_one_particle_checks(phase, TOL))
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     bad = smatrix.toy_unitarity_check(
         smatrix.ToySMatrix(had, np.diag([1.0, 0.0])), TOL)

@@ -505,6 +505,18 @@ def test_non_finite_vertex_exits_2_at_its_line(greens, line, tmp_path, capsys):
     assert err.endswith(" is not finite\n")
 
 
+@pytest.mark.parametrize("greens, connected", [
+    ("vertex 0.1\nvertex 0.2\nvertex -0.3", "0j"),
+    ("vertex 0.1 0.7\nvertex 0.2 -0.7\nvertex -0.3", "0j"),
+    ("vertex 1e308\nvertex 1e308\nvertex -1e308", "(1e+308+0j)")])
+def test_vertex_sum_is_exact(greens, connected, tmp_path, capsys):
+    """The vertex factors are summed as the decimals they are written as."""
+    legs = ("in scalar p=1,0,0\nin scalar p=0,1,0\n"
+            "out scalar p=1,0,0\nout scalar p=0,1,0\n")
+    assert _reduce(tmp_path, legs, greens + "\n") == 0
+    assert capsys.readouterr().out.startswith(f"connected: {connected}\n")
+
+
 # Random legs and greens files: reduce exits 0 or 2, never through an
 # exception. Most lines are well formed, so that many files load.
 _FIELD_KEYS = {"scalar": "", "dirac": " s=1", "antidirac": " s=2",
@@ -626,33 +638,47 @@ def test_reduce_rejects_an_off_shell_energy_at_large_momentum(tmp_path, capsys):
     assert "off-shell" in capsys.readouterr().err
 
 
-# The exact cases of the verify report, pinned per seed. Numeric cases are
-# left out: their residuals depend on the BLAS build. A change to this text
-# is a declared report change and regenerates the files in the same change:
+# The verify report, pinned per seed: every field of the exact cases, and
+# every field but the residual (lhs) of the numeric cases, since residuals
+# depend on the BLAS build. A change to this text is a declared report change
+# and regenerates the files in the same change:
 #   PYTHONPATH=src:tests python3 -c "import test_cli; test_cli.pin_verify_exact()"
 DATA = Path(__file__).resolve().parent / "data"
-_PINNED = ("name", "status", "detail", "lhs", "rhs")
+_PINNED = {"exact": ("name", "status", "detail", "lhs", "rhs"),
+           "numeric": ("name", "status", "detail", "rhs", "tolerance")}
 _EXACT_SEEDS = (0, 21)
 
 
-def _exact_cases(seed: int) -> list:
+def _pinned_cases(kind: str, seed: int) -> list:
     doc = json.loads(_stdout(["verify", "--suite", "all", "--format", "json",
                               "--seed", str(seed)]))
-    return [{k: c[k] for k in _PINNED} for c in doc["cases"]
-            if c["tolerance"] is None]
+    return [{k: c[k] for k in _PINNED[kind]} for c in doc["cases"]
+            if (c["tolerance"] is None) == (kind == "exact")]
+
+
+def _golden(kind: str, seed: int) -> Path:
+    return DATA / f"verify_{kind}_seed{seed}.json"
 
 
 def pin_verify_exact():
-    """Rewrite the pinned exact cases of every seed from the current code."""
-    for seed in _EXACT_SEEDS:
-        (DATA / f"verify_exact_seed{seed}.json").write_text(
-            json.dumps(_exact_cases(seed), indent=1) + "\n")
+    """Rewrite the pinned exact and numeric cases of every seed from the
+    current code."""
+    for kind in _PINNED:
+        for seed in _EXACT_SEEDS:
+            _golden(kind, seed).write_text(
+                json.dumps(_pinned_cases(kind, seed), indent=1) + "\n")
 
 
 @pytest.mark.parametrize("seed", _EXACT_SEEDS)
 def test_exact_cases_match_golden_report(seed):
-    want = json.loads((DATA / f"verify_exact_seed{seed}.json").read_text())
-    assert _exact_cases(seed) == want
+    want = json.loads(_golden("exact", seed).read_text())
+    assert _pinned_cases("exact", seed) == want
+
+
+@pytest.mark.parametrize("seed", _EXACT_SEEDS)
+def test_numeric_cases_match_golden_report(seed):
+    want = json.loads(_golden("numeric", seed).read_text())
+    assert _pinned_cases("numeric", seed) == want
 
 
 # The stdout of a fixed list of commands, pinned byte for byte. The reduce

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -151,6 +152,12 @@ def test_momentum_action_gauge_weights():
     # weight eta^{gg} eta^{GG}: (-1)(-1)=+1 for spatial, (+1)(-1)=-1 for g=0
     assert p_plus == (2, 0, 0, 0)
     assert p_minus == (-2, 0, 0, 0)
+
+
+def test_momentum_action_rejects_nan_mass():
+    ket = FockState.ket(bound_op())
+    with pytest.raises(ValueError, match="^mass must be positive$"):
+        fock.momentum_action("p", ket, FieldMasses(scalar=math.nan))
 
 
 def test_momentum_action_requires_bound_labels():

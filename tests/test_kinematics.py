@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerqft import kinematics as kin
-from innerqft.kinematics import ETA, FourVector, MassShellMomentum
+from innerqft.kinematics import ETA, MassShellMomentum
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 mass = st.floats(min_value=0.5, max_value=2.0)
@@ -18,7 +18,7 @@ def test_metric_signature():
 
 def test_minkowski_dot_basic():
     # [DERIVED] (2,1,0,0).(3,0,1,0) = 2*3 - 1*0 - 0 - 0 = 6
-    assert kin.minkowski_dot(FourVector(2, 1, 0, 0), FourVector(3, 0, 1, 0)) == 6
+    assert kin.minkowski_dot(np.array([2., 1, 0, 0]), np.array([3., 0, 1, 0])) == 6
 
 
 def test_on_shell_energy_values():
@@ -31,6 +31,8 @@ def test_massless_rejected():
     with pytest.raises(ValueError):
         kin.on_shell_energy((1, 0, 0), 0.0)
     for mass in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^mass must be positive$"):
+            kin.on_shell_energy((1, 0, 0), mass)
         with pytest.raises(ValueError, match="^mass must be positive$"):
             MassShellMomentum.of((1, 0, 0), mass)
         with pytest.raises(ValueError, match="^mass must be positive$"):
@@ -52,7 +54,7 @@ def test_spacetime_polarizations(x, y, z, mu):
     assert kin.spacetime_completeness_residual(eps, k) < 1e-10
     k4 = k.four_vector()
     # zero mode is k/mu; the three others are transversal and orthonormal
-    assert np.allclose(eps[0].as_array(), k4.as_array() / mu, atol=1e-12)
+    assert np.allclose(eps[0], k4 / mu, atol=1e-12)
     for g in range(1, 4):
         assert abs(kin.minkowski_dot(k4, eps[g])) < 1e-10
     for g in range(4):
@@ -65,7 +67,7 @@ def test_spacetime_polarizations(x, y, z, mu):
 @settings(max_examples=40, deadline=None)
 def test_inner_polarizations(x, y, z, gap):
     t = math.sqrt(x * x + y * y + z * z) + gap
-    K = FourVector(t, x, y, z)
+    K = np.array([t, x, y, z])
     basis = kin.build_inner_polarizations(K)
     assert kin.inner_completeness_residual(basis, K) < 1e-10
     for E in basis:
@@ -75,9 +77,11 @@ def test_inner_polarizations(x, y, z, gap):
 
 def test_inner_polarizations_reject_nontimelike():
     with pytest.raises(ValueError):
-        kin.build_inner_polarizations(FourVector(1, 1, 0, 0))
+        kin.build_inner_polarizations(np.array([1., 1, 0, 0]))
     with pytest.raises(ValueError):
-        kin.build_inner_polarizations(FourVector(0, 1, 2, 0))
+        kin.build_inner_polarizations(np.array([0., 1, 2, 0]))
+    with pytest.raises(ValueError):
+        kin.build_inner_polarizations(np.array([math.nan, 0, 0, 0]))
 
 
 def test_polarizations_deterministic():
@@ -85,7 +89,7 @@ def test_polarizations_deterministic():
     b1 = kin.build_spacetime_polarizations(k)
     b2 = kin.build_spacetime_polarizations(k)
     for e1, e2 in zip(b1, b2):
-        assert np.array_equal(e1.as_array(), e2.as_array())
+        assert np.array_equal(e1, e2)
 
 
 def test_gamma_clifford_exact():

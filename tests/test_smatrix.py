@@ -11,7 +11,7 @@ from innerqft import cli, opalg, smatrix
 from innerqft.fock import FieldMasses
 from innerqft.grammar import parse_expression
 from innerqft.gravlimit import RegularizationConfig
-from innerqft.kinematics import ETA, FourVector
+from innerqft.kinematics import ETA
 from innerqft.smatrix import (GreenFunction, Leg, LSZRecipe, PropagatorSpec,
                               ToySMatrix, VertexRule, elastic_overlap,
                               lsz_reduce,
@@ -24,18 +24,20 @@ def test_propagator_spec_validation():
         PropagatorSpec("tensor", 1.0)
     with pytest.raises(ValueError):
         PropagatorSpec("scalar", 1.0, i_epsilon=0.0)
+    with pytest.raises(ValueError, match="^i_epsilon must be positive$"):
+        PropagatorSpec("scalar", 1.0, math.nan)
 
 
 def test_scalar_propagator_value():
     spec = PropagatorSpec("scalar", 1.0, 1e-8)
     # [DERIVED] k = (2,0,0,0): k^2 - m^2 = 4 - 1 = 3
-    val = propagator_eval(spec, FourVector(2, 0, 0, 0))
+    val = propagator_eval(spec, np.array([2., 0, 0, 0]))
     assert val == pytest.approx(1 / (3 + 1e-8j))
 
 
 def test_dirac_propagator_matrix():
     spec = PropagatorSpec("dirac", 1.0, 1e-8)
-    k = FourVector(2, 0, 0, 0)
+    k = np.array([2., 0, 0, 0])
     mat = propagator_eval(spec, k)
     from innerqft.kinematics import slash
     want = (slash(k) + np.eye(4)) / (3 + 1e-8j)
@@ -44,21 +46,21 @@ def test_dirac_propagator_matrix():
 
 def test_gauge_propagator_factorizes():
     spec = PropagatorSpec("gauge", 1.0, 1e-8)
-    k = FourVector(2, 0, 0, 0)
-    K = FourVector(3, 1, 0, 0)
+    k = np.array([2., 0, 0, 0])
+    K = np.array([3., 1, 0, 0])
     spacetime, inner = propagator_eval(spec, k, K)
     assert np.allclose(spacetime, -ETA / (3 + 1e-8j))
     # inner part is the transversal projector around K
-    assert np.max(np.abs(K.as_array() @ inner)) < 1e-12
+    assert np.max(np.abs(K @ inner)) < 1e-12
     proj = smatrix.inner_transversal_projector(K)
     assert np.allclose(inner, proj)
-    Kl = ETA @ K.as_array()
+    Kl = ETA @ K
     assert np.allclose(proj, ETA - np.outer(Kl, Kl) / (9 - 1))
 
 
 def test_inner_projector_rejects_null():
     with pytest.raises(ValueError):
-        smatrix.inner_transversal_projector(FourVector(1, 1, 0, 0))
+        smatrix.inner_transversal_projector(np.array([1., 1, 0, 0]))
 
 
 @pytest.mark.parametrize("kind", ["scalar", "dirac", "gauge"])
@@ -444,19 +446,19 @@ def test_unitarity_bad_projector():
 def test_vacuum_and_one_particle_invariance():
     t = ToySMatrix(np.eye(4, dtype=complex), np.eye(4), vacuum_index=0,
                    one_particle_indices=(1, 2))
-    assert vacuum_and_one_particle_checks(t).passed
+    assert vacuum_and_one_particle_checks(t) == ()
 
 
 def test_vacuum_phase_flagged():
     s = np.diag([np.exp(0.2j), 1.0, 1.0, 1.0])
     t = ToySMatrix(s, np.eye(4), vacuum_index=0, one_particle_indices=(1,))
-    assert not vacuum_and_one_particle_checks(t).passed
+    assert vacuum_and_one_particle_checks(t)
 
 
 def test_vacuum_mixing_flagged():
     s = np.eye(4, dtype=complex)[[1, 0, 2, 3]]  # S swaps the vacuum and state 1
     t = ToySMatrix(s, np.eye(4), vacuum_index=0, one_particle_indices=(2,))
-    assert vacuum_and_one_particle_checks(t).violations == (
+    assert vacuum_and_one_particle_checks(t) == (
         "vacuum: S[0,0] = 0+0j, want 1 (zero-phase convention)",
         "vacuum: S mixes the vacuum with other sectors")
 
@@ -466,7 +468,7 @@ def test_one_particle_mixing_flagged():
     s[1, 1] = s[3, 3] = 0
     s[1, 3] = s[3, 1] = 1
     t = ToySMatrix(s, np.eye(4), vacuum_index=0, one_particle_indices=(1,))
-    assert not vacuum_and_one_particle_checks(t).passed
+    assert vacuum_and_one_particle_checks(t)
 
 
 # -- the Frobenius screen of the unitarity preconditions ----------------------
