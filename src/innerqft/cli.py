@@ -9,6 +9,7 @@ report before printing it, so such input leaves stdout empty.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -188,30 +189,32 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
 
 def _vertex_part(text: str, where: str) -> Fraction | float:
     """The exact value of a vertex part written as a float; nan and values
-    past float range stay floats, which VertexRule reports as not finite."""
+    past float range stay floats, which `load_greens` rejects."""
     value = _number(float, text, where)
     return Fraction(text) if math.isfinite(value) else value
 
 
-def load_greens(path: str) -> tuple[smatrix.VertexRule, ...]:
+def load_greens(path: str) -> tuple[tuple, ...]:
+    """The exact (re, im) parts of each vertex factor, the imaginary part 0
+    when it is left out; the one check of vertex input rejects a factor
+    that is not finite at its line."""
     vertices = []
     for where, line in _read_lines(path, "green-function"):
         tokens = line.split()
         if tokens[0] != "vertex" or len(tokens) not in (2, 3):
-            raise ConfigError(
-                f"{where}: expected 'vertex <re> [<im>]'")
-        parts = [_vertex_part(tok, where) for tok in tokens[1:]]
-        try:
-            vertices.append(smatrix.VertexRule(*parts))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            raise ConfigError(f"{where}: expected 'vertex <re> [<im>]'")
+        re, im = (*(_vertex_part(tok, where) for tok in tokens[1:]), 0)[:2]
+        factor = complex(re, im)
+        if not cmath.isfinite(factor):
+            raise ConfigError(f"{where}: vertex factor {factor} is not finite")
+        vertices.append((re, im))
     return tuple(vertices)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    green = smatrix.GreenFunction(load_legs(args.legs), load_greens(args.greens))
-    amp = smatrix.lsz_reduce(green, cfg.recipe, cfg.reg)
+    amp = smatrix.lsz_reduce(load_legs(args.legs), load_greens(args.greens),
+                             cfg.recipe, cfg.reg)
     if cfg.fmt == "json":
         doc = {
             "connected": {"re": amp.connected.real, "im": amp.connected.imag},

@@ -11,7 +11,7 @@ import math
 from operator import add
 
 from . import opalg
-from .opalg import (GAUGE, LadderOperator, Monomial, OnShell, OperatorExpr,
+from .opalg import (ATOMS, GAUGE, LadderOperator, Monomial, OnShell, OperatorExpr,
                     reduce_to_normal_form, vev)
 from .record import Record
 
@@ -71,13 +71,13 @@ def inner_product(bra: FockState, ket: FockState) -> OperatorExpr:
 
 
 def _quantum_weight(op: LadderOperator) -> int:
-    """eta^{gg} eta^{GG} of a gauge quantum (eta^{GG} = -1, G in 1..3);
-    +1 for matter."""
+    """eta^{gg} eta^{GG} of a gauge quantum, by the metric signs that
+    `make_monomial` applies; +1 for matter."""
     if op.field != GAUGE:
         return 1
     if not isinstance(op.pol, int) or not isinstance(op.ipol, int):
         raise ValueError("gauge quanta need bound polarization labels here")
-    return (1 if op.pol == 0 else -1) * (-1)
+    return ATOMS["eta"].sign(op.pol) * ATOMS["ETA"].sign(op.ipol)
 
 
 def norm_sign(ket: Monomial | FockState) -> int:

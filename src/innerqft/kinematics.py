@@ -41,6 +41,8 @@ class MassShellMomentum(Record):
     def __post_init__(self):
         if not self.mass > 0:
             raise ValueError("mass must be positive")
+        if not all(map(math.isfinite, self.spatial)):
+            raise ValueError("spatial momentum components must be finite")
 
     @classmethod
     def of(cls, spatial, mass: float) -> "MassShellMomentum":

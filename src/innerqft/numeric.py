@@ -4,11 +4,15 @@ toy projected-unitarity model.
 This is the package's numpy layer; of the CLI commands only `verify` loads
 it. Momenta are four-vector arrays as in `kinematics`. Gauge propagators are
 fixed to the Feynman-type gauge (gauge parameter 1); other gauges are out of
-scope. The unitarity checks return a `UnitarityReport` and, for the vacuum
-and one-particle sectors, a tuple of violations.
+scope. The checks return plain values: `wick_two_point` the exact residue,
+its expected value and the numerator residual; `toy_unitarity_check` the
+failed preconditions and the conclusion norm; the vacuum and one-particle
+check a tuple of violations.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +42,8 @@ class PropagatorSpec(Record):
     def __post_init__(self):
         if self.kind not in ("scalar", "dirac", "gauge"):
             raise ValueError(f"unknown propagator kind {self.kind!r}")
+        if not 0 <= self.mass < math.inf:
+            raise ValueError("propagator mass must be finite and non-negative")
         if not self.i_epsilon > 0:
             raise ValueError("i_epsilon must be positive")
 
@@ -48,8 +54,9 @@ class PropagatorSpec(Record):
 def inner_transversal_projector(K: np.ndarray) -> np.ndarray:
     """eta_{ab} - K_a K_b / K^2 with lowered indices; annihilates K."""
     K2 = minkowski_dot(K, K)
-    if K2 == 0:
-        raise ValueError("inner projector is singular for lightlike K")
+    if not 0 < abs(K2) < math.inf:
+        raise ValueError("inner projector is singular for lightlike or "
+                         "non-finite K")
     Kl = ETA @ K
     return ETA - np.outer(Kl, Kl) / K2
 
@@ -74,26 +81,6 @@ def propagator_eval(spec: PropagatorSpec, k: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Two-point function vs Wick contraction
-
-
-class TwoPointCheck(Record):
-    residue: OperatorExpr          # exact leftover of the measure cancellation
-    residue_expected: OperatorExpr
-    numerator_residual: float      # numeric spin/polarization-sum identity
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.residue == self.residue_expected
-                and self.numerator_residual <= self.tolerance)
-
-    def mismatch(self) -> str:
-        if self.residue != self.residue_expected:
-            return (f"coefficient structure: got {self.residue}, "
-                    f"want {self.residue_expected}")
-        if self.numerator_residual > self.tolerance:
-            return f"numerator residual {self.numerator_residual:.3e}"
-        return ""
 
 
 # per kind: the contracted annihilator/creator pair, one leg's mode-expansion
@@ -132,53 +119,34 @@ def _numerator_residual(kind: str) -> float:
     return worst
 
 
-def wick_two_point(kind: str, tol: float = DEFAULT_TOL) -> TwoPointCheck:
-    """Check the free time-ordered two-point function against its propagator.
+def wick_two_point(kind: str) -> tuple[OperatorExpr, OperatorExpr, float]:
+    """The free time-ordered two-point function against its propagator:
+    (residue, expected, numerator_residual).
 
     The mode-expansion measure of the contracted leg must cancel the contact
-    term exactly, leaving the printed propagator prefactor: 1 for matter
-    (times L^4 d4(X-Y) which the uncontracted measure supplies) and
-    L^2 eta eta for the gauge field. Spin and polarization sums are checked
-    numerically against the kernel numerators, at unit masses.
+    term exactly, leaving `expected`, the printed propagator prefactor: 1 for
+    matter (times L^4 d4(X-Y) which the uncontracted measure supplies) and
+    L^2 eta eta for the gauge field. The numerator residual is the largest
+    deviation of the spin and polarization sums from the kernel numerators,
+    at unit masses.
     """
     if kind not in _TWO_POINT:
         raise ValueError(f"unknown two-point kind {kind!r}")
     pair, measure, expected = map(parse_expression, _TWO_POINT[kind])
     residue = delta_resolve(vev(pair) * measure)
-    return TwoPointCheck(residue, expected, _numerator_residual(kind), tol)
+    return residue, expected, _numerator_residual(kind)
 
 
 # ---------------------------------------------------------------------------
 # Toy S-matrix and projected unitarity
 
 
-class ToySMatrix(Record):
-    """Finite unitary S over a graded basis with a physical projector P."""
-
-    s: np.ndarray
-    p: np.ndarray
-    vacuum_index: int = 0
-    one_particle_indices: tuple = ()
-
-    @property
-    def dim(self) -> int:
-        return self.s.shape[0]
-
-
-class UnitarityReport(Record):
-    precondition_failures: tuple
-    conclusion_norm: float | None
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (not self.precondition_failures
-                and self.conclusion_norm is not None
-                and self.conclusion_norm <= self.tolerance)
-
-
-def toy_unitarity_check(t: ToySMatrix, tol: float = DEFAULT_TOL) -> UnitarityReport:
-    """Assert ||P S^dag S P - P|| <= tol given the S/P compatibility preconditions.
+def toy_unitarity_check(s: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL
+                        ) -> tuple[tuple, float | None]:
+    """Check ||P S^dag S P - P|| <= tol for a unitary S commuting with a
+    projector P over a graded basis: (failed preconditions, conclusion norm).
+    S passes when no precondition fails and the norm is at most tol; the
+    norm is None when a precondition fails.
 
     Every norm is the spectral (2-)norm. A precondition only gates the
     result, and ||A||_2 <= ||A||_F, so its costly SVD is skipped when the
@@ -186,8 +154,7 @@ def toy_unitarity_check(t: ToySMatrix, tol: float = DEFAULT_TOL) -> UnitarityRep
     tol that rounding in either norm cannot flip the decision. Above tol/2
     the 2-norm decides and is printed, as is the conclusion norm.
     """
-    s, p = t.s, t.p
-    eye = np.eye(t.dim)
+    eye = np.eye(s.shape[0])
     failures = []
     for name, residual in (
             ("S not unitary", s.conj().T @ s - eye),
@@ -200,28 +167,28 @@ def toy_unitarity_check(t: ToySMatrix, tol: float = DEFAULT_TOL) -> UnitarityRep
         if norm > tol:
             failures.append(f"{name} (norm {norm:.3e})")
     if failures:
-        return UnitarityReport(tuple(failures), None, tol)
-    concl = float(np.linalg.norm(p @ s.conj().T @ s @ p - p, 2))
-    return UnitarityReport((), concl, tol)
+        return tuple(failures), None
+    return (), float(np.linalg.norm(p @ s.conj().T @ s @ p - p, 2))
 
 
-def vacuum_and_one_particle_checks(t: ToySMatrix,
+def vacuum_and_one_particle_checks(s: np.ndarray, vacuum_index: int,
+                                   one_particle_indices: tuple,
                                    tol: float = DEFAULT_TOL) -> tuple:
     """The ways S fails to fix the vacuum with zero phase or to act as the
     identity on the one-particle sector; empty when it passes."""
     violations = []
-    v = t.vacuum_index
-    col = t.s[:, v]
+    v = vacuum_index
+    col = s[:, v]
     if abs(col[v] - 1.0) > tol:
         violations.append(f"vacuum: S[{v},{v}] = {col[v]:.6g}, want 1 "
                           "(zero-phase convention)")
     off = np.delete(col, v)
     if off.size and np.max(np.abs(off)) > tol:
         violations.append("vacuum: S mixes the vacuum with other sectors")
-    for i in t.one_particle_indices:
-        if abs(t.s[i, i] - 1.0) > tol:
-            violations.append(f"one-particle {i}: diagonal {t.s[i, i]:.6g}, want 1")
-        off = np.delete(t.s[:, i], i)
+    for i in one_particle_indices:
+        if abs(s[i, i] - 1.0) > tol:
+            violations.append(f"one-particle {i}: diagonal {s[i, i]:.6g}, want 1")
+        off = np.delete(s[:, i], i)
         if off.size and np.max(np.abs(off)) > tol:
             violations.append(f"one-particle {i}: mixes with other sectors")
     return tuple(violations)

@@ -75,29 +75,10 @@ def _to_float(q: Fraction) -> float:
         return math.inf if q > 0 else -math.inf
 
 
-class VertexRule(Record):
-    """A constant momentum-space factor attached to an interaction point, by
-    its exact real and imaginary parts (a float counts at its binary value)."""
-
-    re: Fraction | float = 0
-    im: Fraction | float = 0
-
-    def __post_init__(self):
-        factor = complex(_to_float(self.re), _to_float(self.im))
-        if not cmath.isfinite(factor):
-            raise ValueError(f"vertex factor {factor} is not finite")
-
-
-class GreenFunction(Record):
-    legs: tuple
-    vertices: tuple = ()
-
-
 class LSZRecipe(Record):
     z: float = 1.0
     z2: float = 1.0
     z3: float = 1.0
-    masses: FieldMasses = FieldMasses()
 
     def __post_init__(self):
         for name, z in (("z", self.z), ("z2", self.z2), ("z3", self.z3)):
@@ -153,38 +134,42 @@ def elastic_overlap(legs: Sequence[Leg], cfg: RegularizationConfig
     return grav_limit_expr(vev(prod), cfg)
 
 
-def lsz_reduce(g: GreenFunction, recipe: LSZRecipe = LSZRecipe(),
+def lsz_reduce(legs: Sequence[Leg], vertices: Sequence[tuple] = (),
+               recipe: LSZRecipe = LSZRecipe(),
                cfg: RegularizationConfig = RegularizationConfig()) -> Amplitude:
-    """Momentum-space LSZ assembly for a Green-function specification.
+    """Momentum-space LSZ assembly of a Green function: its external legs
+    and the constant factors of its vertices, each an exact (re, im) pair.
 
-    Each external leg contributes i/sqrt(Z); its amputation factor cancels
-    the external propagator pole exactly, so legs enter the connected part
-    with residue one. The connected amplitude is the sum of vertex factors
-    times the leg prefactors. The vertex sum is exact: with no vertices, or
-    vertices that sum to zero, the connected part is exactly zero; else the
-    sum is rounded once to a complex. The elastic contribution is assembled
-    independently from the free barred overlap.
+    A leg with an energy must lie on the unit-mass shell. Each external leg
+    contributes i/sqrt(Z); its amputation factor cancels the external
+    propagator pole exactly, so legs enter the connected part with residue
+    one. The connected amplitude is the sum of vertex factors times the leg
+    prefactors. The vertex sum is exact: with no vertices, or vertices that
+    sum to zero, the connected part is exactly zero; else the sum is rounded
+    once to a complex. The elastic contribution is assembled independently
+    from the free barred overlap.
     """
-    for leg in g.legs:
-        _check_on_shell(leg, recipe.masses, SHELL_TOL)
-    re = sum(Fraction(v.re) for v in g.vertices)
-    im = sum(Fraction(v.im) for v in g.vertices)
+    masses = FieldMasses()
+    for leg in legs:
+        _check_on_shell(leg, masses, SHELL_TOL)
+    re = sum(Fraction(v) for v, _ in vertices)
+    im = sum(Fraction(v) for _, v in vertices)
     if re == im == 0:
         connected = 0j
     else:
         prefactor = 1.0 + 0j
-        for leg in g.legs:
+        for leg in legs:
             prefactor *= 1j / math.sqrt(recipe.z_of(leg.field))
         connected = prefactor * complex(_to_float(re), _to_float(im))
     if not cmath.isfinite(connected):
         raise ValueError(f"connected amplitude {connected} is not finite")
-    elastic = elastic_overlap(g.legs, cfg)
+    elastic = elastic_overlap(legs, cfg)
     invariance = None
-    if len(g.legs) == 2 and not g.vertices \
-            and g.legs[0].direction != g.legs[1].direction:
+    if len(legs) == 2 and not vertices \
+            and legs[0].direction != legs[1].direction:
         # the overlap equals the in leg's norm, which is never zero, exactly
         # when both legs have one operator; else a d3, kd, eta or ETA kills it
-        invariance = Fraction(g.legs[0].op == g.legs[1].op)
+        invariance = Fraction(legs[0].op == legs[1].op)
     return Amplitude(connected, elastic, invariance)
 
 

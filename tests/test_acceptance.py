@@ -158,9 +158,9 @@ def test_05_propagator_wick_match():
     """Each propagator numerator/measure matches its Wick contraction."""
     ok = True
     for kind in ("scalar", "dirac", "gauge"):
-        check = smatrix.wick_two_point(kind)
-        ok &= check.passed
-    ok &= smatrix.wick_two_point("scalar").residue == OperatorExpr.number(1)
+        residue, expected, numerator = smatrix.wick_two_point(kind)
+        ok &= residue == expected and numerator <= TOL
+    ok &= smatrix.wick_two_point("scalar")[0] == OperatorExpr.number(1)
     report(5, "propagator vs Wick contraction", ok)
 
 
@@ -198,19 +198,18 @@ def test_07_lsz_free_theory():
     """Free-theory amplitudes: elastic matches the pairing oracle."""
     reg = RegularizationConfig()
     masses = FieldMasses()
-    recipe = smatrix.LSZRecipe(1.0, 1.0, 1.0, masses)
+    recipe = smatrix.LSZRecipe(1.0, 1.0, 1.0)
     p, q = (1.0, 2.0, 2.0), (0.5, 0.0, -1.0)
     legs2 = (smatrix.Leg("in", opalg.SCALAR, p),
              smatrix.Leg("out", opalg.SCALAR, p))
-    amp2 = smatrix.lsz_reduce(smatrix.GreenFunction(legs2), recipe, reg)
+    amp2 = smatrix.lsz_reduce(legs2, (), recipe, reg)
     ok = amp2.invariance == Fraction(1) and amp2.connected == 0
     legs4 = (smatrix.Leg("in", opalg.SCALAR, p), smatrix.Leg("in", opalg.SCALAR, q),
              smatrix.Leg("out", opalg.SCALAR, p), smatrix.Leg("out", opalg.SCALAR, q))
-    amp4 = smatrix.lsz_reduce(smatrix.GreenFunction(legs4), recipe, reg)
+    amp4 = smatrix.lsz_reduce(legs4, (), recipe, reg)
     ok &= amp4.elastic == smatrix.wick_pairing_oracle(legs4, masses, reg)
     ok &= amp4.connected == 0
-    gzero = smatrix.GreenFunction(legs4, (smatrix.VertexRule(0.0),))
-    ok &= smatrix.lsz_reduce(gzero, recipe, reg).connected == 0
+    ok &= smatrix.lsz_reduce(legs4, ((0.0, 0),), recipe, reg).connected == 0
     report(7, "free-theory amplitude reduction", ok)
 
 
@@ -220,20 +219,17 @@ def test_08_projected_unitarity():
     ok = True
     for dim in (4, 16, 64):
         for _ in range(100):
-            t = random_toy_instance(rng, dim)
-            rep = smatrix.toy_unitarity_check(t, TOL)
-            ok &= rep.passed and not rep.precondition_failures
-    ident = smatrix.ToySMatrix(np.eye(4, dtype=complex), np.eye(4),
-                               vacuum_index=0, one_particle_indices=(1, 2))
-    ok &= not smatrix.vacuum_and_one_particle_checks(ident, TOL)
-    phase = smatrix.ToySMatrix(np.diag([np.exp(0.3j), 1.0, 1.0, 1.0]),
-                               np.eye(4), vacuum_index=0,
-                               one_particle_indices=(1,))
-    ok &= bool(smatrix.vacuum_and_one_particle_checks(phase, TOL))
+            failures, concl = smatrix.toy_unitarity_check(
+                *random_toy_instance(rng, dim), TOL)
+            ok &= not failures and concl <= TOL
+    ident = np.eye(4, dtype=complex)
+    ok &= not smatrix.vacuum_and_one_particle_checks(ident, 0, (1, 2), TOL)
+    phase = np.diag([np.exp(0.3j), 1.0, 1.0, 1.0])
+    ok &= bool(smatrix.vacuum_and_one_particle_checks(phase, 0, (1,), TOL))
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    bad = smatrix.toy_unitarity_check(
-        smatrix.ToySMatrix(had, np.diag([1.0, 0.0])), TOL)
-    ok &= bool(bad.precondition_failures) and bad.conclusion_norm is None
+    failures, concl = smatrix.toy_unitarity_check(had, np.diag([1.0, 0.0]),
+                                                  TOL)
+    ok &= bool(failures) and concl is None
     report(8, "projected unitarity of toy instances", ok)
 
 

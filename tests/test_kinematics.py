@@ -39,6 +39,14 @@ def test_massless_rejected():
             MassShellMomentum((1.0, 0.0, 0.0), mass)
 
 
+@pytest.mark.parametrize("spatial", [(math.nan, 0, 0), (0, math.inf, 0),
+                                     (0, 0, -math.inf)])
+def test_non_finite_spatial_momentum_rejected(spatial):
+    with pytest.raises(ValueError, match="^spatial momentum components must "
+                                         "be finite$"):
+        MassShellMomentum.of(spatial, 1.0)
+
+
 @given(finite, finite, finite, mass)
 @settings(max_examples=60, deadline=None)
 def test_mass_shell_invariant(x, y, z, m):

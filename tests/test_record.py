@@ -9,16 +9,25 @@ pairs, through both its real fast path and its complex path.
 """
 
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerqft import fock, gravlimit, opalg
+import innerqft
+from innerqft import fock, gravlimit, opalg, smatrix
+from innerqft.config import RunConfig
+from innerqft.grammar import parse_expression
+from innerqft.kinematics import MassShellMomentum
+from innerqft.numeric import PropagatorSpec
 from innerqft.opalg import (Atom, CRat, LadderOperator, Monomial, OnShell,
                             OperatorExpr, make_monomial)
+from innerqft.record import Record
+from innerqft.suites import Case
 
 # -- strategies ----------------------------------------------------------------
 
@@ -120,6 +129,63 @@ def test_records_equal_only_records_of_their_type(x, y):
     assert x != values and values != x
     if len(values) == 1:
         assert x != values[0]
+
+
+def _record_types():
+    """Every Record subclass that a module of innerqft defines."""
+    for mod in pkgutil.iter_modules(innerqft.__path__):
+        importlib.import_module(f"innerqft.{mod.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("innerqft."):
+                found.add(sub)
+    return found
+
+
+# one sample of each record type, built on use
+SAMPLES = {
+    "opalg.CRat": lambda: CRat(Fraction(1, 2), 3),
+    "opalg.OnShell": lambda: OnShell((1, 0, Fraction(1, 3))),
+    "opalg.LadderOperator": lambda: LadderOperator(opalg.GAUGE, True, "k", "K",
+                                                   pol=0, ipol="G"),
+    "opalg.AtomSpec": lambda: opalg.ATOMS["eta"],
+    "opalg.Atom": lambda: Atom("w", ("k",), -1),
+    "opalg.Monomial": lambda: make_monomial(
+        2, 1, 3, atoms=(Atom("d3(0)"),),
+        ops=(LadderOperator(opalg.SCALAR, False, "k", "K"),)),
+    "opalg.OperatorExpr": lambda: parse_expression("a(k;K) + 2*L^2*w(h)"),
+    "fock.FockState": lambda: fock.FockState.ket(
+        LadderOperator(opalg.SCALAR, True, "k", "K")),
+    "fock.FieldMasses": lambda: fock.FieldMasses(2.0, 1.0, 0.5),
+    "gravlimit.RegularizationConfig": lambda: gravlimit.RegularizationConfig(
+        2.0, 3.0),
+    "smatrix.Leg": lambda: smatrix.Leg("in", opalg.DIRAC_PARTICLE, (1, 0, 0),
+                                       spin=2, energy=2 ** 0.5),
+    "smatrix.LSZRecipe": lambda: smatrix.LSZRecipe(0.5, 1.0, 0.25),
+    "smatrix.Amplitude": lambda: smatrix.Amplitude(
+        1j, parse_expression("2*w(k)"), Fraction(1)),
+    "config.RunConfig": lambda: RunConfig(seed=3, fmt="json"),
+    "kinematics.MassShellMomentum": lambda: MassShellMomentum((1.0, 0.0, 2.0),
+                                                              1.5),
+    "numeric.PropagatorSpec": lambda: PropagatorSpec("dirac", 1.0, 1e-6),
+    "suites.Case": lambda: Case("x.y", True, "detail", "1", "1", 1e-12),
+}
+
+
+def test_every_record_type_equals_its_rebuilt_copy():
+    """Each record type has a sample in SAMPLES, and the sample equals, and
+    hashes like, a copy rebuilt from its fields."""
+    types = {f"{cls.__module__.removeprefix('innerqft.')}.{cls.__qualname__}":
+             cls for cls in _record_types()}
+    assert sorted(types) == sorted(SAMPLES)
+    for name, make in SAMPLES.items():
+        x = make()
+        assert type(x) is types[name]
+        y = type(x)(*(getattr(x, f) for f in x._fields))
+        assert x == y and not x != y, name
+        assert hash(x) == hash(y), name
 
 
 def test_records_never_equal_plain_values():
