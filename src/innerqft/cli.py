@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import os
@@ -46,9 +47,30 @@ def _number(convert, text: str, where: str):
         raise ConfigError(f"{where}: bad number '{text}'") from exc
 
 
+def _real(text: str, where: str) -> Fraction | float:
+    """The exact value of a number written as a decimal or as a fraction
+    a/b. A value that is not finite or lies past float range stays a float
+    (nan or +-inf), which the checks downstream reject. float reads the
+    text first, which keeps a huge exponent cheap."""
+    try:
+        value = float(text)
+    except ValueError:  # a fraction a/b, or not a number
+        exact = _number(Fraction, text, where)
+        value = smatrix._to_float(exact)
+        return exact if math.isfinite(value) else value
+    return Fraction(text) if math.isfinite(value) else value
+
+
+def _read(convert, text: str, where: str):
+    """text as an int, a str, or a float that may be written a/b."""
+    if convert is float:
+        return float(_real(text, where))
+    return _number(convert, text, where)
+
+
 def _set_field(values: dict, key: str, text: str, where: str) -> None:
     field = _FIELD_OF[key]
-    values[field] = _number(type(RunConfig._defaults[field]), text, where)
+    values[field] = _read(type(RunConfig._defaults[field]), text, where)
 
 
 def _read_lines(path: str, what: str):
@@ -113,6 +135,17 @@ def _report(suite: str, cfg: RunConfig, cases: list) -> tuple[str, bool]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
+    if "innerqft.suites" not in sys.modules:
+        # the first import of the numeric stack: numpy's import heap lives
+        # until exit, so it is frozen out of every later collection
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            from . import suites  # noqa: F401
+        finally:
+            gc.freeze()
+            if enabled:
+                gc.enable()
     from .suites import run_suite
     text, ok = _report(args.suite, cfg, run_suite(args.suite, cfg))
     print(text)
@@ -172,7 +205,7 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
                 mom = _parse_vec3(val, where)
             elif key in _LEG_KEYS:
                 name, convert = _LEG_KEYS[key]
-                extra[name] = _number(convert, val, where)
+                extra[name] = _read(convert, val, where)
             else:
                 raise ConfigError(f"{where}: unknown key '{key}'")
         if mom is None:
@@ -187,13 +220,6 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
     return tuple(legs)
 
 
-def _vertex_part(text: str, where: str) -> Fraction | float:
-    """The exact value of a vertex part written as a float; nan and values
-    past float range stay floats, which `load_greens` rejects."""
-    value = _number(float, text, where)
-    return Fraction(text) if math.isfinite(value) else value
-
-
 def load_greens(path: str) -> tuple[tuple, ...]:
     """The exact (re, im) parts of each vertex factor, the imaginary part 0
     when it is left out; the one check of vertex input rejects a factor
@@ -203,7 +229,7 @@ def load_greens(path: str) -> tuple[tuple, ...]:
         tokens = line.split()
         if tokens[0] != "vertex" or len(tokens) not in (2, 3):
             raise ConfigError(f"{where}: expected 'vertex <re> [<im>]'")
-        re, im = (*(_vertex_part(tok, where) for tok in tokens[1:]), 0)[:2]
+        re, im = (*(_real(tok, where) for tok in tokens[1:]), 0)[:2]
         factor = complex(re, im)
         if not cmath.isfinite(factor):
             raise ConfigError(f"{where}: vertex factor {factor} is not finite")

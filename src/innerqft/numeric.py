@@ -141,12 +141,47 @@ def wick_two_point(kind: str) -> tuple[OperatorExpr, OperatorExpr, float]:
 # Toy S-matrix and projected unitarity
 
 
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack (..., n, n)."""
+    flat = a.reshape(*a.shape[:-2], -1)
+    if flat.dtype.kind == "c":
+        flat = flat.view(flat.real.dtype)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _spectral(a: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a stack: its largest singular
+    value."""
+    return np.linalg.svdvals(a)[..., 0]
+
+
+def _minus_one(a: np.ndarray) -> np.ndarray:
+    """a - 1 for each square matrix of a stack, in place."""
+    a.reshape(*a.shape[:-2], -1)[..., ::a.shape[-1] + 1] -= 1
+    return a
+
+
+def _residuals(s, sh, p, ps):
+    """Each precondition's name and residual, built when its turn comes:
+    with fewer large arrays alive, the C heap is not trimmed and refilled
+    (page faults) on every dim-64 check."""
+    yield "S not unitary", _minus_one(sh @ s)
+    yield "P not idempotent", p @ p - p
+    yield "P not self-adjoint", p.conj().swapaxes(-1, -2) - p
+    yield "SP != PS", s @ ps - ps @ s
+
+
 def toy_unitarity_check(s: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL
                         ) -> tuple[tuple, float | None]:
     """Check ||P S^dag S P - P|| <= tol for a unitary S commuting with a
     projector P over a graded basis: (failed preconditions, conclusion norm).
-    S passes when no precondition fails and the norm is at most tol; the
-    norm is None when a precondition fails.
+    S passes when no precondition fails and the norm is at most tol.
+
+    S and P are one instance of shape (n, n), or stacks of instances of one
+    shape (..., n, n). A failure message names the largest norm of its
+    precondition over the stack. The conclusion norm is the largest over
+    the instances whose preconditions all hold, and None when none do; so
+    for one instance it is None when a precondition fails.
 
     Every norm is the spectral (2-)norm. A precondition only gates the
     result, and ||A||_2 <= ||A||_F, so its costly SVD is skipped when the
@@ -154,21 +189,27 @@ def toy_unitarity_check(s: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL
     tol that rounding in either norm cannot flip the decision. Above tol/2
     the 2-norm decides and is printed, as is the conclusion norm.
     """
-    eye = np.eye(s.shape[0])
+    sh = s.conj().swapaxes(-1, -2)
+    # P in the type of the products with S: numpy would cast it per product
+    ps = p.astype(np.result_type(s, p))
+    holds = np.ones(s.shape[:-2], dtype=bool)
     failures = []
-    for name, residual in (
-            ("S not unitary", s.conj().T @ s - eye),
-            ("P not idempotent", p @ p - p),
-            ("P not self-adjoint", p.conj().T - p),
-            ("SP != PS", s @ p - p @ s)):
-        if np.linalg.norm(residual) <= tol / 2:
+    for name, residual in _residuals(s, sh, p, ps):
+        screened = _frobenius(residual) > tol / 2
+        if not screened.any():
             continue
-        norm = np.linalg.norm(residual, 2)
-        if norm > tol:
-            failures.append(f"{name} (norm {norm:.3e})")
-    if failures:
+        norms = _spectral(residual[screened])
+        if norms.max() > tol:
+            failures.append(f"{name} (norm {norms.max():.3e})")
+            holds[screened] &= norms <= tol
+    del residual  # before the products of the conclusion
+    if not holds.any():
         return tuple(failures), None
-    return (), float(np.linalg.norm(p @ s.conj().T @ s @ p - p, 2))
+    if not holds.all():
+        s, sh, p, ps = s[holds], sh[holds], p[holds], ps[holds]
+    concl = ps @ sh @ s @ ps
+    concl -= ps
+    return tuple(failures), float(_spectral(concl).max())
 
 
 def vacuum_and_one_particle_checks(s: np.ndarray, vacuum_index: int,

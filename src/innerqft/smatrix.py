@@ -134,13 +134,24 @@ def elastic_overlap(legs: Sequence[Leg], cfg: RegularizationConfig
     return grav_limit_expr(vev(prod), cfg)
 
 
+def _exact_part(value) -> Fraction:
+    """A vertex part as an exact Fraction; a ValueError names a part that
+    is not finite."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise ValueError(f"vertex part {value} is not finite") from None
+
+
 def lsz_reduce(legs: Sequence[Leg], vertices: Sequence[tuple] = (),
                recipe: LSZRecipe = LSZRecipe(),
                cfg: RegularizationConfig = RegularizationConfig()) -> Amplitude:
     """Momentum-space LSZ assembly of a Green function: its external legs
     and the constant factors of its vertices, each an exact (re, im) pair.
 
-    A leg with an energy must lie on the unit-mass shell. Each external leg
+    A leg with an energy must lie on the unit-mass shell, and every vertex
+    part must be finite; a ValueError names the leg's shell or the part
+    that fails. Each external leg
     contributes i/sqrt(Z); its amputation factor cancels the external
     propagator pole exactly, so legs enter the connected part with residue
     one. The connected amplitude is the sum of vertex factors times the leg
@@ -152,8 +163,8 @@ def lsz_reduce(legs: Sequence[Leg], vertices: Sequence[tuple] = (),
     masses = FieldMasses()
     for leg in legs:
         _check_on_shell(leg, masses, SHELL_TOL)
-    re = sum(Fraction(v) for v, _ in vertices)
-    im = sum(Fraction(v) for _, v in vertices)
+    re = sum(_exact_part(v) for v, _ in vertices)
+    im = sum(_exact_part(v) for _, v in vertices)
     if re == im == 0:
         connected = 0j
     else:

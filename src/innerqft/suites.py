@@ -234,14 +234,15 @@ def suite_kinematics(cfg: RunConfig) -> list[Case]:
     for _ in range(100):
         m = rng.uniform(0.1, 10)
         k = MassShellMomentum.of([rng.uniform(-5, 5) for _ in range(3)], m)
-        k4 = k.four_vector()
+        ksl = kinematics.slash(k.four_vector())
+        m1 = m * np.eye(4)
+        plus, minus = ksl + m1, ksl - m1
         for s in (1, 2):
             u = kinematics.dirac_spinor(k, s, "u")
             v = kinematics.dirac_spinor(k, s, "v")
-            ksl = kinematics.slash(k4)
             worst_d = max(worst_d,
-                          float(np.max(np.abs((ksl - m * np.eye(4)) @ u))),
-                          float(np.max(np.abs((ksl + m * np.eye(4)) @ v))))
+                          float(np.max(np.abs(minus @ u))),
+                          float(np.max(np.abs(plus @ v))))
             worst_n = max(worst_n,
                           abs(kinematics.bar(u) @ u - 1),
                           abs(kinematics.bar(v) @ v + 1),
@@ -249,8 +250,8 @@ def suite_kinematics(cfg: RunConfig) -> list[Case]:
         su = kinematics.spin_sum(k, "u")
         sv = kinematics.spin_sum(k, "v")
         worst_s = max(worst_s,
-                      float(np.max(np.abs(su - (kinematics.slash(k4) + m * np.eye(4)) / (2 * m)))),
-                      float(np.max(np.abs(sv - (kinematics.slash(k4) - m * np.eye(4)) / (2 * m)))))
+                      float(np.max(np.abs(su - plus / (2 * m)))),
+                      float(np.max(np.abs(sv - minus / (2 * m)))))
     cases.append(_numeric("kinematics.dirac_equation_residual", worst_d, tol))
     cases.append(_numeric("kinematics.spinor_normalizations", worst_n, tol))
     cases.append(_numeric("kinematics.spin_sums", worst_s, tol))
@@ -434,23 +435,49 @@ def suite_lsz(cfg: RunConfig) -> list[Case]:
     return cases
 
 
-def random_toy_instance(rng: np.random.Generator, dim: int) -> tuple:
-    """(S, P): a block-diagonal unitary commuting with a diagonal projector."""
-    phys = int(rng.integers(1, dim))
-    diag = np.zeros(dim)
-    diag[:phys] = 1.0
-    p = np.diag(diag)
+def random_toy_instances(rng: np.random.Generator, dim: int, count: int
+                         ) -> tuple:
+    """(S, P), stacks of shape (count, dim, dim): in each instance a
+    block-diagonal unitary commuting with a diagonal projector.
 
-    def haar(n: int) -> np.ndarray:
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-    s = np.zeros((dim, dim), dtype=complex)
-    s[:phys, :phys] = haar(phys)
-    if dim - phys:
-        s[phys:, phys:] = haar(dim - phys)
+    The draws are those of `count` instances drawn one at a time: each its
+    physical dimension, then the real and imaginary parts of its physical
+    block and of its unphysical one. Blocks of equal size are made unitary
+    by one stacked QR factorization with the phases of R's diagonal taken
+    out (a Haar unitary).
+    """
+    physes, blocks = [], {}
+    for i in range(count):
+        phys = int(rng.integers(1, dim))
+        physes.append(phys)
+        for at, n in ((0, phys), (phys, dim - phys)):
+            z = np.empty((n, n), dtype=complex)
+            z.real = rng.normal(size=(n, n))
+            z.imag = rng.normal(size=(n, n))
+            blocks.setdefault(n, []).append((i, at, z))
+    s = np.zeros((count, dim, dim), dtype=complex)
+    for n, group in blocks.items():
+        q, r = np.linalg.qr(np.array([z for _, _, z in group]))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q *= (d / np.abs(d))[:, None, :]
+        for (i, at, _), u in zip(group, q):
+            s[i, at:at + n, at:at + n] = u
+    p = np.zeros((count, dim, dim))
+    # the diagonal of each P: 1 on the physical states
+    p.reshape(count, -1)[:, ::dim + 1] = np.arange(dim) < np.array(physes)[:, None]
     return s, p
+
+
+def random_toy_instance(rng: np.random.Generator, dim: int) -> tuple:
+    """(S, P): one instance of `random_toy_instances`."""
+    s, p = random_toy_instances(rng, dim, 1)
+    return s[0], p[0]
+
+
+# the bytes of S in one stack of `suite_unitarity`: all 100 instances at
+# dim 4, 24 at dim 16, and one at dim 64, where LAPACK dominates the check
+# and a larger stack only adds memory
+TOY_STACK_BYTES = 96 * 1024
 
 
 def suite_unitarity(cfg: RunConfig) -> list[Case]:
@@ -461,9 +488,10 @@ def suite_unitarity(cfg: RunConfig) -> list[Case]:
     for dim in (4, 16, 64):
         worst = 0.0
         ok = True
-        for _ in range(100):
+        per_stack = max(1, TOY_STACK_BYTES // (16 * dim * dim))
+        for start in range(0, 100, per_stack):
             failures, concl = numeric.toy_unitarity_check(
-                *random_toy_instance(rng, dim), tol)
+                *random_toy_instances(rng, dim, min(per_stack, 100 - start)), tol)
             ok = ok and not failures and concl <= tol
             if concl is not None:
                 worst = max(worst, concl)

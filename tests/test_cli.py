@@ -382,6 +382,37 @@ def test_only_verify_imports_numpy(tmp_path):
         ["verify", True]]
 
 
+# The collector state around two `verify` calls in one fresh interpreter:
+# frozen objects and whether the collector runs. The first call, which
+# imports the numeric stack, freezes it; a process that already imported
+# it (argv[1] == "pre") is left as it is, and a disabled collector stays so.
+FREEZE_STEPS = r"""
+import contextlib, gc, io, json, sys
+import innerqft.cli
+if sys.argv[1] == "pre":
+    import innerqft.suites
+if sys.argv[1] == "off":
+    gc.disable()
+steps = []
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert innerqft.cli.main(["verify", "--suite", "ccr"]) == 0
+    steps.append([gc.get_freeze_count() > 0, gc.isenabled()])
+print(json.dumps(steps))
+"""
+
+
+@pytest.mark.parametrize("before, steps", [
+    ("none", [[True, True], [True, True]]),
+    ("pre", [[False, True], [False, True]]),
+    ("off", [[True, False], [True, False]])])
+def test_first_verify_freezes_the_numeric_import(before, steps):
+    proc = subprocess.run([sys.executable, "-c", FREEZE_STEPS, before],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == steps
+
+
 # Which heavy standard modules the exact commands load, in one fresh
 # interpreter started with -S, so that `site` (and any .pth file it runs)
 # cannot import them first. numpy imports all three, so `verify` is left out.
@@ -515,6 +546,53 @@ def test_vertex_sum_is_exact(greens, connected, tmp_path, capsys):
             "out scalar p=1,0,0\nout scalar p=0,1,0\n")
     assert _reduce(tmp_path, legs, greens + "\n") == 0
     assert capsys.readouterr().out.startswith(f"connected: {connected}\n")
+
+
+# Numbers written a/b, as momenta are: each reads as its decimal does.
+_LEGS_3_4 = "in scalar p=3/4,0,0{}\nout scalar p=3/4,0,0\n"
+
+
+def test_leg_energy_may_be_a_fraction(tmp_path, capsys):
+    assert _reduce(tmp_path, _LEGS_3_4.format(" E=1.25")) == 0
+    want = capsys.readouterr().out
+    assert _reduce(tmp_path, _LEGS_3_4.format(" E=5/4")) == 0
+    assert capsys.readouterr().out == want
+    assert _reduce(tmp_path, _LEGS_3_4.format(" E=5/3")) == 2
+    assert "off-shell leg" in capsys.readouterr().err
+
+
+def test_vertex_part_may_be_a_fraction(tmp_path, capsys):
+    assert _reduce(tmp_path, _LEGS_3_4.format(""), "vertex 0.5 -0.25\n") == 0
+    want = capsys.readouterr().out
+    assert _reduce(tmp_path, _LEGS_3_4.format(""), "vertex 1/2 -1/4\n") == 0
+    assert capsys.readouterr().out == want
+
+
+def test_config_value_may_be_a_fraction(tmp_path, capsys):
+    assert _reduce(tmp_path, _LEGS_3_4.format(""), "vertex 1\n", "z = 0.5\n") == 0
+    want = capsys.readouterr().out
+    assert _reduce(tmp_path, _LEGS_3_4.format(""), "vertex 1\n", "z = 1/2\n") == 0
+    assert capsys.readouterr().out == want
+
+
+_PAST_RANGE = "1" + "0" * 400 + "/3"
+
+
+@pytest.mark.parametrize("legs, greens, config, error", [
+    (" E=1/0", "", None, "bad number '1/0'"),
+    ("", "vertex 1/0", None, "bad number '1/0'"),
+    ("", f"vertex {_PAST_RANGE}", None, "vertex factor (inf+0j) is not finite"),
+    ("", f"vertex 0 -{_PAST_RANGE}", None, "vertex factor -infj is not finite"),
+    (f" E={_PAST_RANGE}", "", None, "leg energy must be finite"),
+    ("", "", f"z = {_PAST_RANGE}", "z must lie in (0, 1]"),
+    ("", "", "lambda = 1/0", "bad number '1/0'")],
+    ids=["E-over-zero", "vertex-over-zero", "vertex-past-range",
+         "vertex-im-past-range", "E-past-range", "z-past-range",
+         "lambda-over-zero"])
+def test_fractions_past_float_range_are_rejected(legs, greens, config, error,
+                                                 tmp_path, capsys):
+    assert _reduce(tmp_path, _LEGS_3_4.format(legs), greens + "\n", config) == 2
+    assert capsys.readouterr().err.endswith(f" {error}\n")
 
 
 # Random legs and greens files: reduce exits 0 or 2, never through an

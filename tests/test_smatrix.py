@@ -409,6 +409,15 @@ def test_zero_vertex_factors_give_zero_connected():
                       RegularizationConfig()).connected == 0
 
 
+@pytest.mark.parametrize("vertex, part", [((math.inf, 0), "inf"),
+                                           ((math.nan, 0), "nan"),
+                                           ((0, -math.inf), "-inf")])
+def test_non_finite_vertex_part_names_the_part(vertex, part):
+    legs = (Leg("in", opalg.SCALAR, (1, 0, 0)), Leg("out", opalg.SCALAR, (1, 0, 0)))
+    with pytest.raises(ValueError, match=f"^vertex part {part} is not finite$"):
+        lsz_reduce(legs, [vertex])
+
+
 def test_nonzero_vertex_scales_with_z():
     p = (1.0, 0.0, 0.0)
     legs = (Leg("in", opalg.SCALAR, p), Leg("out", opalg.SCALAR, p))
@@ -537,6 +546,77 @@ def test_frobenius_screen_matches_svd_reports():
                     seen.update(f.split(" (")[0] for f in rep[0])
     assert seen == {"S not unitary", "P not idempotent", "P not self-adjoint",
                     "SP != PS"}
+
+
+_PRECONDITIONS = ("S not unitary", "P not idempotent", "P not self-adjoint",
+                  "SP != PS")
+
+
+def _report_of_instances(s, p, tol):
+    """The report of a stack, made from the calls on its instances: each
+    failure with its largest norm, the largest conclusion norm or None."""
+    worst, concls = {}, []
+    for s1, p1 in zip(s.reshape(-1, *s.shape[-2:]), p.reshape(-1, *p.shape[-2:])):
+        failures, concl = toy_unitarity_check(s1, p1, tol)
+        for failure in failures:
+            name, norm = failure.removesuffix(")").split(" (norm ")
+            worst[name] = max(worst.get(name, 0.0), float(norm))
+        if concl is not None:
+            concls.append(concl)
+    return (tuple(f"{name} (norm {worst[name]:.3e})"
+                  for name in _PRECONDITIONS if name in worst),
+            max(concls) if concls else None)
+
+
+def test_stack_check_agrees_with_per_instance_calls():
+    from innerqft.suites import random_toy_instances
+    rng = np.random.default_rng(3)
+    tol = 1e-9
+    for dim in (2, 4, 16):
+        s, p = random_toy_instances(rng, dim, 6)
+        stacks = [(s, p), (2 * s, p)]        # all hold; none holds
+        for k, (bs, bp) in enumerate(_broken_copies(s[0], p[0], 10 * tol)):
+            s2, p2 = s.copy(), p.copy()      # one instance fails
+            s2[k + 1], p2[k + 1] = bs, bp
+            stacks.append((s2, p2))
+        s2, p2 = s.copy(), p.copy()
+        s2[1] *= 1 + 5 * tol                 # two fail, by different norms
+        s2[2] *= 1 + 20 * tol
+        s2[4] *= 1 + 5 * tol                 # fails, then passes a screen
+        p2[4] *= 1 + 0.7 * tol               # that another instance fails
+        p2[5] *= 1 + 10 * tol
+        stacks.append((s2, p2))
+        for s2, p2 in stacks:
+            want = _report_of_instances(s2, p2, tol)
+            assert toy_unitarity_check(s2, p2, tol) == want
+            assert toy_unitarity_check(s2.reshape(2, 3, dim, dim),
+                                       p2.reshape(2, 3, dim, dim), tol) == want
+        assert toy_unitarity_check(2 * s, p, tol)[1] is None
+
+
+def _one_toy_instance(rng, dim):
+    """One (S, P), drawn and built one block at a time: the reference for
+    the stacked draws."""
+    phys = int(rng.integers(1, dim))
+    s = np.zeros((dim, dim), dtype=complex)
+    for at, n in ((0, phys), (phys, dim - phys)):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, r = np.linalg.qr(z)
+        s[at:at + n, at:at + n] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return s, np.diag([1.0] * phys + [0.0] * (dim - phys))
+
+
+def test_stacked_draws_equal_one_at_a_time_draws():
+    from innerqft.suites import random_toy_instance, random_toy_instances
+    for dim in (2, 5, 16):
+        one, many = np.random.default_rng(dim), np.random.default_rng(dim)
+        pairs = [_one_toy_instance(one, dim) for _ in range(30)]
+        s, p = random_toy_instances(many, dim, 30)
+        assert np.array_equal(s, [a for a, _ in pairs])
+        assert np.array_equal(p, [b for _, b in pairs])
+        assert one.bit_generator.state == many.bit_generator.state
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(random_toy_instance(one, dim), random_toy_instance(many, dim)))
 
 
 def _scaled_identity(n, two_norm):
