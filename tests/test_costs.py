@@ -6,15 +6,20 @@ A change that moves a count regenerates the file and declares each change:
   PYTHONPATH=src:tests python3 -c "import test_costs; test_costs.pin_costs()"
 """
 
+import contextlib
+import importlib.util
+import io
 import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
-from innerqft import numeric, opalg, suites
+from innerqft import cli, numeric, opalg, suites
 from innerqft.config import RunConfig
 
 COSTS = Path(__file__).resolve().parent / "data" / "cost_counts.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _rebind(undo: list, orig, new) -> None:
@@ -28,8 +33,8 @@ def _rebind(undo: list, orig, new) -> None:
 
 
 def _counted(run) -> Counter:
-    """The counts of one call of `run`, with `run`'s own result counted as
-    "cases"."""
+    """The counts of one call of `run`, with the counts that `run` returns
+    added."""
     counts: Counter = Counter()
     undo: list = []
     check, make, merge = (numeric.toy_unitarity_check, opalg.make_monomial,
@@ -55,22 +60,50 @@ def _counted(run) -> Counter:
                  opalg.OperatorExpr.__dict__["from_monomials"]))
     opalg.OperatorExpr.from_monomials = classmethod(from_monomials)
     try:
-        counts["cases"] = len(run())
+        counts.update(run())
     finally:
         for owner, name, value in reversed(undo):
             setattr(owner, name, value)
     return counts
 
 
-_RUNS = {
-    "verify --suite all --seed 0":
-        lambda: suites.run_suite("all", RunConfig(seed=0)),
-}
+def _cli(argv: list):
+    """A run of `cli.main(argv)` that returns its exit code and the length
+    of its stdout."""
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return {"exit": code, "stdout_chars": len(out.getvalue())}
+    return run
+
+
+def _runs(workdir: Path) -> dict:
+    """Each pinned run by name: `verify --suite all --seed 0` in process,
+    and the seed-0 smoke vev-ladder and lsz-legs invocations of
+    perfbench/workloads.py through `cli.main`, with their input files
+    written to workdir. perfbench/workloads.py is imported by path and only
+    read."""
+    spec = importlib.util.spec_from_file_location("cost_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    runs = {"verify --suite all --seed 0": lambda: {
+        "cases": len(suites.run_suite("all", RunConfig(seed=0)))}}
+    for name in ("vev-ladder", "lsz-legs"):
+        for inv in workloads.generate(name, 0, workdir, smoke=True).invocations:
+            runs[f"{name} seed 0 smoke: {inv.label}"] = _cli(list(inv.argv))
+    return runs
 
 
 def _costs() -> dict:
-    return {name: dict(sorted(_counted(run).items()))
-            for name, run in _RUNS.items()}
+    with tempfile.TemporaryDirectory() as workdir:
+        return {name: dict(sorted(_counted(run).items()))
+                for name, run in _runs(Path(workdir)).items()}
 
 
 def pin_costs():
