@@ -3,7 +3,9 @@
 Everything here works on (M4, eta) with eta = diag(1,-1,-1,-1) and is pure
 value-semantic: no global state, safe for concurrent use. A four-vector is a
 float numpy array of its contravariant components (t, x, y, z); `ETA @ v`
-lowers its index. Polarization bases are plain tuples of such arrays.
+lowers its index. Polarization bases are plain tuples of such arrays, and
+both kinds come from one closed form: the pure boost that takes (1,0,0,0) to
+a unit timelike vector u, applied to the spatial axes.
 """
 
 from __future__ import annotations
@@ -60,56 +62,48 @@ class MassShellMomentum(Record):
 # Polarization bases
 
 
-def _gram_schmidt_spacelike(timelike: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Three Minkowski-orthonormal spacelike vectors orthogonal to `timelike`.
-
-    Seeds with the spatial axes in fixed x, y, z order; the projector onto
-    the complement of a timelike vector keeps them independent, so the
-    construction is total and deterministic.
-    """
-    basis = [timelike]
-    norms = [minkowski_dot(timelike, timelike)]
-    seeds = [np.array([0.0, 1.0, 0.0, 0.0]),
-             np.array([0.0, 0.0, 1.0, 0.0]),
-             np.array([0.0, 0.0, 0.0, 1.0])]
-    for seed in seeds:
-        v = seed.copy()
-        for b, n in zip(basis, norms):
-            v = v - (float(v @ ETA @ b) / n) * b
-        n = float(v @ ETA @ v)
-        if n >= -1e-30:
-            raise ValueError("degenerate seed frame")  # pragma: no cover
-        v = v / math.sqrt(-n)
-        basis.append(v)
-        norms.append(-1.0)
-    return tuple(basis[1:])
+def _boost_frame(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pure boost Lambda(u) applied to e1, e2, e3 (Weinberg, QFT I,
+    sec. 2.5), u a future-pointing unit timelike vector: the columns
+    (u_j, delta_ij + u_i u_j / (1 + u_0)), j = 1, 2, 3. They are spacelike,
+    Minkowski-orthonormal and orthogonal to u; 1 + u_0 >= 2 keeps the
+    division well conditioned."""
+    spatial = u[1:]
+    frame = np.empty((3, 4))
+    frame[:, 0] = spatial
+    frame[:, 1:] = np.outer(spatial, spatial) / (1 + u[0]) + np.eye(3)
+    return tuple(frame)
 
 
 def build_spacetime_polarizations(k: MassShellMomentum) -> tuple[np.ndarray, ...]:
-    """(eps(k,0), ..., eps(k,3)): k/m plus three transversal unit vectors, m = k.mass.
+    """(eps(k,0), ..., eps(k,3)): u = k/m and the boost frame of u, m = k.mass.
 
-    The gamma=0 vector divides by m, which MassShellMomentum keeps positive.
+    u divides by the exact mass, which MassShellMomentum keeps positive;
+    sqrt(k.k) would lose digits to cancellation.
     """
-    k4 = k.four_vector()
-    return (k4 / k.mass, *_gram_schmidt_spacelike(k4))
+    u = k.four_vector() / k.mass
+    return (u, *_boost_frame(u))
 
 
 def build_inner_polarizations(K: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(E(K,1), E(K,2), E(K,3)): three inner polarization vectors transversal to K.
+    """(E(K,1), E(K,2), E(K,3)): the boost frame of the future-pointing one
+    of +-K/sqrt(K.K), so K and -K share their basis.
 
     Only defined for K^2 > 0: the completeness projector carries 1/K^2 and
     is singular on the light cone, and spacelike K is outside the support.
     """
-    if not minkowski_dot(K, K) > 0:
+    K2 = minkowski_dot(K, K)
+    if not K2 > 0:
         raise ValueError("inner polarizations require K^2 > 0")
-    return _gram_schmidt_spacelike(K)
+    u = K / math.sqrt(K2)
+    return _boost_frame(u if u[0] > 0 else -u)
 
 
 def spacetime_completeness_residual(eps: tuple, k: MassShellMomentum) -> float:
     """Max entrywise residual of sum_{g=1..3} eps^r eps^s = -eta^{rs} + k^r k^s / m^2,
     m = k.mass."""
     k4 = k.four_vector()
-    target = -np.linalg.inv(ETA) + np.outer(k4, k4) / k.mass**2
+    target = -ETA + np.outer(k4, k4) / k.mass**2
     got = sum(np.outer(e, e) for e in eps[1:4])
     return float(np.max(np.abs(got - target)))
 
@@ -195,3 +189,13 @@ def spin_sum(k: MassShellMomentum, kind: str) -> np.ndarray:
         sp = dirac_spinor(k, s, kind)
         total += np.outer(sp, bar(sp))
     return total
+
+
+def spin_sum_residual(k: MassShellMomentum, kind: str) -> float:
+    """Max entrywise residual of the spin sum of `kind` against
+    (kslash +- m)/2m, m = k.mass."""
+    total = spin_sum(k, kind)
+    ksl = slash(k.four_vector())
+    m1 = k.mass * np.eye(4)
+    target = (ksl + m1 if kind == "u" else ksl - m1) / (2 * k.mass)
+    return float(np.max(np.abs(total - target)))

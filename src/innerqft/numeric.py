@@ -18,8 +18,9 @@ import numpy as np
 
 from .grammar import parse_expression
 from .kinematics import (DEFAULT_TOL, ETA, MassShellMomentum,
-                         build_spacetime_polarizations, build_inner_polarizations,
-                         minkowski_dot, slash, spin_sum)
+                         build_inner_polarizations, build_spacetime_polarizations,
+                         inner_completeness_residual, minkowski_dot, slash,
+                         spacetime_completeness_residual, spin_sum_residual)
 from .opalg import OperatorExpr, delta_resolve, vev
 from .record import Record
 
@@ -96,26 +97,17 @@ _TWO_POINT = {
 def _numerator_residual(kind: str) -> float:
     if kind == "scalar":
         return 0.0
-    m = 1.0  # the unit mass of every field
     rng = np.random.default_rng(20240824)
     worst = 0.0
     for _ in range(8):
-        spatial = rng.uniform(-2, 2, size=3)
+        k = MassShellMomentum.of(rng.uniform(-2, 2, size=3), 1.0)  # unit mass
         if kind == "dirac":
-            k = MassShellMomentum.of(spatial, m)
-            target = (slash(k.four_vector()) + m * np.eye(4)) / (2 * m)
-            worst = max(worst, float(np.max(np.abs(spin_sum(k, "u") - target))))
-        else:
-            k = MassShellMomentum.of(spatial, m)
-            eps = build_spacetime_polarizations(k)
-            got = sum((1.0 if g == 0 else -1.0) * np.outer(eps[g], eps[g])
-                      for g in range(4))
-            worst = max(worst, float(np.max(np.abs(got - np.linalg.inv(ETA)))))
-            K = np.array([3.0, *rng.uniform(-1, 1, size=3)])
-            basis = build_inner_polarizations(K)
-            proj = inner_transversal_projector(K)
-            got_i = sum(np.outer(ETA @ E, ETA @ E) for E in basis)
-            worst = max(worst, float(np.max(np.abs(got_i + proj))))
+            worst = max(worst, spin_sum_residual(k, "u"))
+            continue
+        eps = build_spacetime_polarizations(k)
+        K = np.array([3.0, *rng.uniform(-1, 1, size=3)])
+        worst = max(worst, spacetime_completeness_residual(eps, k),
+                    inner_completeness_residual(build_inner_polarizations(K), K))
     return worst
 
 

@@ -247,11 +247,8 @@ def suite_kinematics(cfg: RunConfig) -> list[Case]:
                           abs(kinematics.bar(u) @ u - 1),
                           abs(kinematics.bar(v) @ v + 1),
                           abs(u.conj() @ u - k.energy / m))
-        su = kinematics.spin_sum(k, "u")
-        sv = kinematics.spin_sum(k, "v")
-        worst_s = max(worst_s,
-                      float(np.max(np.abs(su - plus / (2 * m)))),
-                      float(np.max(np.abs(sv - minus / (2 * m)))))
+        worst_s = max(worst_s, kinematics.spin_sum_residual(k, "u"),
+                      kinematics.spin_sum_residual(k, "v"))
     cases.append(_numeric("kinematics.dirac_equation_residual", worst_d, tol))
     cases.append(_numeric("kinematics.spinor_normalizations", worst_n, tol))
     cases.append(_numeric("kinematics.spin_sums", worst_s, tol))

@@ -83,6 +83,30 @@ def test_inner_polarizations(x, y, z, gap):
         assert kin.minkowski_dot(E, E) == pytest.approx(-1.0, abs=1e-10)
 
 
+def test_polarizations_are_the_boosted_axes():
+    # [DERIVED] m = 1, p = (3/4, 0, 0): E = 5/4, u = (5/4, 3/4, 0, 0), and the
+    # boost takes e1 to (u_1, 1 + u_1^2/(1 + u_0), 0, 0) = (3/4, 5/4, 0, 0)
+    eps = kin.build_spacetime_polarizations(MassShellMomentum.of((0.75, 0, 0), 1.0))
+    want = ([1.25, 0.75, 0, 0], [0.75, 1.25, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+    for e, w in zip(eps, want):
+        assert np.array_equal(e, w)
+    # at rest the frame is the spatial axes
+    eps = kin.build_spacetime_polarizations(MassShellMomentum.of((0, 0, 0), 1.3))
+    for e, w in zip(eps, np.eye(4)):
+        assert np.array_equal(e, w)
+
+
+@pytest.mark.parametrize("K", [(3.0, 0.5, 0.2, -1.0), (2.0, 0, 0, 0),
+                               (1.0, 1e-9, 0, 0), (1.0, 0, -0.3, 0.9)])
+def test_inner_basis_is_shared_by_K_and_minus_K(K):
+    K = np.array(K)
+    for E, E_minus in zip(kin.build_inner_polarizations(K),
+                          kin.build_inner_polarizations(-K)):
+        assert np.array_equal(E, E_minus)
+    assert kin.inner_completeness_residual(kin.build_inner_polarizations(-K),
+                                           -K) < 1e-12
+
+
 def test_inner_polarizations_reject_nontimelike():
     with pytest.raises(ValueError):
         kin.build_inner_polarizations(np.array([1., 1, 0, 0]))
@@ -129,6 +153,10 @@ def test_spin_sums(x, y, z, m):
     proj_v = (kin.slash(k4) - m * np.eye(4)) / (2 * m)
     assert np.max(np.abs(kin.spin_sum(k, "u") - proj_u)) < 1e-10
     assert np.max(np.abs(kin.spin_sum(k, "v") - proj_v)) < 1e-10
+    assert kin.spin_sum_residual(k, "u") < 1e-10
+    assert kin.spin_sum_residual(k, "v") < 1e-10
+    with pytest.raises(ValueError, match="^spinor kind must be 'u' or 'v'$"):
+        kin.spin_sum_residual(k, "w")
 
 
 def test_spinor_orthogonality():
