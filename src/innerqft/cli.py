@@ -50,19 +50,32 @@ def _number(convert, text: str, where: str):
 def _real(text: str, where: str) -> Fraction | float:
     """The exact value of a number written as a decimal or as a fraction
     a/b. A value that is not finite or lies past float range stays a float
-    (nan or +-inf), which the checks downstream reject. float reads the
-    text first, which keeps a huge exponent cheap."""
+    (nan or +-inf), which the checks downstream reject; a value that is not
+    zero but rounds to a float 0.0 is a bad number. float reads the text
+    first, and no Fraction is built from text whose float is 0.0 or not
+    finite, so a huge exponent stays cheap."""
     try:
         value = float(text)
     except ValueError:  # a fraction a/b, or not a number
         exact = _number(Fraction, text, where)
-        value = smatrix._to_float(exact)
-        return exact if math.isfinite(value) else value
-    return Fraction(text) if math.isfinite(value) else value
+        value, zero = smatrix._to_float(exact), not exact
+    else:
+        exact = None
+        zero = not any(c in "123456789" for c in text.lower().partition("e")[0])
+    if not math.isfinite(value):
+        return value
+    if value == 0:
+        if not zero:
+            raise ConfigError(f"{where}: bad number '{text}'")
+        return Fraction(0)
+    return Fraction(text) if exact is None else exact
 
 
 def _read(convert, text: str, where: str):
-    """text as an int, a str, or a float that may be written a/b."""
+    """text as an int, a str, or a Fraction or float that may be written
+    a/b."""
+    if convert is Fraction:
+        return _real(text, where)
     if convert is float:
         return float(_real(text, where))
     return _number(convert, text, where)
@@ -184,7 +197,7 @@ def _parse_vec3(text: str, where: str) -> tuple:
     if len(parts) != 3:
         raise ConfigError(f"{where}: expected three comma-separated "
                           f"components: '{text}'")
-    return tuple(_number(Fraction, p, where) for p in parts)
+    return tuple(_real(p, where) for p in parts)
 
 
 def load_legs(path: str) -> tuple[smatrix.Leg, ...]:

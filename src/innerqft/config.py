@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .gravlimit import RegularizationConfig
 from .record import Record
@@ -16,8 +17,8 @@ class RunConfig(Record):
     tolerance: float = 1e-12
     i_epsilon: float = 1e-8
     seed: int = 0
-    lam: float = 1.0
-    v_reg: float = 1.0
+    lam: Fraction = Fraction(1)
+    v_reg: Fraction = Fraction(1)
     z: float = 1.0
     z2: float = 1.0
     z3: float = 1.0
@@ -37,4 +38,7 @@ class RunConfig(Record):
         object.__setattr__(self, "recipe", LSZRecipe(self.z, self.z2, self.z3))
 
     def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields}
+        """The fields, the exact lam and v_reg as floats."""
+        values = {f: getattr(self, f) for f in self._fields}
+        return {f: float(v) if isinstance(v, Fraction) else v
+                for f, v in values.items()}

@@ -595,6 +595,59 @@ def test_fractions_past_float_range_are_rejected(legs, greens, config, error,
     assert capsys.readouterr().err.endswith(f" {error}\n")
 
 
+@pytest.mark.parametrize("legs, greens, config, code, error", [
+    ("in scalar p=1e-400000000,0,0\nout scalar p=1,0,0\n", "", None, 2,
+     "bad number '1e-400000000'"),
+    ("in scalar p=1e400000000,0,0\nout scalar p=1,0,0\n", "", None, 2,
+     "leg momentum components must be finite and within float range"),
+    ("in scalar p=1,0,0 E=1e-400000000\nout scalar p=1,0,0\n", "", None, 2,
+     "bad number '1e-400000000'"),
+    ("in scalar p=1,0,0\nout scalar p=1,0,0\n", "vertex 0e-400000000\n", None,
+     0, None),
+    ("in scalar p=1,0,0\nout scalar p=1,0,0\n", "", "lambda = 1e-400000000\n",
+     2, "bad number '1e-400000000'")],
+    ids=["p-tiny", "p-huge", "E-tiny", "vertex-zero", "lambda-tiny"])
+def test_huge_exponents_are_read_at_once(legs, greens, config, code, error,
+                                         tmp_path):
+    """A number whose float is 0.0 or not finite builds no Fraction, which
+    would take minutes to hold 10**400000000: zero digits read as 0, and
+    anything else exits 2."""
+    (tmp_path / "legs.txt").write_text(legs)
+    (tmp_path / "greens.txt").write_text(greens)
+    argv = ["reduce", "greens.txt", "--legs", "legs.txt"]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", "run.cfg"]
+    proc = run(*argv, cwd=tmp_path, timeout=10)
+    assert proc.returncode == code
+    if error is None:
+        assert proc.stdout.startswith("connected: 0j\n")
+    else:
+        assert proc.stderr.endswith(f" {error}\n")
+
+
+def test_zero_digits_read_as_exact_zero(tmp_path, capsys):
+    assert _reduce(tmp_path, "in scalar p=0,0,0\nout scalar p=0,0,0\n") == 0
+    want = capsys.readouterr().out
+    assert _reduce(tmp_path, "in scalar p=-0.00e-999,0,0\n"
+                             "out scalar p=0e99,0/7,0.0\n") == 0
+    assert capsys.readouterr().out == want
+
+
+def test_regularization_is_read_exactly(tmp_path, capsys):
+    """lambda = 0.1 and v_reg = 0.3 give Vreg/lambda^4 = 3000 exactly; the
+    binary floats gave a 66-digit fraction."""
+    legs = "in dirac p=1,0,0 s=1\nout dirac p=1,0,0 s=1\n"
+    assert _reduce(tmp_path, legs, "", "lambda = 0.1\nv_reg = 0.3\n") == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "elastic:   3000*(2pi)^3*E/m([1.0,0.0,0.0])*d3(0)"
+    cfg = tmp_path / "run.cfg"
+    assert main(["verify", "--suite", "gravlimit", "--format", "json",
+                 "--config", str(cfg)]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["lam"], config["v_reg"]) == (0.1, 0.3)
+
+
 # Random legs and greens files: reduce exits 0 or 2, never through an
 # exception. Most lines are well formed, so that many files load.
 _FIELD_KEYS = {"scalar": "", "dirac": " s=1", "antidirac": " s=2",
