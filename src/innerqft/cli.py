@@ -49,11 +49,9 @@ def _number(convert, text: str, where: str):
 
 def _real(text: str, where: str) -> Fraction | float:
     """The exact value of a number written as a decimal or as a fraction
-    a/b. A value that is not finite or lies past float range stays a float
-    (nan or +-inf), which the checks downstream reject; a value that is not
-    zero but rounds to a float 0.0 is a bad number. float reads the text
-    first, and no Fraction is built from text whose float is 0.0 or not
-    finite, so a huge exponent stays cheap."""
+    a/b. nan, +-inf and values past float range stay floats, which the
+    checks downstream reject; a value that is not 0 but rounds to 0.0 is a
+    bad number. So no slow Fraction of a huge exponent is built."""
     try:
         value = float(text)
     except ValueError:  # a fraction a/b, or not a number
@@ -72,8 +70,7 @@ def _real(text: str, where: str) -> Fraction | float:
 
 
 def _read(convert, text: str, where: str):
-    """text as an int, a str, or a Fraction or float that may be written
-    a/b."""
+    """text as an int, a str, or a Fraction or float written as _real reads it."""
     if convert is Fraction:
         return _real(text, where)
     if convert is float:
@@ -136,7 +133,8 @@ def _report(suite: str, cfg: RunConfig, cases: list) -> tuple[str, bool]:
                        "lhs": c.lhs, "rhs": c.rhs, "tolerance": c.tolerance}
                       for c in cases],
         }
-        return json.dumps(doc, indent=2, sort_keys=True), ok
+        # the exact lam and v_reg print as floats
+        return json.dumps(doc, indent=2, sort_keys=True, default=float), ok
     width = max(len(c.name) for c in cases)
     lines = [f"suite: {suite}  seed: {cfg.seed}  tolerance: {cfg.tolerance:g}"]
     for c in cases:

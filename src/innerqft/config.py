@@ -38,7 +38,4 @@ class RunConfig(Record):
         object.__setattr__(self, "recipe", LSZRecipe(self.z, self.z2, self.z3))
 
     def as_dict(self) -> dict:
-        """The fields, the exact lam and v_reg as floats."""
-        values = {f: getattr(self, f) for f in self._fields}
-        return {f: float(v) if isinstance(v, Fraction) else v
-                for f, v in values.items()}
+        return {f: getattr(self, f) for f in self._fields}

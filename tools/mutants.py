@@ -1,16 +1,16 @@
 """Mutation check: does the tier-1 suite notice a one-line fault?
 
-    python tools/mutants.py [name ...]
+    python tools/mutants.py
 
 Each mutant below is a text replacement in one file of `src/`, which must
 match that file exactly once, so that a mutant whose text went stale fails
-loudly. The script copies `src/`, `tests/`, `perfbench/` (which tests read)
-and `pyproject.toml` into a temporary directory outside the repository and
-runs the tier-1 suite there, first unmutated (it must pass), then once per
-mutant with `-x`. It prints, per mutant, `killed` and the first failing test
-or `SURVIVED`, and exits 1 when a mutant survives that the list expects
-killed, when a text does not match once, or when the unmutated copy fails.
-Names select a subset of the list.
+loudly. The script copies `src/`, `tests/`, `perfbench/` and `tools/` (which
+tests read) and `pyproject.toml` into a temporary directory outside the
+repository and runs the tier-1 suite there, first unmutated (it must pass),
+then once per mutant with `-x`. It prints, per mutant, `killed` and the
+first failing test or `SURVIVED`, and exits 1 when a mutant survives that
+the list expects killed, when a text does not match once, or when the
+unmutated copy fails.
 """
 
 from __future__ import annotations
@@ -64,23 +64,18 @@ def _first_failure(output: str) -> str:
     return found.group(1) if found else output.strip().splitlines()[-1]
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        for name in ("src", "tests", "perfbench"):
+        for name in ("src", "tests", "perfbench", "tools"):
             shutil.copytree(ROOT / name, tree / name, ignore=_IGNORE)
         shutil.copy(ROOT / "pyproject.toml", tree)
         base = _pytest(tree)
         if base.returncode:
             print(f"the unmutated copy fails: {_first_failure(base.stdout)}")
             return 1
-        for name, file, old, new, expect in chosen:
+        for name, file, old, new, expect in MUTANTS:
             path = tree / "src" / "innerqft" / file
             source = path.read_text()
             if source.count(old) != 1:
@@ -101,9 +96,9 @@ def main(argv: list[str]) -> int:
             else:
                 print(f"SURVIVED  {name} ({secs:.1f} s)")
                 bad += expect == "killed"
-    print(f"{len(chosen)} mutants: {bad} not as expected")
+    print(f"{len(MUTANTS)} mutants: {bad} not as expected")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
