@@ -100,7 +100,8 @@ def _numerator_residual(kind: str) -> float:
     rng = np.random.default_rng(20240824)
     worst = 0.0
     for _ in range(8):
-        k = MassShellMomentum.of(rng.uniform(-2, 2, size=3), 1.0)  # unit mass
+        # the unit mass of every field
+        k = MassShellMomentum.of(rng.uniform(-2, 2, size=3), 1.0)
         if kind == "dirac":
             worst = max(worst, spin_sum_residual(k, "u"))
             continue
