@@ -49,9 +49,11 @@ def _number(convert, text: str, where: str):
 
 def _real(text: str, where: str) -> Fraction | float:
     """The exact value of a number written as a decimal or as a fraction
-    a/b. nan, +-inf and values past float range stay floats, which the
-    checks downstream reject; a value that is not 0 but rounds to 0.0 is a
-    bad number. So no slow Fraction of a huge exponent is built."""
+    a/b. A value that is not finite or lies past float range stays a float
+    (nan or +-inf), which the checks downstream reject; a value that is not
+    zero but rounds to a float 0.0 is a bad number. float reads the text
+    first, and no Fraction is built from text whose float is 0.0 or not
+    finite, so a huge exponent stays cheap."""
     try:
         value = float(text)
     except ValueError:  # a fraction a/b, or not a number
@@ -59,7 +61,9 @@ def _real(text: str, where: str) -> Fraction | float:
         value, zero = smatrix._to_float(exact), not exact
     else:
         exact = None
-        zero = not any(c in "123456789" for c in text.lower().partition("e")[0])
+        # float reads any Unicode decimal digit, not only 0-9
+        zero = not any(c.isdecimal() and int(c)
+                       for c in text.lower().partition("e")[0])
     if not math.isfinite(value):
         return value
     if value == 0:
@@ -70,7 +74,8 @@ def _real(text: str, where: str) -> Fraction | float:
 
 
 def _read(convert, text: str, where: str):
-    """text as an int, a str, or a Fraction or float written as _real reads it."""
+    """text as an int, a str, or a Fraction or float that may be written
+    a/b."""
     if convert is Fraction:
         return _real(text, where)
     if convert is float:

@@ -605,15 +605,20 @@ def test_fractions_past_float_range_are_rejected(legs, greens, config, error,
     ("in scalar p=1,0,0\nout scalar p=1,0,0\n", "vertex 0e-400000000\n", None,
      0, None),
     ("in scalar p=1,0,0\nout scalar p=1,0,0\n", "", "lambda = 1e-400000000\n",
-     2, "bad number '1e-400000000'")],
-    ids=["p-tiny", "p-huge", "E-tiny", "vertex-zero", "lambda-tiny"])
+     2, "bad number '1e-400000000'"),
+    ("in scalar p=\u0661e-400000000,0,0\nout scalar p=1,0,0\n", "", None, 2,
+     "bad number '\u0661e-400000000'"),
+    ("in scalar p=1,0,0 E=\uff11e-400000000\nout scalar p=1,0,0\n", "", None,
+     2, "bad number '\uff11e-400000000'")],
+    ids=["p-tiny", "p-huge", "E-tiny", "vertex-zero", "lambda-tiny",
+         "p-tiny-arabic-indic-digit", "E-tiny-fullwidth-digit"])
 def test_huge_exponents_are_read_at_once(legs, greens, config, code, error,
                                          tmp_path):
     """A number whose float is 0.0 or not finite builds no Fraction, which
     would take minutes to hold 10**400000000: zero digits read as 0, and
     anything else exits 2."""
-    (tmp_path / "legs.txt").write_text(legs)
-    (tmp_path / "greens.txt").write_text(greens)
+    (tmp_path / "legs.txt").write_text(legs, encoding="utf-8")
+    (tmp_path / "greens.txt").write_text(greens, encoding="utf-8")
     argv = ["reduce", "greens.txt", "--legs", "legs.txt"]
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
