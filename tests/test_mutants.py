@@ -14,9 +14,9 @@ mutants = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mutants)
 
 
-@pytest.mark.parametrize("name, file, old, new, expect", mutants.MUTANTS,
+@pytest.mark.parametrize("name, file, old, new", mutants.MUTANTS,
                          ids=[m[0] for m in mutants.MUTANTS])
-def test_mutant_text_matches_once(name, file, old, new, expect):
+def test_mutant_text_matches_once(name, file, old, new):
     source = (ROOT / "src" / "innerqft" / file).read_text()
     assert source.count(old) == 1
-    assert old != new and expect in ("killed", "survives")
+    assert old != new

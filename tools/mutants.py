@@ -7,10 +7,12 @@ match that file exactly once, so that a mutant whose text went stale fails
 loudly. The script copies `src/`, `tests/`, `perfbench/` and `tools/` (which
 tests read) and `pyproject.toml` into a temporary directory outside the
 repository and runs the tier-1 suite there, first unmutated (it must pass),
-then once per mutant with `-x`. It prints, per mutant, `killed` and the
-first failing test or `SURVIVED`, and exits 1 when a mutant survives that
-the list expects killed, when a text does not match once, or when the
-unmutated copy fails.
+then once per mutant with `-x`. `tests/test_mutants.py` is left out of
+these runs: it checks that each mutant's text is still in `src/`, so it
+would fail on every mutant and hide the ones that survive. The script
+prints, per mutant, `killed` and the first failing test or `SURVIVED`, and
+exits 1 when a mutant survives, when a text does not match once, or when
+the unmutated copy fails.
 """
 
 from __future__ import annotations
@@ -26,26 +28,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, file under src/innerqft, old text, new text, expected outcome)
+# (name, file under src/innerqft, old text, new text)
 MUTANTS = (
     ("eta sign rule flipped", "opalg.py",
      "sign=lambda idx: 1 if idx == 0 else -1",
-     "sign=lambda idx: -1 if idx == 0 else 1", "killed"),
+     "sign=lambda idx: -1 if idx == 0 else 1"),
     ("ETA sign set to +1", "opalg.py",
-     "sign=lambda idx: -1,", "sign=lambda idx: 1,", "killed"),
+     "sign=lambda idx: -1,", "sign=lambda idx: 1,"),
     ("fermion swap sign dropped in _insert", "opalg.py",
      "        if x & y & 2:\n            s = -s\n",
-     "        if x & y & 2:\n            pass\n", "killed"),
+     "        if x & y & 2:\n            pass\n"),
     ("scalar contact factor 2 -> 1", "opalg.py",
-     "return CRat.of(2), -4, 7,", "return CRat.of(1), -4, 7,", "killed"),
+     "return CRat.of(2), -4, 7,", "return CRat.of(1), -4, 7,"),
     ("Pauli zero dropped", "opalg.py",
-     "if x & 2 and y == x:", "if False:", "killed"),
+     "if x & 2 and y == x:", "if False:"),
     ("_quantum_weight reads ETA for eta", "fock.py",
-     'ATOMS["eta"].sign(op.pol)', 'ATOMS["ETA"].sign(op.pol)', "killed"),
+     'ATOMS["eta"].sign(op.pol)', 'ATOMS["ETA"].sign(op.pol)'),
     ("boost frame keeps a past-pointing K", "kinematics.py",
-     "_boost_frame(u if u[0] > 0 else -u)", "_boost_frame(u)", "killed"),
+     "_boost_frame(u if u[0] > 0 else -u)", "_boost_frame(u)"),
     ("boost frame divides by 1 - u_0", "kinematics.py",
-     "/ (1 + u[0])", "/ (1 - u[0])", "killed"),
+     "/ (1 + u[0])", "/ (1 - u[0])"),
 )
 
 _IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -55,7 +57,8 @@ def _pytest(tree: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-m", "pytest", "-q",
-                           "-p", "no:cacheprovider", *args],
+                           "-p", "no:cacheprovider",
+                           "--ignore=tests/test_mutants.py", *args],
                           cwd=tree, env=env, capture_output=True, text=True)
 
 
@@ -75,7 +78,7 @@ def main() -> int:
         if base.returncode:
             print(f"the unmutated copy fails: {_first_failure(base.stdout)}")
             return 1
-        for name, file, old, new, expect in MUTANTS:
+        for name, file, old, new in MUTANTS:
             path = tree / "src" / "innerqft" / file
             source = path.read_text()
             if source.count(old) != 1:
@@ -95,8 +98,8 @@ def main() -> int:
                       f"{_first_failure(proc.stdout)}")
             else:
                 print(f"SURVIVED  {name} ({secs:.1f} s)")
-                bad += expect == "killed"
-    print(f"{len(MUTANTS)} mutants: {bad} not as expected")
+                bad += 1
+    print(f"{len(MUTANTS)} mutants: {bad} survived or stale")
     return 1 if bad else 0
 
 
