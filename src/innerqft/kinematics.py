@@ -3,8 +3,9 @@
 Everything here works on (M4, eta) with eta = diag(1,-1,-1,-1) and is pure
 value-semantic: no global state, safe for concurrent use. A four-vector is a
 float numpy array of its contravariant components (t, x, y, z); `ETA @ v`
-lowers its index. Polarization bases are plain tuples of such arrays: the
-pure boost that takes (1,0,0,0) to a unit timelike u, applied to the axes.
+lowers its index. Polarization bases are plain tuples of such arrays, and
+both kinds come from one closed form: the pure boost that takes (1,0,0,0) to
+a unit timelike vector u, applied to the spatial axes.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ class MassShellMomentum(Record):
 
 
 def _boost_frame(u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pure boost Lambda(u) of a future-pointing unit timelike u applied
-    to e1, e2, e3 (Weinberg, QFT I, sec. 2.5): the columns (u_j, delta_ij +
-    u_i u_j / (1 + u_0)), spacelike, orthonormal and orthogonal to u. As
-    1 + u_0 >= 2, the division is well conditioned."""
+    """The pure boost Lambda(u) applied to e1, e2, e3 (Weinberg, QFT I,
+    sec. 2.5), u a future-pointing unit timelike vector: the columns
+    (u_j, delta_ij + u_i u_j / (1 + u_0)), j = 1, 2, 3. They are spacelike,
+    Minkowski-orthonormal and orthogonal to u; 1 + u_0 >= 2 keeps the
+    division well conditioned."""
     spatial = u[1:]
     frame = np.empty((3, 4))
     frame[:, 0] = spatial
@@ -74,9 +76,11 @@ def _boost_frame(u: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def build_spacetime_polarizations(k: MassShellMomentum) -> tuple[np.ndarray, ...]:
-    """(eps(k,0), ..., eps(k,3)): u = k/m and the boost frame of u, with m
-    the exact k.mass, which MassShellMomentum keeps positive: sqrt(k.k)
-    would lose digits to cancellation."""
+    """(eps(k,0), ..., eps(k,3)): u = k/m and the boost frame of u, m = k.mass.
+
+    u divides by the exact mass, which MassShellMomentum keeps positive;
+    sqrt(k.k) would lose digits to cancellation.
+    """
     u = k.four_vector() / k.mass
     return (u, *_boost_frame(u))
 
@@ -190,7 +194,8 @@ def spin_sum(k: MassShellMomentum, kind: str) -> np.ndarray:
 def spin_sum_residual(k: MassShellMomentum, kind: str) -> float:
     """Max entrywise residual of the spin sum of `kind` against
     (kslash +- m)/2m, m = k.mass."""
-    total = spin_sum(k, kind)  # first: it checks kind
-    ksl, m1 = slash(k.four_vector()), k.mass * np.eye(4)
+    total = spin_sum(k, kind)
+    ksl = slash(k.four_vector())
+    m1 = k.mass * np.eye(4)
     target = (ksl + m1 if kind == "u" else ksl - m1) / (2 * k.mass)
     return float(np.max(np.abs(total - target)))
