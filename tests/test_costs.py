@@ -15,7 +15,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from innerqft import cli, numeric, opalg, suites
+from innerqft import cli, grammar, numeric, opalg, suites
 from innerqft.config import RunConfig
 
 COSTS = Path(__file__).resolve().parent / "data" / "cost_counts.json"
@@ -39,6 +39,7 @@ def _counted(run) -> Counter:
     undo: list = []
     check, make, merge = (numeric.toy_unitarity_check, opalg.make_monomial,
                           opalg.OperatorExpr.__dict__["from_monomials"].__func__)
+    contact, atom_init = opalg._contact_factors, opalg.Atom.__post_init__
 
     def toy_unitarity_check(s, p, *args):
         counts["toy_unitarity_check.calls"] += 1
@@ -49,6 +50,14 @@ def _counted(run) -> Counter:
         counts["make_monomial.calls"] += 1
         return make(*args, **kwargs)
 
+    def _contact_factors(lo, hi):
+        counts["contact_factors.calls"] += 1
+        return contact(lo, hi)
+
+    def atom_post_init(self):
+        counts["atom.builds"] += 1
+        atom_init(self)
+
     def from_monomials(cls, monos):
         monos = list(monos)
         counts["from_monomials.monomials_in"] += sum(m is not None for m in monos)
@@ -56,6 +65,9 @@ def _counted(run) -> Counter:
 
     _rebind(undo, check, toy_unitarity_check)
     _rebind(undo, make, make_monomial)
+    _rebind(undo, contact, _contact_factors)
+    undo.append((opalg.Atom, "__post_init__", atom_init))
+    opalg.Atom.__post_init__ = atom_post_init
     undo.append((opalg.OperatorExpr, "from_monomials",
                  opalg.OperatorExpr.__dict__["from_monomials"]))
     opalg.OperatorExpr.from_monomials = classmethod(from_monomials)
@@ -78,12 +90,20 @@ def _cli(argv: list):
     return run
 
 
+def _printed_ladder_vev(n: int) -> str:
+    """The printed vev of the scalar ladder a^n a'^n: n! coefficient terms."""
+    ladder = " ".join([f"a(k{j};K{j})" for j in range(n)]
+                      + [f"a'(h{j};H{j})" for j in range(n)])
+    return grammar.print_expression(opalg.vev(grammar.parse_expression(ladder)))
+
+
 def _runs(workdir: Path) -> dict:
-    """Each pinned run by name: `verify --suite all --seed 0` in process,
-    and the seed-0 smoke vev-ladder and lsz-legs invocations of
+    """Each pinned run by name: `verify --suite all --seed 0` in process;
+    the seed-0 smoke vev-ladder and lsz-legs invocations of
     perfbench/workloads.py through `cli.main`, with their input files
-    written to workdir. perfbench/workloads.py is imported by path and only
-    read."""
+    written to workdir; and `vev` through `cli.main` on the printed
+    a^5 a'^5 and a^6 a'^6 results, so that parsing them back is counted.
+    perfbench/workloads.py is imported by path and only read."""
     spec = importlib.util.spec_from_file_location("cost_workloads",
                                                   PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -97,6 +117,9 @@ def _runs(workdir: Path) -> dict:
     for name in ("vev-ladder", "lsz-legs"):
         for inv in workloads.generate(name, 0, workdir, smoke=True).invocations:
             runs[f"{name} seed 0 smoke: {inv.label}"] = _cli(list(inv.argv))
+    for n in (5, 6):
+        runs[f"vev of the printed vev(a^{n} a'^{n})"] = _cli(
+            ["vev", _printed_ladder_vev(n)])
     return runs
 
 
