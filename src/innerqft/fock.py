@@ -53,12 +53,6 @@ class FockState(Record):
     def is_zero(self) -> bool:
         return self.expr.is_zero()
 
-    def __add__(self, other: "FockState") -> "FockState":
-        return FockState(self.expr + other.expr)
-
-    def scale(self, c) -> "FockState":
-        return FockState(self.expr.scale(c))
-
 
 def apply(e: OperatorExpr, s: FockState) -> FockState:
     """Left-multiply and annihilate the vacuum on the right."""
@@ -80,13 +74,12 @@ def _quantum_weight(op: LadderOperator) -> int:
     return ATOMS["eta"].sign(op.pol) * ATOMS["ETA"].sign(op.ipol)
 
 
-def norm_sign(ket: Monomial | FockState) -> int:
+def norm_sign(ket: FockState) -> int:
     """Product of eta^{gg} eta^{GG} over gauge quanta; matter contributes +1."""
-    if isinstance(ket, FockState):
-        if len(ket.expr.terms) != 1:
-            raise ValueError("norm sign is defined for basis kets")
-        (ket,) = ket.expr.terms
-    return math.prod(_quantum_weight(op) for op in ket.ops)
+    if len(ket.expr.terms) != 1:
+        raise ValueError("norm sign is defined for basis kets")
+    (m,) = ket.expr.terms
+    return math.prod(_quantum_weight(op) for op in m.ops)
 
 
 def physical_filter(s: FockState) -> FockState:
@@ -102,6 +95,14 @@ def physical_filter(s: FockState) -> FockState:
         else:
             kept.append(m)
     return FockState(OperatorExpr.from_monomials(kept))
+
+
+def on_shell_energy(spatial, mass: float) -> float:
+    """Positive-energy dispersion sqrt(|k|^2 + m^2)."""
+    if not mass > 0:
+        raise ValueError("mass must be positive")
+    kx, ky, kz = (float(c) for c in spatial)
+    return math.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
 
 
 class FieldMasses(Record):
@@ -132,7 +133,6 @@ def momentum_action(which: str, s: FockState,
     """
     if which not in ("p", "P"):
         raise ValueError("which must be 'p' or 'P'")
-    from .kinematics import on_shell_energy
     out = []
     for m in s.expr.terms:
         total = (0, 0, 0, 0)

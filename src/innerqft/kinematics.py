@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .fock import on_shell_energy
 from .record import Record
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -24,14 +25,6 @@ DEFAULT_TOL = 1e-12
 def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
     a, b = a.tolist(), b.tolist()  # plain floats: faster than numpy scalars
     return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-
-
-def on_shell_energy(spatial, mass: float) -> float:
-    """Positive-energy dispersion sqrt(|k|^2 + m^2)."""
-    if not mass > 0:
-        raise ValueError("mass must be positive")
-    kx, ky, kz = (float(c) for c in spatial)
-    return math.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
 
 
 class MassShellMomentum(Record):
@@ -99,21 +92,13 @@ def build_inner_polarizations(K: np.ndarray) -> tuple[np.ndarray, ...]:
     return _boost_frame(u if u[0] > 0 else -u)
 
 
-def spacetime_completeness_residual(eps: tuple, k: MassShellMomentum) -> float:
-    """Max entrywise residual of sum_{g=1..3} eps^r eps^s = -eta^{rs} + k^r k^s / m^2,
-    m = k.mass."""
-    k4 = k.four_vector()
-    target = -ETA + np.outer(k4, k4) / k.mass**2
-    got = sum(np.outer(e, e) for e in eps[1:4])
-    return float(np.max(np.abs(got - target)))
-
-
-def inner_completeness_residual(basis: tuple, K: np.ndarray) -> float:
-    """Max entrywise residual of sum_G E_a E_b = -eta_{ab} + K_a K_b / K^2."""
-    K2 = minkowski_dot(K, K)
-    Kl = ETA @ K
-    target = -ETA + np.outer(Kl, Kl) / K2
-    got = sum(np.outer(ETA @ e, ETA @ e) for e in basis)
+def completeness_residual(vectors, k: np.ndarray, k2: float) -> float:
+    """Max entrywise residual of sum_v v^r v^s = -eta^{rs} + k^r k^s / k2:
+    (eps[1:], k.four_vector(), k.mass**2) checks the spacetime basis, (E,
+    K, K.K) the inner one. eta is diagonal +-1, so lowering both indices,
+    as the inner identity is often written, leaves the residual as it is."""
+    target = -ETA + np.outer(k, k) / k2
+    got = sum(np.outer(v, v) for v in vectors)
     return float(np.max(np.abs(got - target)))
 
 

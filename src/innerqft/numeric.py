@@ -19,8 +19,8 @@ import numpy as np
 from .grammar import parse_expression
 from .kinematics import (DEFAULT_TOL, ETA, MassShellMomentum,
                          build_inner_polarizations, build_spacetime_polarizations,
-                         inner_completeness_residual, minkowski_dot, slash,
-                         spacetime_completeness_residual, spin_sum_residual)
+                         completeness_residual, minkowski_dot, slash,
+                         spin_sum_residual)
 from .opalg import OperatorExpr, delta_resolve, vev
 from .record import Record
 
@@ -107,8 +107,10 @@ def _numerator_residual(kind: str) -> float:
             continue
         eps = build_spacetime_polarizations(k)
         K = np.array([3.0, *rng.uniform(-1, 1, size=3)])
-        worst = max(worst, spacetime_completeness_residual(eps, k),
-                    inner_completeness_residual(build_inner_polarizations(K), K))
+        worst = max(worst,
+                    completeness_residual(eps[1:], k.four_vector(), k.mass**2),
+                    completeness_residual(build_inner_polarizations(K), K,
+                                          minkowski_dot(K, K)))
     return worst
 
 

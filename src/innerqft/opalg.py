@@ -765,10 +765,6 @@ def vev(e: OperatorExpr) -> OperatorExpr:
 # Delta resolution (sifting semantics)
 
 
-class InconsistentBinding(ValueError):
-    pass
-
-
 def unify(atoms: Sequence[Atom]) -> tuple[dict, list]:
     """Consume the sifted atoms among canonical `atoms` by unifying labels.
 
@@ -799,21 +795,15 @@ def unify(atoms: Sequence[Atom]) -> tuple[dict, list]:
     return mapping, [a.substitute(mapping) for a in rest] + sifted
 
 
-def delta_resolve(e: OperatorExpr, bindings: Mapping[str, Label] | None = None
-                  ) -> OperatorExpr:
+def delta_resolve(e: OperatorExpr) -> OperatorExpr:
     """Consume delta atoms by unifying their labels.
 
     A delta over a symbol and anything substitutes the symbol and drops the
     atom; a delta over two equal labels becomes a zero marker, over two
     distinct bound labels it kills the monomial. `unify` does this; a
     monomial it changed is rebuilt by one substitution and one
-    `make_monomial` call. Explicit `bindings` are applied first; a value
-    that is not a label of its symbol's type raises ValueError.
+    `make_monomial` call.
     """
-    if bindings:
-        if not all(isinstance(sym, str) for sym in bindings):
-            raise InconsistentBinding("bindings map symbols to values")
-        e = e.substitute(dict(bindings))
     out = []
     for m in e.terms:
         mapping, atoms = unify(m.atoms)

@@ -208,9 +208,9 @@ def suite_kinematics(cfg: RunConfig) -> list[Case]:
         mu = rng.uniform(0.5, 2.0)
         k = MassShellMomentum.of([rng.uniform(-2, 2) for _ in range(3)], mu)
         eps = kinematics.build_spacetime_polarizations(k)
-        worst_c = max(worst_c,
-                      kinematics.spacetime_completeness_residual(eps, k))
         k4 = k.four_vector()
+        worst_c = max(worst_c, kinematics.completeness_residual(
+            eps[1:], k4, k.mass**2))
         worst_o = max(worst_o, max(abs(kinematics.minkowski_dot(k4, eps[g]))
                                    for g in range(1, 4)))
         for g in range(4):
@@ -224,8 +224,8 @@ def suite_kinematics(cfg: RunConfig) -> list[Case]:
     for _ in range(100):
         K = _random_timelike(rng)
         basis = kinematics.build_inner_polarizations(K)
-        worst_ic = max(worst_ic,
-                       kinematics.inner_completeness_residual(basis, K))
+        worst_ic = max(worst_ic, kinematics.completeness_residual(
+            basis, K, kinematics.minkowski_dot(K, K)))
         worst_it = max(worst_it, max(abs(kinematics.minkowski_dot(K, E))
                                      for E in basis))
     cases.append(_numeric("kinematics.inner_completeness", worst_ic, tol))
@@ -393,9 +393,7 @@ def suite_propagators(cfg: RunConfig) -> list[Case]:
     for _ in range(20):
         m = rng.uniform(0.2, 5)
         kk = MassShellMomentum.of([rng.uniform(-3, 3) for _ in range(3)], m)
-        num = kinematics.slash(kk.four_vector()) + m * np.eye(4)
-        worst = max(worst, float(np.max(np.abs(
-            num - 2 * m * kinematics.spin_sum(kk, "u")))))
+        worst = max(worst, kinematics.spin_sum_residual(kk, "u"))
     cases.append(_numeric("propagators.dirac_numerator_spin_sum", worst, tol))
     return cases
 
@@ -463,12 +461,6 @@ def random_toy_instances(rng: np.random.Generator, dim: int, count: int
     # the diagonal of each P: 1 on the physical states
     p.reshape(count, -1)[:, ::dim + 1] = np.arange(dim) < np.array(physes)[:, None]
     return s, p
-
-
-def random_toy_instance(rng: np.random.Generator, dim: int) -> tuple:
-    """(S, P): one instance of `random_toy_instances`."""
-    s, p = random_toy_instances(rng, dim, 1)
-    return s[0], p[0]
 
 
 # the bytes of S in one stack of `suite_unitarity`: all 100 instances at

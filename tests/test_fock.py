@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,7 +91,7 @@ def test_physical_filter():
     assert fock.physical_filter(FockState.ket(bad)).is_zero()
     kept = fock.physical_filter(FockState.ket(good, scalar))
     assert kept.expr == FockState.ket(good, scalar).expr
-    mixed = FockState.ket(bad) + FockState.ket(good)
+    mixed = FockState(FockState.ket(bad).expr + FockState.ket(good).expr)
     assert fock.physical_filter(mixed).expr == FockState.ket(good).expr
 
 
@@ -95,6 +100,28 @@ def test_norm_sign_needs_bound_polarizations():
                bound_op(opalg.GAUGE, pol=1, ipol="G")):
         with pytest.raises(ValueError):
             fock.norm_sign(FockState.ket(op))
+
+
+# momentum_action in a fresh interpreter that imported only innerqft.fock
+MOMENTUM_ACTION_STEPS = r"""
+import json, sys
+import innerqft.fock as fock
+op = fock.LadderOperator(fock.GAUGE, True, (3, 4, 0), (2, 0, 0, 0), pol=1, ipol=1)
+before = "numpy" in sys.modules
+((_, p),) = fock.momentum_action("p", fock.FockState.ket(op))
+print(json.dumps([before, p, "numpy" in sys.modules]))
+"""
+
+
+def test_momentum_action_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", MOMENTUM_ACTION_STEPS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # [DERIVED] E = sqrt(9 + 16 + 1) = sqrt(26); eta^11 ETA^11 = +1
+    assert json.loads(proc.stdout) == [False, [math.sqrt(26), 3, 4, 0], False]
 
 
 def test_physical_filter_needs_bound_polarizations():

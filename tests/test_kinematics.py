@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from innerqft import kinematics as kin
 from innerqft.kinematics import ETA, MassShellMomentum
+from innerqft.suites import _random_timelike
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 mass = st.floats(min_value=0.5, max_value=2.0)
@@ -59,8 +61,8 @@ def test_mass_shell_invariant(x, y, z, m):
 def test_spacetime_polarizations(x, y, z, mu):
     k = MassShellMomentum.of((x, y, z), mu)
     eps = kin.build_spacetime_polarizations(k)
-    assert kin.spacetime_completeness_residual(eps, k) < 1e-10
     k4 = k.four_vector()
+    assert kin.completeness_residual(eps[1:], k4, k.mass**2) < 1e-10
     # zero mode is k/mu; the three others are transversal and orthonormal
     assert np.allclose(eps[0], k4 / mu, atol=1e-12)
     for g in range(1, 4):
@@ -77,7 +79,7 @@ def test_inner_polarizations(x, y, z, gap):
     t = math.sqrt(x * x + y * y + z * z) + gap
     K = np.array([t, x, y, z])
     basis = kin.build_inner_polarizations(K)
-    assert kin.inner_completeness_residual(basis, K) < 1e-10
+    assert kin.completeness_residual(basis, K, kin.minkowski_dot(K, K)) < 1e-10
     for E in basis:
         assert abs(kin.minkowski_dot(K, E)) < 1e-10
         assert kin.minkowski_dot(E, E) == pytest.approx(-1.0, abs=1e-10)
@@ -103,8 +105,36 @@ def test_inner_basis_is_shared_by_K_and_minus_K(K):
     for E, E_minus in zip(kin.build_inner_polarizations(K),
                           kin.build_inner_polarizations(-K)):
         assert np.array_equal(E, E_minus)
-    assert kin.inner_completeness_residual(kin.build_inner_polarizations(-K),
-                                           -K) < 1e-12
+    assert kin.completeness_residual(kin.build_inner_polarizations(-K), -K,
+                                     kin.minkowski_dot(K, K)) < 1e-12
+
+
+def _lowered_completeness_residual(vectors, k, k2):
+    """The residual of the lowered-index form sum_v v_a v_b = -eta_{ab} +
+    k_a k_b / k2, as the inner basis was once checked."""
+    kl = ETA @ k
+    target = -ETA + np.outer(kl, kl) / k2
+    got = sum(np.outer(ETA @ v, ETA @ v) for v in vectors)
+    return float(np.max(np.abs(got - target)))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 21, 123])
+def test_completeness_residual_equals_the_lowered_index_form(seed):
+    """Lowering both indices flips signs only, so the residual is the same
+    float, on the draws of `suite_kinematics` at the seed."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        mu = rng.uniform(0.5, 2.0)
+        k = MassShellMomentum.of([rng.uniform(-2, 2) for _ in range(3)], mu)
+        eps = kin.build_spacetime_polarizations(k)
+        args = eps[1:], k.four_vector(), k.mass**2
+        assert kin.completeness_residual(*args) == \
+            _lowered_completeness_residual(*args)
+    for _ in range(100):
+        K = _random_timelike(rng)
+        args = kin.build_inner_polarizations(K), K, kin.minkowski_dot(K, K)
+        assert kin.completeness_residual(*args) == \
+            _lowered_completeness_residual(*args)
 
 
 def test_inner_polarizations_reject_nontimelike():

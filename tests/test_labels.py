@@ -206,4 +206,4 @@ def test_malformed_labels_raise_value_error(build, text, binding, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
     with pytest.raises(ValueError, match=message):
-        opalg.delta_resolve(parse_expression(text), binding)
+        opalg.delta_resolve(parse_expression(text).substitute(binding))

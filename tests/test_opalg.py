@@ -716,9 +716,9 @@ def test_creator_products_make_no_contact_factors(r):
 
 def test_delta_resolve_substitutes_symbols():
     e = commutator(opalg.a("k", "K"), opalg.a("h", "H", dagger=True))
-    resolved = delta_resolve(e, {"h": (Fraction(1), Fraction(2), Fraction(2)),
-                                 "H": (Fraction(4), Fraction(0), Fraction(0),
-                                       Fraction(0))})
+    resolved = delta_resolve(e.substitute(
+        {"h": (Fraction(1), Fraction(2), Fraction(2)),
+         "H": (Fraction(4), Fraction(0), Fraction(0), Fraction(0))}))
     ((m,),) = [resolved.terms]
     # the deltas are consumed: k and K are unified with the bound values
     assert not any(a.kind in ("d3", "d4") for a in m.atoms)
@@ -744,13 +744,11 @@ def test_delta_resolve_consumes_one_copy_of_a_repeated_delta():
     assert delta_resolve(expr_of(twice)) == want
 
 
-def delta_resolve_oracle(e, bindings=None):
+def delta_resolve_oracle(e):
     """Delta resolution rebuilding an expression per consumed delta: the
     first sifted atom over a symbol is dropped, the monomial rebuilt
     without it, and the symbol substituted through the expression, until
     no such atom is left."""
-    if bindings:
-        e = e.substitute(dict(bindings))
     out = []
     for m in e.terms:
         cur = OperatorExpr.from_monomials([m])
@@ -773,9 +771,10 @@ def delta_resolve_oracle(e, bindings=None):
 
 
 def _resolved(resolve, e, bindings=None):
-    """The result of `resolve`, or the type of the ValueError it raised."""
+    """The result of `resolve` on `e` with `bindings` substituted first, or
+    the type of the ValueError raised."""
     try:
-        return resolve(e, bindings)
+        return resolve(e.substitute(bindings) if bindings else e)
     except ValueError as exc:
         return type(exc)
 
@@ -832,12 +831,6 @@ def test_delta_resolve_makes_one_monomial_per_term(monkeypatch):
     assert calls[0] == len(with_deltas)
     monkeypatch.setattr(opalg, "make_monomial", real)
     assert got == delta_resolve_oracle(e)
-
-
-def test_delta_resolve_rejects_malformed_bindings():
-    e = opalg.a("k", "K")
-    with pytest.raises(opalg.InconsistentBinding):
-        delta_resolve(e, {("k",): (Fraction(1), Fraction(0), Fraction(0))})
 
 
 def test_delta_symmetry_canonicalizes():

@@ -440,11 +440,11 @@ def test_unitarity_identity():
 
 
 def test_unitarity_random_instances():
-    from innerqft.suites import random_toy_instance
+    from innerqft.suites import random_toy_instances
     rng = np.random.default_rng(5)
     for dim in (4, 16):
         for _ in range(25):
-            s, p = random_toy_instance(rng, dim)
+            (s,), (p,) = random_toy_instances(rng, dim, 1)
             failures, concl = toy_unitarity_check(s, p, 1e-12)
             assert not failures and concl <= 1e-12, failures
 
@@ -531,13 +531,13 @@ def _broken_copies(s, p, size):
 
 
 def test_frobenius_screen_matches_svd_reports():
-    from innerqft.suites import random_toy_instance
+    from innerqft.suites import random_toy_instances
     rng = np.random.default_rng(11)
     tol = 1e-9
     seen = set()
     for dim in (2, 4, 16):
         for _ in range(10):
-            s, p = random_toy_instance(rng, dim)
+            (s,), (p,) = random_toy_instances(rng, dim, 1)
             assert toy_unitarity_check(s, p, tol) == _svd_unitarity_report(s, p, tol)
             for size in tol * np.array([0.1, 0.45, 0.55, 0.9, 1.1, 3.0, 1e6]):
                 for broken in _broken_copies(s, p, size):
@@ -607,7 +607,7 @@ def _one_toy_instance(rng, dim):
 
 
 def test_stacked_draws_equal_one_at_a_time_draws():
-    from innerqft.suites import random_toy_instance, random_toy_instances
+    from innerqft.suites import random_toy_instances
     for dim in (2, 5, 16):
         one, many = np.random.default_rng(dim), np.random.default_rng(dim)
         pairs = [_one_toy_instance(one, dim) for _ in range(30)]
@@ -615,8 +615,9 @@ def test_stacked_draws_equal_one_at_a_time_draws():
         assert np.array_equal(s, [a for a, _ in pairs])
         assert np.array_equal(p, [b for _, b in pairs])
         assert one.bit_generator.state == many.bit_generator.state
+        (s,), (p,) = random_toy_instances(many, dim, 1)
         assert all(np.array_equal(a, b) for a, b in
-                   zip(random_toy_instance(one, dim), random_toy_instance(many, dim)))
+                   zip(_one_toy_instance(one, dim), (s, p)))
 
 
 def _scaled_identity(n, two_norm):
