@@ -48,6 +48,13 @@ MUTANTS = (
      "_boost_frame(u if u[0] > 0 else -u)", "_boost_frame(u)"),
     ("boost frame divides by 1 - u_0", "kinematics.py",
      "/ (1 + u[0])", "/ (1 - u[0])"),
+    ("gamma^1 lower block sign flipped", "kinematics.py",
+     "_SIGMA[0], -_SIGMA[0]", "_SIGMA[0], _SIGMA[0]"),
+    ("completeness target +eta", "kinematics.py",
+     "-ETA + np.outer(k, k) / k2", "ETA + np.outer(k, k) / k2"),
+    ("spin-sum targets of u and v swapped", "kinematics.py",
+     'ksl + m1 if kind == "u" else ksl - m1',
+     'ksl - m1 if kind == "u" else ksl + m1'),
 )
 
 _IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
