@@ -111,7 +111,8 @@ def test_inner_basis_is_shared_by_K_and_minus_K(K):
 
 def _lowered_completeness_residual(vectors, k, k2):
     """The residual of the lowered-index form sum_v v_a v_b = -eta_{ab} +
-    k_a k_b / k2, as the inner basis was once checked."""
+    k_a k_b / k2, the usual form of the inner identity: the oracle of
+    `completeness_residual`."""
     kl = ETA @ k
     target = -ETA + np.outer(kl, kl) / k2
     got = sum(np.outer(ETA @ v, ETA @ v) for v in vectors)
