@@ -190,8 +190,9 @@ def cmd_expression(args: argparse.Namespace) -> int:
 
 _LEG_FIELDS = {"scalar": opalg.SCALAR, "dirac": opalg.DIRAC_PARTICLE,
                "antidirac": opalg.DIRAC_ANTIPARTICLE, "gauge": opalg.GAUGE}
-# optional leg tokens: key -> (Leg field, number type)
-_LEG_KEYS = {"s": ("spin", int), "g": ("pol", int), "G": ("ipol", int),
+# leg tokens: key -> (Leg field, number type, or None for p=x,y,z)
+_LEG_KEYS = {"p": ("mom", None),
+             **{key: (name, int) for name, (key, _) in opalg.LABEL_TEXT.items()},
              "E": ("energy", float)}
 
 
@@ -211,24 +212,23 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
             raise ConfigError(
                 f"{where}: expected "
                 "'<in|out> <scalar|dirac|antidirac|gauge> p=x,y,z [...]'")
-        mom = None
-        extra: dict = {}
+        values: dict = {}
         for tok in tokens[2:]:
             if "=" not in tok:
                 raise ConfigError(f"{where}: bad token '{tok}'")
             key, _, val = tok.partition("=")
-            if key == "p":
-                mom = _parse_vec3(val, where)
-            elif key in _LEG_KEYS:
-                name, convert = _LEG_KEYS[key]
-                extra[name] = _read(convert, val, where)
-            else:
+            if key not in _LEG_KEYS:
                 raise ConfigError(f"{where}: unknown key '{key}'")
-        if mom is None:
+            name, convert = _LEG_KEYS[key]
+            if name in values:
+                raise ConfigError(f"{where}: repeated key '{key}'")
+            values[name] = (_read(convert, val, where) if convert
+                            else _parse_vec3(val, where))
+        if "mom" not in values:
             raise ConfigError(f"{where}: missing momentum p=x,y,z")
         try:
-            legs.append(smatrix.Leg(tokens[0], _LEG_FIELDS[tokens[1]], mom,
-                                    **extra))
+            legs.append(smatrix.Leg(tokens[0], _LEG_FIELDS[tokens[1]],
+                                    **values))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     if not legs:

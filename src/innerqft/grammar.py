@@ -11,7 +11,8 @@
             | 'kd' '(' disc ',' disc ')'
             | ('eta'|'ETA') '[' disc ',' disc ']'
     operator := ('a'|'b'|'d'|'A') ["'"] '(' labels ')'
-    labels := mom [',s=' disc] [',g=' disc] ';' inner [',G=' disc]
+    labels := mom {',' ('s'|'g') '=' disc} ';' inner [',G=' disc]
+                                    -- each of s=, g= and G= at most once
     mom    := ident | '[' number ',' number ',' number ']'
     inner  := ident | '[' number{4 comma-separated} ']' | '~' mom
     disc   := ident | int
@@ -23,9 +24,9 @@ once. The dagger is the apostrophe suffix; numbers are exact rationals
 four-vector of momentum `k`. `mom`, `inner` and `disc` are the three label
 types of `opalg` (MOM, INNER, DISC), read by one rule, `parse_label`, and
 checked by one, `opalg.check_label`, where the operator or atom is built.
-Malformed text, a zero denominator, a bound vector of the wrong size or a
-bound `kd`/`eta`/`ETA` index outside the range of its operator label
-included, raises ParseError.
+Malformed text, a repeated label, a zero denominator, a bound vector of
+the wrong size or a bound `kd`/`eta`/`ETA` index outside the range of its
+operator label included, raises ParseError.
 
 There is one printer: `str(e)`, defined in `opalg`, which
 `print_expression` returns. It emits canonical text, and
@@ -40,8 +41,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .opalg import (ATOMS, DISC, FIELD_HEAD, INNER, MOM, ONE, Atom, CRat,
-                    LadderOperator, Monomial, OnShell, OperatorExpr, product)
+from .opalg import (ATOMS, DISC, FIELD_HEAD, INNER, LABEL_TEXT, MOM, ONE,
+                    Atom, CRat, LadderOperator, Monomial, OnShell,
+                    OperatorExpr, product)
 
 
 class ParseError(ValueError):
@@ -59,6 +61,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 _HEADS = {head: field for field, head in FIELD_HEAD.items()}
+# (key, the label it follows) -> the operator slot of a discrete label
+_LABEL_KEYS = {text: name for name, text in LABEL_TEXT.items()}
 
 
 def _tokenize(src: str):
@@ -234,31 +238,23 @@ class _Parser:
             self.next()
             dagger = True
         self.expect("sym", "(")
-        mom = self.parse_label(MOM)
-        spin = pol = ipol = None
-        while self.peek()[:2] == ("sym", ","):
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("sym", "=")
-            if name == "s":
-                spin = self.parse_label(DISC)
-            elif name == "g":
-                pol = self.parse_label(DISC)
-            else:
-                raise ParseError(f"unknown label {name!r} before ';'", pos)
-        self.expect("sym", ";")
-        inner = self.parse_label(INNER)
-        if self.peek()[:2] == ("sym", ","):
-            self.next()
-            name = self.expect("ident")[1]
-            if name != "G":
-                raise ParseError(f"unknown label {name!r} after ';'", pos)
-            self.expect("sym", "=")
-            ipol = self.parse_label(DISC)
-        self.expect("sym", ")")
+        labels: dict = {}
+        for follows, where, end in ((MOM, "before", ";"), (INNER, "after", ")")):
+            labels[follows] = self.parse_label(follows)
+            while self.peek()[:2] == ("sym", ","):
+                self.next()
+                key = self.expect("ident")[1]
+                name = _LABEL_KEYS.get((key, follows))
+                if name is None:
+                    raise ParseError(f"unknown label {key!r} {where} ';'", pos)
+                if name in labels:
+                    raise ParseError(f"repeated label {key!r}", pos)
+                self.expect("sym", "=")
+                labels[name] = self.parse_label(DISC)
+            self.expect("sym", end)
         try:
-            return LadderOperator(field, dagger, mom, inner, spin=spin,
-                                  pol=pol, ipol=ipol)
+            return LadderOperator(field, dagger, labels.pop(MOM),
+                                  labels.pop(INNER), **labels)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
 

@@ -105,15 +105,6 @@ I = CRat(Fraction(0), Fraction(1))
 
 MOM, INNER, DISC, NONE = "mom", "inner", "disc", "none"
 
-# The bound values of each discrete index, and the message that rejects any
-# other integer; operators and the kd/eta/ETA atoms both check against it.
-INDEX_RANGES = {
-    "spin": ((1, 2), "spin must be 1 or 2"),
-    "pol": ((0, 1, 2, 3), "spacetime polarization must be in 0..3"),
-    "ipol": ((1, 2, 3), "inner polarization must be in 1..3 "
-                        "(no inner-longitudinal gauge quanta)"),
-}
-
 # the size of a bound vector label, and the message that rejects any other
 _VECTORS = {MOM: (3, "bound momentum labels are 3-vectors"),
             INNER: (4, "bound inner labels are 4-vectors")}
@@ -195,7 +186,32 @@ DIRAC_PARTICLE = "dirac_particle"
 DIRAC_ANTIPARTICLE = "dirac_antiparticle"
 GAUGE = "gauge"
 
-FIELDS = (SCALAR, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, GAUGE)
+# The bound values of each discrete index, and the message that rejects any
+# other integer; operators and the kd/eta/ETA atoms both check against it.
+INDEX_RANGES = {
+    "spin": ((1, 2), "spin must be 1 or 2"),
+    "pol": ((0, 1, 2, 3), "spacetime polarization must be in 0..3"),
+    "ipol": ((1, 2, 3), "inner polarization must be in 1..3 "
+                        "(no inner-longitudinal gauge quanta)"),
+}
+
+# How a discrete label is written in operator text: its key, and the label
+# it follows, the momentum (MOM, before ';') or the inner label (INNER).
+LABEL_TEXT = {"spin": ("s", MOM), "pol": ("g", MOM), "ipol": ("G", INNER)}
+
+# The discrete labels each field's operators carry, in print order, and the
+# message that rejects any other set.
+FIELD_LABELS = {
+    SCALAR: ((), "scalar operators carry no discrete labels"),
+    DIRAC_PARTICLE: (("spin",), "Dirac operators carry a spin label only"),
+    DIRAC_ANTIPARTICLE: (("spin",), "Dirac operators carry a spin label only"),
+    GAUGE: (("pol", "ipol"), "gauge operators carry both polarization labels"),
+}
+# per field, whether each discrete slot is set, in INDEX_RANGES order
+_SLOTS_SET = {f: tuple(name in names for name in INDEX_RANGES)
+              for f, (names, _) in FIELD_LABELS.items()}
+
+FIELDS = tuple(FIELD_LABELS)
 _FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
 FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
 
@@ -220,21 +236,14 @@ class LadderOperator(Record):
     def __post_init__(self):
         if self.field not in FIELDS:
             raise ValueError(f"unknown field kind {self.field!r}")
-        if self.field in (DIRAC_PARTICLE, DIRAC_ANTIPARTICLE):
-            if self.spin is None or self.pol is not None or self.ipol is not None:
-                raise ValueError("Dirac operators carry a spin label only")
-        elif self.field == GAUGE:
-            if self.spin is not None or self.pol is None or self.ipol is None:
-                raise ValueError("gauge operators carry both polarization labels")
-        else:
-            if self.spin is not None or self.pol is not None or self.ipol is not None:
-                raise ValueError("scalar operators carry no discrete labels")
+        names, message = FIELD_LABELS[self.field]
+        if (self.spin is not None, self.pol is not None,
+                self.ipol is not None) != _SLOTS_SET[self.field]:
+            raise ValueError(message)
         check_label(self.mom, MOM)
         check_label(self.inner, INNER)
-        for name in INDEX_RANGES:
-            value = getattr(self, name)
-            if value is not None:
-                check_label(value, DISC, name)
+        for name in names:
+            check_label(getattr(self, name), DISC, name)
         # a None slot is None on every operator of the field, so it never
         # decides an order
         object.__setattr__(self, "key", (
@@ -257,15 +266,11 @@ class LadderOperator(Record):
 
     def __str__(self) -> str:
         head = FIELD_HEAD[self.field] + ("'" if self.dagger else "")
-        parts = [label_str(self.mom)]
-        if self.spin is not None:
-            parts.append(f"s={label_str(self.spin)}")
-        if self.pol is not None:
-            parts.append(f"g={label_str(self.pol)}")
-        inner = label_str(self.inner)
-        if self.ipol is not None:
-            inner += f",G={label_str(self.ipol)}"
-        return f"{head}({','.join(parts)};{inner})"
+        texts = {MOM: [label_str(self.mom)], INNER: [label_str(self.inner)]}
+        for name in FIELD_LABELS[self.field][0]:
+            key, follows = LABEL_TEXT[name]
+            texts[follows].append(f"{key}={label_str(getattr(self, name))}")
+        return f"{head}({','.join(texts[MOM])};{','.join(texts[INNER])})"
 
 
 # ---------------------------------------------------------------------------
@@ -590,20 +595,23 @@ def product(factors: Iterable[Iterable[Monomial]]) -> OperatorExpr:
 # Normal-form reduction
 
 
+_PAIR_ATOM = {spec.index: kind for kind, spec in ATOMS.items() if spec.index}
+
+
 def _contact_factors(lo: LadderOperator, hi: LadderOperator):
     """Contact term of annihilator*creator for one species.
 
     Returns (scalar, lam, twopi, atoms); the energy atom uses the
     annihilator's momentum label, as printed.
     """
-    deltas = (Delta4(lo.inner, hi.inner), Delta3(lo.mom, hi.mom))
+    pairs = tuple(Atom(_PAIR_ATOM[name], (getattr(lo, name), getattr(hi, name)))
+                  for name in FIELD_LABELS[lo.field][0])
+    pairs += (Delta4(lo.inner, hi.inner), Delta3(lo.mom, hi.mom))
     if lo.field == SCALAR:
-        return CRat.of(2), -4, 7, (OmegaPow(lo.mom),) + deltas
-    if lo.field in (DIRAC_PARTICLE, DIRAC_ANTIPARTICLE):
-        return ONE, -4, 7, (ERatioPow(lo.mom), SpinDelta(lo.spin, hi.spin)) + deltas
-    return (CRat.of(2), -2, 7,
-            (OmegaPow(lo.mom), Metric(True, lo.pol, hi.pol),
-             Metric(False, lo.ipol, hi.ipol)) + deltas)
+        return CRat.of(2), -4, 7, (OmegaPow(lo.mom),) + pairs
+    if lo.fermionic:
+        return ONE, -4, 7, (ERatioPow(lo.mom),) + pairs
+    return CRat.of(2), -2, 7, (OmegaPow(lo.mom),) + pairs
 
 
 _MERGING = frozenset(k for k, spec in ATOMS.items() if spec.merges)

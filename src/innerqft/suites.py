@@ -258,21 +258,16 @@ def suite_kinematics(cfg: RunConfig) -> list[Case]:
 def _random_ket(rng: random.Random, max_quanta: int = 5):
     ops = []
     for _ in range(rng.randint(1, max_quanta)):
-        kind = rng.choice([opalg.SCALAR, opalg.DIRAC_PARTICLE,
-                           opalg.DIRAC_ANTIPARTICLE, opalg.GAUGE])
+        kind = rng.choice(opalg.FIELDS)
         mom = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                     for _ in range(3))
         spatial = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                    for _ in range(3)]
         t = sum(abs(c) for c in spatial) + rng.randint(1, 3)  # timelike by L1 bound
         inner = (t, *spatial)
-        kwargs = {}
-        if kind in (opalg.DIRAC_PARTICLE, opalg.DIRAC_ANTIPARTICLE):
-            kwargs["spin"] = rng.choice([1, 2])
-        if kind == opalg.GAUGE:
-            kwargs["pol"] = rng.choice([0, 1, 2, 3])
-            kwargs["ipol"] = rng.choice([1, 2, 3])
-        ops.append(opalg.LadderOperator(kind, True, mom, inner, **kwargs))
+        discrete = {name: rng.choice(opalg.INDEX_RANGES[name][0])
+                    for name in opalg.FIELD_LABELS[kind][0]}
+        ops.append(opalg.LadderOperator(kind, True, mom, inner, **discrete))
     return ops
 
 

@@ -219,10 +219,16 @@ def test_parse_error_exit_code(capsys):
     ("kd(3,3)", "kd: spin must be 1 or 2"),
     ("kd(0,s)*a(k;K)*a'(h;H)", "kd: spin must be 1 or 2"),
     ("2*eta[g,5]", "eta: spacetime polarization must be in 0..3"),
+    ("b(k,x=1;K)", "unknown label 'x' before ';'"),
+    ("A(k,g=1;K,x=1)", "unknown label 'x' after ';'"),
+    ("b(k,s=1,s=2;K)", "repeated label 's'"),
+    ("A(k,g=1,g=2;K,G=1)", "repeated label 'g'"),
+    ("A(k;K,G=1,G=2)", "repeated label 'G'"),
 ])
 def test_out_of_range_atom_indices_exit_2(expr, message, capsys):
     """A bound kd/eta/ETA index is checked against the range an operator's
-    spin or polarization takes, not evaluated."""
+    spin or polarization takes, not evaluated; an operator label that is
+    unknown on its side of `;`, or written twice, exits 2 as well."""
     assert main(["vev", expr]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
@@ -513,6 +519,17 @@ def _reduce(tmp_path, legs, greens="", config=None):
 def test_reduce_rejects_out_of_range_legs(leg, tmp_path, capsys):
     assert _reduce(tmp_path, f"in scalar {leg}\nout scalar p=1,0,0\n") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("leg, key", [
+    ("scalar p=1,0,0 p=2,0,0", "p"), ("dirac p=1,0,0 s=1 s=2", "s"),
+    ("gauge p=1,0,0 g=1 G=1 g=2", "g"), ("gauge p=1,0,0 g=1 G=1 G=2", "G"),
+    ("scalar p=1,0,0 E=2 E=3", "E")])
+def test_repeated_leg_key_exits_2(leg, key, tmp_path, capsys):
+    """A key written twice on one legs line is an error, not the last value."""
+    assert _reduce(tmp_path, f"in scalar p=1,0,0\nout {leg}\n") == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'legs.txt'}:2: repeated key '{key}'\n"
 
 
 @pytest.mark.parametrize("vertex", ["vertex nan", "vertex inf 0",

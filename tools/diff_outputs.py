@@ -20,7 +20,9 @@ The corpus:
   - the vev-ladder and lsz-legs invocations that perfbench/workloads.py
     generates for seeds 0-3 and 11;
   - `reduce`, in text and JSON, on vertex files with non-finite, malformed,
-    overflowing and exactly cancelling factors.
+    overflowing and exactly cancelling factors;
+  - `vev` on operators with an unknown or repeated discrete label, and
+    `reduce` on legs lines with an unknown or repeated key.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ _VERTEX_FILES = {
     "max_cancel": "vertex 1e308\nvertex 1e308\nvertex -1e308\n",
 }
 
+_LABEL_PROBES = ("b(k,s=1,s=2;K)", "A(k,g=1,g=2;K,G=1)", "A(k;K,G=1,G=2)",
+                 "A(k,g=1;K,G=1,s=1)", "b(k,x=1;K)", "A(k,g=1;K,x=1)",
+                 "b(k,x;K)", "A(k,G=1;K)", "a(k,s=1;K)")
+
+_LEG_PROBES = ("scalar p=1,0,0 p=2,0,0", "dirac p=1,0,0 s=1 s=2",
+               "gauge p=1,0,0 g=1 G=1 g=2", "gauge p=1,0,0 g=1 G=1 G=2",
+               "scalar p=1,0,0 E=2 E=3", "scalar p=1,0,0 x=1",
+               "scalar p=1,0,0 s=1")
+
 
 def _pinned(work: Path) -> list:
     """The pinned commands, with their input files written to `work`."""
@@ -129,6 +140,18 @@ def _vertices(work: Path) -> list:
     return corpus
 
 
+def _probes(work: Path) -> list:
+    """Labels and keys that are unknown or written twice."""
+    corpus = [["vev", text] for text in _LABEL_PROBES]
+    (work / "probe_greens.txt").write_text("")
+    for i, leg in enumerate(_LEG_PROBES):
+        (work / f"probe_legs_{i}.txt").write_text(
+            f"in scalar p=1,0,0\nout {leg}\n")
+        corpus.append(["reduce", "probe_greens.txt",
+                       "--legs", f"probe_legs_{i}.txt"])
+    return corpus
+
+
 def _run(src: Path, corpus_file: Path, work: Path) -> list:
     results = work / "results.json"
     subprocess.run([sys.executable, "-B", "-c", _CHILD, str(src),
@@ -169,7 +192,7 @@ def main(argv: list[str]) -> int:
         work = tmp / "work"
         work.mkdir()
         corpus = (_pinned(work) + _verify() + _workloads(work)
-                  + _vertices(work))
+                  + _vertices(work) + _probes(work))
         corpus_file = tmp / "corpus.json"
         corpus_file.write_text(json.dumps(corpus))
         old = _run(tmp / "rev" / "src", corpus_file, work)

@@ -55,6 +55,12 @@ MUTANTS = (
     ("spin-sum targets of u and v swapped", "kinematics.py",
      'ksl + m1 if kind == "u" else ksl - m1',
      'ksl - m1 if kind == "u" else ksl + m1'),
+    ("G written before ';'", "opalg.py",
+     '"ipol": ("G", INNER)', '"ipol": ("G", MOM)'),
+    ("antiparticle row without spin", "opalg.py",
+     'DIRAC_ANTIPARTICLE: (("spin",),', 'DIRAC_ANTIPARTICLE: ((),'),
+    ("pol and ipol swapped in the gauge row", "opalg.py",
+     'GAUGE: (("pol", "ipol"),', 'GAUGE: (("ipol", "pol"),'),
 )
 
 _IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
