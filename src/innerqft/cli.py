@@ -23,9 +23,10 @@ from .config import RunConfig
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 # the keys of suites.SUITES, named here so that parsing the command line
-# does not import the suites and, through them, numpy
+# does not import the suites; the numeric ones import numpy
 SUITE_NAMES = ("car", "ccr", "fock", "gauge", "gravlimit", "kinematics", "lsz",
                "propagators", "unitarity")
+NUMERIC_SUITES = ("kinematics", "propagators", "unitarity")
 
 # the RunConfig field that each config-file key and each command-line flag
 # sets; a value is converted to the type of the field's default
@@ -151,13 +152,14 @@ def _report(suite: str, cfg: RunConfig, cases: list) -> tuple[str, bool]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    if "innerqft.suites" not in sys.modules:
+    if args.suite in ("all", *NUMERIC_SUITES) \
+            and "innerqft.numeric" not in sys.modules:
         # the first import of the numeric stack: numpy's import heap lives
         # until exit, so it is frozen out of every later collection
         enabled = gc.isenabled()
         gc.disable()
         try:
-            from . import suites  # noqa: F401
+            from . import kinematics, numeric  # noqa: F401
         finally:
             gc.freeze()
             if enabled:

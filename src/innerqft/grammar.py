@@ -41,8 +41,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .opalg import (ATOMS, DISC, FIELD_HEAD, INNER, LABEL_TEXT, MOM, ONE,
-                    Atom, CRat, LadderOperator, Monomial, OnShell,
+from .opalg import (ATOMS, DISC, FIELD_HEAD, FIELD_LABELS, INNER, LABEL_TEXT,
+                    MOM, ONE, Atom, CRat, LadderOperator, Monomial, OnShell,
                     OperatorExpr, product)
 
 
@@ -239,16 +239,19 @@ class _Parser:
             dagger = True
         self.expect("sym", "(")
         labels: dict = {}
+        carried, message = FIELD_LABELS[field]
         for follows, where, end in ((MOM, "before", ";"), (INNER, "after", ")")):
             labels[follows] = self.parse_label(follows)
             while self.peek()[:2] == ("sym", ","):
                 self.next()
-                key = self.expect("ident")[1]
+                _, key, key_pos = self.expect("ident")
                 name = _LABEL_KEYS.get((key, follows))
                 if name is None:
-                    raise ParseError(f"unknown label {key!r} {where} ';'", pos)
+                    raise ParseError(f"unknown label {key!r} {where} ';'", key_pos)
                 if name in labels:
-                    raise ParseError(f"repeated label {key!r}", pos)
+                    raise ParseError(f"repeated label {key!r}", key_pos)
+                if name not in carried:
+                    raise ParseError(message, key_pos)
                 self.expect("sym", "=")
                 labels[name] = self.parse_label(DISC)
             self.expect("sym", end)

@@ -2,19 +2,20 @@
 
 Everything here works on (M4, eta) with eta = diag(1,-1,-1,-1) and is pure
 value-semantic: no global state, safe for concurrent use. A four-vector is a
-float numpy array of its contravariant components (t, x, y, z); `ETA @ v`
+float numpy array of its contravariant components (t, x, y, z); `v @ ETA`
 lowers its index. Polarization bases are plain tuples of such arrays, and
 both kinds come from one closed form: the pure boost that takes (1,0,0,0) to
 a unit timelike vector u, applied to the spatial axes.
+
+Every function takes one sample or a stack of samples along leading axes,
+with one residual per sample: each sample sees the arithmetic it would see
+alone.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .fock import on_shell_energy
 from .record import Record
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -22,33 +23,42 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 DEFAULT_TOL = 1e-12
 
 
-def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
-    a, b = a.tolist(), b.tolist()  # plain floats: faster than numpy scalars
-    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+def minkowski_dot(a: np.ndarray, b: np.ndarray):
+    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The outer product a b^T of each sample."""
+    return a[..., :, None] * b[..., None, :]
 
 
 class MassShellMomentum(Record):
-    """Spatial momentum plus a positive mass; the energy is derived."""
+    """Spatial momentum plus a positive mass; the energy is derived. `of`
+    takes a stack too: spatial momenta (..., 3), one mass or one each."""
 
-    spatial: tuple[float, float, float]
-    mass: float
+    spatial: np.ndarray
+    mass: float | np.ndarray
 
     def __post_init__(self):
-        if not self.mass > 0:
+        if not np.all(np.greater(self.mass, 0)):
             raise ValueError("mass must be positive")
-        if not all(map(math.isfinite, self.spatial)):
+        if not np.isfinite(self.spatial).all():
             raise ValueError("spatial momentum components must be finite")
 
     @classmethod
-    def of(cls, spatial, mass: float) -> "MassShellMomentum":
-        return cls(tuple(float(c) for c in spatial), float(mass))
+    def of(cls, spatial, mass) -> "MassShellMomentum":
+        return cls(np.asarray(spatial, dtype=float), np.asarray(mass, dtype=float))
 
     @property
-    def energy(self) -> float:
-        return on_shell_energy(self.spatial, self.mass)
+    def energy(self):
+        """sqrt(|k|^2 + m^2), summed as `fock.on_shell_energy` sums it."""
+        kx, ky, kz = np.moveaxis(np.asarray(self.spatial, dtype=float), -1, 0)
+        return np.sqrt(kx * kx + ky * ky + kz * kz + self.mass * self.mass)
 
     def four_vector(self) -> np.ndarray:
-        return np.array([self.energy, *self.spatial], dtype=float)
+        return np.concatenate([self.energy[..., None],
+                               np.asarray(self.spatial, dtype=float)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +71,11 @@ def _boost_frame(u: np.ndarray) -> tuple[np.ndarray, ...]:
     (u_j, delta_ij + u_i u_j / (1 + u_0)), j = 1, 2, 3. They are spacelike,
     Minkowski-orthonormal and orthogonal to u; 1 + u_0 >= 2 keeps the
     division well conditioned."""
-    spatial = u[1:]
-    frame = np.empty((3, 4))
-    frame[:, 0] = spatial
-    frame[:, 1:] = np.outer(spatial, spatial) / (1 + u[0]) + np.eye(3)
-    return tuple(frame)
+    spatial = u[..., 1:]
+    frame = np.empty(u.shape[:-1] + (3, 4))
+    frame[..., 0] = spatial
+    frame[..., 1:] = _outer(spatial, spatial) / (1 + u[..., 0, None, None]) + np.eye(3)
+    return tuple(np.moveaxis(frame, -2, 0))
 
 
 def build_spacetime_polarizations(k: MassShellMomentum) -> tuple[np.ndarray, ...]:
@@ -74,7 +84,7 @@ def build_spacetime_polarizations(k: MassShellMomentum) -> tuple[np.ndarray, ...
     u divides by the exact mass, which MassShellMomentum keeps positive;
     sqrt(k.k) would lose digits to cancellation.
     """
-    u = k.four_vector() / k.mass
+    u = k.four_vector() / np.expand_dims(k.mass, -1)
     return (u, *_boost_frame(u))
 
 
@@ -86,20 +96,20 @@ def build_inner_polarizations(K: np.ndarray) -> tuple[np.ndarray, ...]:
     is singular on the light cone, and spacelike K is outside the support.
     """
     K2 = minkowski_dot(K, K)
-    if not K2 > 0:
+    if not np.all(K2 > 0):
         raise ValueError("inner polarizations require K^2 > 0")
-    u = K / math.sqrt(K2)
-    return _boost_frame(u if u[0] > 0 else -u)
+    u = K / np.sqrt(K2)[..., None]
+    return _boost_frame(np.where(u[..., :1] > 0, u, -u))
 
 
-def completeness_residual(vectors, k: np.ndarray, k2: float) -> float:
+def completeness_residual(vectors, k: np.ndarray, k2):
     """Max entrywise residual of sum_v v^r v^s = -eta^{rs} + k^r k^s / k2:
     (eps[1:], k.four_vector(), k.mass**2) checks the spacetime basis, (E,
     K, K.K) the inner one. eta is diagonal +-1, so lowering both indices,
     as the inner identity is often written, leaves the residual as it is."""
-    target = -ETA + np.outer(k, k) / k2
-    got = sum(np.outer(v, v) for v in vectors)
-    return float(np.max(np.abs(got - target)))
+    target = -ETA + _outer(k, k) / np.expand_dims(k2, (-2, -1))
+    got = sum(_outer(v, v) for v in vectors)
+    return np.max(np.abs(got - target), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +137,8 @@ GAMMA = (
 
 def slash(k: np.ndarray) -> np.ndarray:
     """k-slash = gamma^mu k_mu."""
-    kl = ETA @ k
-    return sum(kl[mu] * GAMMA[mu] for mu in range(4))
+    kl = k @ ETA
+    return sum(kl[..., mu, None, None] * GAMMA[mu] for mu in range(4))
 
 
 def gamma_anticommutator_residual() -> float:
@@ -150,16 +160,15 @@ def dirac_spinor(k: MassShellMomentum, s: int, kind: str) -> np.ndarray:
         raise ValueError("spin label must be 1 or 2")
     if kind not in ("u", "v"):
         raise ValueError("spinor kind must be 'u' or 'v'")
-    m = k.mass
-    E = k.energy
-    chi = np.zeros(2, dtype=complex)
-    chi[s - 1] = 1.0
-    sig_k = sum(c * sig for c, sig in zip(k.spatial, _SIGMA))
-    lower = (sig_k @ chi) / (E + m)
-    norm = math.sqrt((E + m) / (2 * m))
-    if kind == "u":
-        return norm * np.concatenate([chi, lower])
-    return norm * np.concatenate([lower, chi])
+    spatial = np.asarray(k.spatial, dtype=float)
+    Em = np.expand_dims(k.energy + k.mass, -1)
+    chi = np.zeros(spatial.shape[:-1] + (2,), dtype=complex)
+    chi[..., s - 1] = 1.0
+    sig_k = sum(spatial[..., j, None, None] * _SIGMA[j] for j in range(3))
+    lower = (sig_k @ chi[..., None])[..., 0] / Em
+    norm = np.sqrt(Em / (2 * np.expand_dims(k.mass, -1)))
+    return norm * np.concatenate([chi, lower] if kind == "u" else [lower, chi],
+                                 axis=-1)
 
 
 def bar(spinor: np.ndarray) -> np.ndarray:
@@ -169,18 +178,16 @@ def bar(spinor: np.ndarray) -> np.ndarray:
 
 def spin_sum(k: MassShellMomentum, kind: str) -> np.ndarray:
     """sum_s u ubar = (kslash + m)/2m, resp. sum_s v vbar = (kslash - m)/2m."""
-    total = np.zeros((4, 4), dtype=complex)
-    for s in (1, 2):
-        sp = dirac_spinor(k, s, kind)
-        total += np.outer(sp, bar(sp))
-    return total
+    spinors = [dirac_spinor(k, s, kind) for s in (1, 2)]
+    return sum(_outer(sp, bar(sp)) for sp in spinors)
 
 
-def spin_sum_residual(k: MassShellMomentum, kind: str) -> float:
+def spin_sum_residual(k: MassShellMomentum, kind: str):
     """Max entrywise residual of the spin sum of `kind` against
     (kslash +- m)/2m, m = k.mass."""
     total = spin_sum(k, kind)
     ksl = slash(k.four_vector())
-    m1 = k.mass * np.eye(4)
-    target = (ksl + m1 if kind == "u" else ksl - m1) / (2 * k.mass)
-    return float(np.max(np.abs(total - target)))
+    m = np.expand_dims(k.mass, (-2, -1))
+    m1 = m * np.eye(4)
+    target = (ksl + m1 if kind == "u" else ksl - m1) / (2 * m)
+    return np.max(np.abs(total - target), axis=(-2, -1))

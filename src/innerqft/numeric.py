@@ -53,13 +53,14 @@ class PropagatorSpec(Record):
 
 
 def inner_transversal_projector(K: np.ndarray) -> np.ndarray:
-    """eta_{ab} - K_a K_b / K^2 with lowered indices; annihilates K."""
+    """eta_{ab} - K_a K_b / K^2 with lowered indices; annihilates K. K may
+    be a stack (..., 4), as in `kinematics`."""
     K2 = minkowski_dot(K, K)
-    if not 0 < abs(K2) < math.inf:
+    if not (np.isfinite(K2) & (K2 != 0)).all():
         raise ValueError("inner projector is singular for lightlike or "
                          "non-finite K")
-    Kl = ETA @ K
-    return ETA - np.outer(Kl, Kl) / K2
+    Kl = K @ ETA
+    return ETA - Kl[..., :, None] * Kl[..., None, :] / K2[..., None, None]
 
 
 def propagator_eval(spec: PropagatorSpec, k: np.ndarray,
@@ -98,20 +99,19 @@ def _numerator_residual(kind: str) -> float:
     if kind == "scalar":
         return 0.0
     rng = np.random.default_rng(20240824)
-    worst = 0.0
-    for _ in range(8):
-        # the unit mass of every field
-        k = MassShellMomentum.of(rng.uniform(-2, 2, size=3), 1.0)
-        if kind == "dirac":
-            worst = max(worst, spin_sum_residual(k, "u"))
-            continue
-        eps = build_spacetime_polarizations(k)
-        K = np.array([3.0, *rng.uniform(-1, 1, size=3)])
-        worst = max(worst,
-                    completeness_residual(eps[1:], k.four_vector(), k.mass**2),
-                    completeness_residual(build_inner_polarizations(K), K,
-                                          minkowski_dot(K, K)))
-    return worst
+    # eight samples at unit mass, each gauge one drawing K after k
+    draws = [(rng.uniform(-2, 2, size=3),
+              None if kind == "dirac" else rng.uniform(-1, 1, size=3))
+             for _ in range(8)]
+    k = MassShellMomentum.of([p for p, _ in draws], 1.0)
+    if kind == "dirac":
+        return float(spin_sum_residual(k, "u").max())
+    eps = build_spacetime_polarizations(k)
+    K = np.array([[3.0, *inner] for _, inner in draws])
+    return float(max(
+        completeness_residual(eps[1:], k.four_vector(), k.mass**2).max(),
+        completeness_residual(build_inner_polarizations(K), K,
+                              minkowski_dot(K, K)).max()))
 
 
 def wick_two_point(kind: str) -> tuple[OperatorExpr, OperatorExpr, float]:
@@ -156,27 +156,24 @@ def _minus_one(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _residuals(s, sh, p, ps):
-    """Each precondition's name and residual, built when its turn comes:
-    with fewer large arrays alive, the C heap is not trimmed and refilled
-    (page faults) on every dim-64 check."""
-    yield "S not unitary", _minus_one(sh @ s)
-    yield "P not idempotent", p @ p - p
-    yield "P not self-adjoint", p.conj().swapaxes(-1, -2) - p
-    yield "SP != PS", s @ ps - ps @ s
-
-
 def toy_unitarity_check(s: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL
                         ) -> tuple[tuple, float | None]:
-    """Check ||P S^dag S P - P|| <= tol for a unitary S commuting with a
-    projector P over a graded basis: (failed preconditions, conclusion norm).
-    S passes when no precondition fails and the norm is at most tol.
+    """Check ||P S^dag S P - P|| <= tol for a unitary S commuting with the
+    projector P onto the physical states of a graded basis: (failed
+    preconditions, conclusion norm). S passes when no precondition fails and
+    the norm is at most tol.
 
     S and P are one instance of shape (n, n), or stacks of instances of one
-    shape (..., n, n). A failure message names the largest norm of its
-    precondition over the stack. The conclusion norm is the largest over
-    the instances whose preconditions all hold, and None when none do; so
-    for one instance it is None when a precondition fails.
+    shape (..., n, n). Each P is diagonal with entries 0 and 1, as the toy
+    model defines it; any other P raises ValueError. A failure message
+    names the largest norm of its precondition over the stack. The
+    conclusion norm is the largest over the instances whose preconditions
+    all hold, and None when none do; so for one instance it is None when a
+    precondition fails.
+
+    For such P, SP - PS is S's off-diagonal blocks, one negated, and
+    P S^dag S P - P is the physical block of S^dag S - 1, padded with
+    zeros: its norm is taken on the blocks of one physical count at once.
 
     Every norm is the spectral (2-)norm. A precondition only gates the
     result, and ||A||_2 <= ||A||_F, so its costly SVD is skipped when the
@@ -184,27 +181,36 @@ def toy_unitarity_check(s: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL
     tol that rounding in either norm cannot flip the decision. Above tol/2
     the 2-norm decides and is printed, as is the conclusion norm.
     """
-    sh = s.conj().swapaxes(-1, -2)
-    # P in the type of the products with S: numpy would cast it per product
-    ps = p.astype(np.result_type(s, p))
-    holds = np.ones(s.shape[:-2], dtype=bool)
+    n = s.shape[-1]
+    diag = np.diagonal(p, axis1=-2, axis2=-1)
+    if not (((diag == 0) | (diag == 1)).all()
+            and np.count_nonzero(p) == np.count_nonzero(diag)):
+        raise ValueError("P must be diagonal with entries 0 and 1")
+    phys = (np.broadcast_to(diag.real, s.shape[:-1]) == 1).reshape(-1, n)
+    s = s.reshape(-1, n, n)
+    residual = _minus_one(s.conj().swapaxes(-1, -2) @ s)
+    sign = phys[:, None, :].astype(float) - phys[:, :, None]
+    holds = np.ones(len(s), dtype=bool)
     failures = []
-    for name, residual in _residuals(s, sh, p, ps):
-        screened = _frobenius(residual) > tol / 2
+    for name, r in (("S not unitary", residual), ("SP != PS", s * sign)):
+        screened = _frobenius(r) > tol / 2
         if not screened.any():
             continue
-        norms = _spectral(residual[screened])
+        norms = _spectral(r[screened])
         if norms.max() > tol:
             failures.append(f"{name} (norm {norms.max():.3e})")
             holds[screened] &= norms <= tol
-    del residual  # before the products of the conclusion
     if not holds.any():
         return tuple(failures), None
-    if not holds.all():
-        s, sh, p, ps = s[holds], sh[holds], p[holds], ps[holds]
-    concl = ps @ sh @ s @ ps
-    concl -= ps
-    return tuple(failures), float(_spectral(concl).max())
+    residual, phys = residual[holds], phys[holds]
+    count = phys.sum(-1)
+    worst = 0.0
+    for c in set(count.tolist()) - {0}:
+        group = np.nonzero(count == c)[0]
+        at = np.nonzero(phys[group])[1].reshape(len(group), c)
+        block = residual[group[:, None, None], at[:, :, None], at[:, None, :]]
+        worst = max(worst, _spectral(block).max())
+    return tuple(failures), float(worst)
 
 
 def vacuum_and_one_particle_checks(s: np.ndarray, vacuum_index: int,

@@ -2,7 +2,9 @@
 
 Every suite returns a deterministic list of cases; `run_suite` sorts each
 suite's cases by name. Symbolic cases are exact and ignore the numeric
-tolerance; numeric cases compare against cfg.tolerance.
+tolerance; numeric cases compare against cfg.tolerance. Only the numeric
+suites import numpy, `kinematics` and `numeric`, so the exact ones run
+without them.
 """
 
 from __future__ import annotations
@@ -10,14 +12,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from . import fock, gravlimit, kinematics, numeric, opalg, smatrix
+from . import fock, gravlimit, opalg, smatrix
 from .config import RunConfig
 from .fock import FieldMasses, FockState
 from .grammar import parse_expression
 from .gravlimit import RegularizationConfig, grav_limit_expr
-from .kinematics import MassShellMomentum
 from .opalg import (OperatorExpr, anticommutator, commutator, reduce_to_normal_form,
                     vev)
 from .record import Record
@@ -189,69 +188,68 @@ def suite_gauge(cfg: RunConfig) -> list[Case]:
     return cases
 
 
-def _random_timelike(rng: random.Random) -> np.ndarray:
+def _random_timelike(rng: random.Random):
+    import numpy as np
     x = [rng.uniform(-3, 3) for _ in range(3)]
     extra = rng.uniform(0.1, 3)
     t = (sum(c * c for c in x)) ** 0.5 + extra
     return np.array([t if rng.random() < 0.5 else -t, *x])
 
 
+def _shell_stack(rng: random.Random, mass: tuple, spatial: tuple, count=100):
+    """A stack of mass-shell momenta, each drawn as a mass uniform in `mass`,
+    then three components uniform in `spatial`."""
+    from .kinematics import MassShellMomentum
+    draws = [(rng.uniform(*mass), [rng.uniform(*spatial) for _ in range(3)])
+             for _ in range(count)]
+    return MassShellMomentum.of([p for _, p in draws], [m for m, _ in draws])
+
+
 def suite_kinematics(cfg: RunConfig) -> list[Case]:
+    import numpy as np
+    from .kinematics import (ETA, bar, build_inner_polarizations as inner_basis,
+                             build_spacetime_polarizations, completeness_residual,
+                             dirac_spinor, gamma_anticommutator_residual,
+                             minkowski_dot as dot, slash, spin_sum_residual)
     rng = random.Random(cfg.seed)
     tol = cfg.tolerance
     cases = [
-        _numeric("kinematics.gamma_clifford",
-                 kinematics.gamma_anticommutator_residual(), 0.0,
-                 "exact entrywise Clifford relation")]
-    worst_c = worst_o = 0.0
-    for _ in range(100):
-        mu = rng.uniform(0.5, 2.0)
-        k = MassShellMomentum.of([rng.uniform(-2, 2) for _ in range(3)], mu)
-        eps = kinematics.build_spacetime_polarizations(k)
-        k4 = k.four_vector()
-        worst_c = max(worst_c, kinematics.completeness_residual(
-            eps[1:], k4, k.mass**2))
-        worst_o = max(worst_o, max(abs(kinematics.minkowski_dot(k4, eps[g]))
-                                   for g in range(1, 4)))
-        for g in range(4):
-            for g2 in range(4):
-                want = kinematics.ETA[g, g2]
-                worst_o = max(worst_o, abs(
-                    kinematics.minkowski_dot(eps[g], eps[g2]) - want))
-    cases.append(_numeric("kinematics.spacetime_completeness", worst_c, tol))
-    cases.append(_numeric("kinematics.spacetime_orthonormality", worst_o, tol))
-    worst_ic = worst_it = 0.0
-    for _ in range(100):
-        K = _random_timelike(rng)
-        basis = kinematics.build_inner_polarizations(K)
-        worst_ic = max(worst_ic, kinematics.completeness_residual(
-            basis, K, kinematics.minkowski_dot(K, K)))
-        worst_it = max(worst_it, max(abs(kinematics.minkowski_dot(K, E))
-                                     for E in basis))
-    cases.append(_numeric("kinematics.inner_completeness", worst_ic, tol))
-    cases.append(_numeric("kinematics.inner_transversality", worst_it, tol))
-    worst_d = worst_n = worst_s = 0.0
-    for _ in range(100):
-        m = rng.uniform(0.1, 10)
-        k = MassShellMomentum.of([rng.uniform(-5, 5) for _ in range(3)], m)
-        ksl = kinematics.slash(k.four_vector())
-        m1 = m * np.eye(4)
-        plus, minus = ksl + m1, ksl - m1
-        for s in (1, 2):
-            u = kinematics.dirac_spinor(k, s, "u")
-            v = kinematics.dirac_spinor(k, s, "v")
-            worst_d = max(worst_d,
-                          float(np.max(np.abs(minus @ u))),
-                          float(np.max(np.abs(plus @ v))))
-            worst_n = max(worst_n,
-                          abs(kinematics.bar(u) @ u - 1),
-                          abs(kinematics.bar(v) @ v + 1),
-                          abs(u.conj() @ u - k.energy / m))
-        worst_s = max(worst_s, kinematics.spin_sum_residual(k, "u"),
-                      kinematics.spin_sum_residual(k, "v"))
-    cases.append(_numeric("kinematics.dirac_equation_residual", worst_d, tol))
-    cases.append(_numeric("kinematics.spinor_normalizations", worst_n, tol))
-    cases.append(_numeric("kinematics.spin_sums", worst_s, tol))
+        _numeric("kinematics.gamma_clifford", gamma_anticommutator_residual(),
+                 0.0, "exact entrywise Clifford relation")]
+    k = _shell_stack(rng, (0.5, 2.0), (-2, 2))
+    eps = build_spacetime_polarizations(k)
+    k4 = k.four_vector()
+    worst_o = max(np.abs(dot(k4, e)).max() for e in eps[1:])
+    for g in range(4):
+        for g2 in range(4):
+            worst_o = max(worst_o, np.abs(dot(eps[g], eps[g2]) - ETA[g, g2]).max())
+    cases.append(_numeric("kinematics.spacetime_completeness", float(
+        completeness_residual(eps[1:], k4, k.mass**2).max()), tol))
+    cases.append(_numeric("kinematics.spacetime_orthonormality", float(worst_o), tol))
+    K = np.array([_random_timelike(rng) for _ in range(100)])
+    basis = inner_basis(K)
+    cases.append(_numeric("kinematics.inner_completeness", float(
+        completeness_residual(basis, K, dot(K, K)).max()), tol))
+    cases.append(_numeric("kinematics.inner_transversality", float(
+        max(np.abs(dot(K, E)).max() for E in basis)), tol))
+    k = _shell_stack(rng, (0.1, 10), (-5, 5))
+    m1 = k.mass[:, None, None] * np.eye(4)
+    ksl = slash(k.four_vector())
+    plus, minus = ksl + m1, ksl - m1
+    worst_d = worst_n = 0.0
+    for s in (1, 2):
+        # the spinors as columns (100, 4, 1), their Dirac adjoints as rows
+        u, v = (dirac_spinor(k, s, kind)[..., None] for kind in ("u", "v"))
+        ubar, vbar = (bar(w[..., 0])[:, None] for w in (u, v))
+        worst_d = max(worst_d, np.abs(minus @ u).max(), np.abs(plus @ v).max())
+        worst_n = max(worst_n, np.abs(ubar @ u - 1).max(),
+                      np.abs(vbar @ v + 1).max(),
+                      np.abs(u.conj().swapaxes(1, 2) @ u
+                             - (k.energy / k.mass)[:, None, None]).max())
+    worst_s = max(spin_sum_residual(k, "u").max(), spin_sum_residual(k, "v").max())
+    cases.append(_numeric("kinematics.dirac_equation_residual", float(worst_d), tol))
+    cases.append(_numeric("kinematics.spinor_normalizations", float(worst_n), tol))
+    cases.append(_numeric("kinematics.spin_sums", float(worst_s), tol))
     return cases
 
 
@@ -359,6 +357,9 @@ def suite_gravlimit(cfg: RunConfig) -> list[Case]:
 
 
 def suite_propagators(cfg: RunConfig) -> list[Case]:
+    import numpy as np
+    from . import numeric
+    from .kinematics import spin_sum_residual
     tol = cfg.tolerance
     cases = []
     for kind in ("scalar", "dirac", "gauge"):
@@ -378,18 +379,13 @@ def suite_propagators(cfg: RunConfig) -> list[Case]:
                           abs(val - 1 / (3 + 1j * cfg.i_epsilon)), 1e-15,
                           "1/(k^2 - m^2 + ie) at k=(2,0,0,0), m=1"))
     rng = random.Random(cfg.seed)
-    worst = 0.0
-    for _ in range(100):
-        K = _random_timelike(rng)
-        proj = numeric.inner_transversal_projector(K)
-        worst = max(worst, float(np.max(np.abs(K @ proj))))
-    cases.append(_numeric("propagators.gauge_inner_transversality", worst, tol))
-    worst = 0.0
-    for _ in range(20):
-        m = rng.uniform(0.2, 5)
-        kk = MassShellMomentum.of([rng.uniform(-3, 3) for _ in range(3)], m)
-        worst = max(worst, kinematics.spin_sum_residual(kk, "u"))
-    cases.append(_numeric("propagators.dirac_numerator_spin_sum", worst, tol))
+    K = np.array([_random_timelike(rng) for _ in range(100)])
+    proj = numeric.inner_transversal_projector(K)
+    cases.append(_numeric("propagators.gauge_inner_transversality",
+                          float(np.abs(K[:, None] @ proj).max()), tol))
+    k = _shell_stack(rng, (0.2, 5), (-3, 3), 20)
+    cases.append(_numeric("propagators.dirac_numerator_spin_sum",
+                          float(spin_sum_residual(k, "u").max()), tol))
     return cases
 
 
@@ -436,6 +432,7 @@ def random_toy_instances(rng: np.random.Generator, dim: int, count: int
     by one stacked QR factorization with the phases of R's diagonal taken
     out (a Haar unitary).
     """
+    import numpy as np
     physes, blocks = [], {}
     for i in range(count):
         phys = int(rng.integers(1, dim))
@@ -465,6 +462,8 @@ TOY_STACK_BYTES = 96 * 1024
 
 
 def suite_unitarity(cfg: RunConfig) -> list[Case]:
+    import numpy as np
+    from . import numeric
     rng = np.random.default_rng(cfg.seed)
     tol = cfg.tolerance
     sectors = numeric.vacuum_and_one_particle_checks

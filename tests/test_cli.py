@@ -224,13 +224,28 @@ def test_parse_error_exit_code(capsys):
     ("b(k,s=1,s=2;K)", "repeated label 's'"),
     ("A(k,g=1,g=2;K,G=1)", "repeated label 'g'"),
     ("A(k;K,G=1,G=2)", "repeated label 'G'"),
+    ("a(k,s=1;K)", "scalar operators carry no discrete labels"),
+    ("A(k,g=1;K)", "gauge operators carry both polarization labels"),
 ])
 def test_out_of_range_atom_indices_exit_2(expr, message, capsys):
     """A bound kd/eta/ETA index is checked against the range an operator's
     spin or polarization takes, not evaluated; an operator label that is
-    unknown on its side of `;`, or written twice, exits 2 as well."""
+    unknown on its side of `;`, written twice, or not carried by its field
+    exits 2 as well."""
     assert main(["vev", expr]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("expr, column", [
+    ("b(k,x=1;K)", 5), ("A(k,g=1;K,x=1)", 11), ("b(k,s=1,s=2;K)", 9),
+    ("2*a(k;K)*b(k,s=1,s=2;K)", 18), ("A(k,g=1,g=2;K,G=1)", 9),
+    ("A(k;K,G=1,G=2)", 11), ("a(k,s=1;K)", 5), ("A(k,g=1,s=1;K,G=1)", 9),
+    ("A(k,g=1;K)", 1), ("b(k,s=3;K)", 1)])
+def test_label_errors_point_at_the_label(expr, column, capsys):
+    """An unknown or repeated label, or one its field does not carry, is
+    reported at its key; a missing label or a bad value at the operator."""
+    assert main(["vev", expr]) == 2
+    assert capsys.readouterr().err.endswith(f" (column {column})\n")
 
 
 def test_config_file(tmp_path, capsys):
@@ -342,7 +357,8 @@ def test_console_entry_point():
 
 
 # Which steps leave numpy loaded, in one fresh interpreter: the exact
-# commands and the benchmark's output checks must not import it.
+# commands, the exact suites and the benchmark's output checks must not
+# import it.
 NUMPY_STEPS = r"""
 import contextlib, importlib.util, io, json, sys
 steps = []
@@ -360,10 +376,12 @@ step("import perfbench/checks.py")
 for argv in (["vev", "T a(k;K) a'(h;H) b(q,s=1;Q) b'(p,s=2;P)"],
              ["commutator", "a(k;K)", "a'(h;H)"],
              ["reduce", sys.argv[2], "--legs", sys.argv[3], "--format", "json"],
-             ["verify", "--suite", "ccr"]):
+             *(["verify", "--suite", name] for name in innerqft.cli.SUITE_NAMES
+               if name not in innerqft.cli.NUMERIC_SUITES),
+             ["verify", "--suite", "unitarity"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert innerqft.cli.main(argv) == 0, argv
-    step(argv[0])
+    step(argv[0] if argv[0] != "verify" else f"verify {argv[2]}")
 print(json.dumps(steps))
 """
 
@@ -385,33 +403,36 @@ def test_only_verify_imports_numpy(tmp_path):
     assert json.loads(proc.stdout) == [
         ["import innerqft.cli", False], ["import perfbench/checks.py", False],
         ["vev", False], ["commutator", False], ["reduce", False],
-        ["verify", True]]
+        *([f"verify {name}", False]
+          for name in ("car", "ccr", "fock", "gauge", "gravlimit", "lsz")),
+        ["verify unitarity", True]]
 
 
-# The collector state around two `verify` calls in one fresh interpreter:
-# frozen objects and whether the collector runs. The first call, which
-# imports the numeric stack, freezes it; a process that already imported
+# The collector state around three `verify` calls in one fresh
+# interpreter: frozen objects and whether the collector runs. An exact
+# suite imports no numeric stack and freezes nothing; the first numeric
+# suite imports the stack and freezes it; a process that already imported
 # it (argv[1] == "pre") is left as it is, and a disabled collector stays so.
 FREEZE_STEPS = r"""
 import contextlib, gc, io, json, sys
 import innerqft.cli
 if sys.argv[1] == "pre":
-    import innerqft.suites
+    import innerqft.numeric
 if sys.argv[1] == "off":
     gc.disable()
 steps = []
-for _ in range(2):
+for suite in ("ccr", "unitarity", "kinematics"):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert innerqft.cli.main(["verify", "--suite", "ccr"]) == 0
+        assert innerqft.cli.main(["verify", "--suite", suite]) == 0
     steps.append([gc.get_freeze_count() > 0, gc.isenabled()])
 print(json.dumps(steps))
 """
 
 
 @pytest.mark.parametrize("before, steps", [
-    ("none", [[True, True], [True, True]]),
-    ("pre", [[False, True], [False, True]]),
-    ("off", [[True, False], [True, False]])])
+    ("none", [[False, True], [True, True], [True, True]]),
+    ("pre", [[False, True], [False, True], [False, True]]),
+    ("off", [[False, False], [True, False], [True, False]])])
 def test_first_verify_freezes_the_numeric_import(before, steps):
     proc = subprocess.run([sys.executable, "-c", FREEZE_STEPS, before],
                           capture_output=True, text=True, env=ENV)

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numeric_oracles as oracle
 from innerqft import kinematics as kin
+from innerqft import suites
+from innerqft.config import RunConfig
+from innerqft.fock import on_shell_energy
 from innerqft.kinematics import ETA, MassShellMomentum
-from innerqft.suites import _random_timelike
+from innerqft.suites import _random_timelike, _shell_stack
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 mass = st.floats(min_value=0.5, max_value=2.0)
@@ -25,16 +29,16 @@ def test_minkowski_dot_basic():
 
 def test_on_shell_energy_values():
     # [DERIVED] sqrt(1 + 9 + 16 + 0) = sqrt(26); 3-4-5 style check below
-    assert kin.on_shell_energy((3, 4, 0), 5.0) == pytest.approx(math.sqrt(50))
-    assert kin.on_shell_energy((0, 0, 0), 2.0) == pytest.approx(2.0)
+    assert on_shell_energy((3, 4, 0), 5.0) == pytest.approx(math.sqrt(50))
+    assert on_shell_energy((0, 0, 0), 2.0) == pytest.approx(2.0)
 
 
 def test_massless_rejected():
     with pytest.raises(ValueError):
-        kin.on_shell_energy((1, 0, 0), 0.0)
+        on_shell_energy((1, 0, 0), 0.0)
     for mass in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="^mass must be positive$"):
-            kin.on_shell_energy((1, 0, 0), mass)
+            on_shell_energy((1, 0, 0), mass)
         with pytest.raises(ValueError, match="^mass must be positive$"):
             MassShellMomentum.of((1, 0, 0), mass)
         with pytest.raises(ValueError, match="^mass must be positive$"):
@@ -197,3 +201,88 @@ def test_spinor_orthogonality():
     v1 = kin.dirac_spinor(k, 1, "v")
     assert abs(kin.bar(u1) @ u2) < 1e-12
     assert abs(kin.bar(u1) @ v1) < 1e-12
+
+
+# -- stacks of samples against the per-sample oracles -------------------------
+
+
+def _each(stack):
+    """The samples of a stack (n, ...) as a list."""
+    return list(stack)
+
+
+def _equal(stacked, per_sample) -> bool:
+    """Bit-for-bit equality of a stacked result and the per-sample results."""
+    return np.array_equal(stacked, np.array(per_sample))
+
+
+@pytest.mark.parametrize("mass, spatial", [((0.5, 2.0), (-2, 2)),
+                                           ((0.1, 10), (-5, 5))])
+def test_stacked_kinematics_equal_the_per_sample_oracle(mass, spatial):
+    """Each stack-aware function gives, per sample, the float the
+    one-sample form gives, on the draws of `suite_kinematics`, seeds 0-39."""
+    for seed in range(40):
+        k = _shell_stack(random.Random(seed), mass, spatial)
+        ks = [(tuple(p), m) for p, m in zip(k.spatial.tolist(), k.mass.tolist())]
+        k4 = k.four_vector()
+        assert _equal(k4, [oracle.four_vector(one) for one in ks])
+        eps = kin.build_spacetime_polarizations(k)
+        eps1 = [oracle.spacetime_polarizations(one) for one in ks]
+        for g in range(4):
+            assert _equal(eps[g], [e[g] for e in eps1])
+            for g2 in range(4):
+                assert _equal(kin.minkowski_dot(eps[g], eps[g2]),
+                              [oracle.minkowski_dot(e[g], e[g2]) for e in eps1])
+        # a stacked m**2 is m*m, where the float m**2 of one sample is C's
+        # pow(m, 2), which rounds differently for a few masses; both sides
+        # take the same k2
+        k2 = k.mass**2
+        assert _equal(kin.completeness_residual(eps[1:], k4, k2),
+                      [oracle.completeness_residual(e[1:], v, m2)
+                       for e, v, m2 in zip(eps1, _each(k4), k2.tolist())])
+        assert _equal(kin.slash(k4), [oracle.slash(v) for v in _each(k4)])
+        for kind in ("u", "v"):
+            for s in (1, 2):
+                sp = kin.dirac_spinor(k, s, kind)
+                assert _equal(sp, [oracle.dirac_spinor(one, s, kind) for one in ks])
+                assert _equal(kin.bar(sp), [oracle.bar(x) for x in _each(sp)])
+            assert _equal(kin.spin_sum(k, kind),
+                          [oracle.spin_sum(one, kind) for one in ks])
+            assert _equal(kin.spin_sum_residual(k, kind),
+                          [oracle.spin_sum_residual(one, kind) for one in ks])
+
+
+def test_stacked_inner_bases_equal_the_per_sample_oracle():
+    for seed in range(40):
+        rng = random.Random(seed)
+        K = np.array([_random_timelike(rng) for _ in range(100)])
+        basis = kin.build_inner_polarizations(K)
+        basis1 = [oracle.inner_polarizations(one) for one in K]
+        for j in range(3):
+            assert _equal(basis[j], [b[j] for b in basis1])
+        assert _equal(kin.minkowski_dot(K, K),
+                      [oracle.minkowski_dot(one, one) for one in K])
+        assert _equal(kin.completeness_residual(basis, K, kin.minkowski_dot(K, K)),
+                      [oracle.completeness_residual(b, one,
+                                                    oracle.minkowski_dot(one, one))
+                       for b, one in zip(basis1, K)])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-17])
+def test_stacked_kinematics_suite_equals_the_per_sample_loops(tol):
+    """`suite_kinematics` reports what its earlier per-sample loops
+    reported, seeds 0-39; at 1e-17 some cases fail, with the same text."""
+    for seed in range(40):
+        cfg = RunConfig(seed=seed, tolerance=tol)
+        assert suites.suite_kinematics(cfg) == oracle.suite_kinematics(cfg)
+
+
+def test_stacked_momenta_check_every_sample():
+    with pytest.raises(ValueError, match="^mass must be positive$"):
+        MassShellMomentum.of(np.zeros((3, 3)), [1.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match="^spatial momentum components must "
+                                         "be finite$"):
+        MassShellMomentum.of([[0, 0, 0], [1, math.inf, 0]], 1.0)
+    K = np.array([[2.0, 0, 0, 0], [1.0, 1.0, 0, 0]])
+    with pytest.raises(ValueError, match="^inner polarizations require K"):
+        kin.build_inner_polarizations(K)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numeric_oracles as oracle
 from innerqft import cli, opalg, smatrix
+from innerqft.config import RunConfig
 from innerqft.fock import FieldMasses
 from innerqft.grammar import parse_expression
 from innerqft.gravlimit import RegularizationConfig
@@ -465,9 +467,14 @@ def test_unitarity_nonunitary_s():
 
 
 def test_unitarity_bad_projector():
-    p = np.diag([0.5, 0.0])
-    failures, concl = toy_unitarity_check(np.eye(2, dtype=complex), p)
-    assert failures and concl is None
+    """P must be the diagonal 0/1 projector of a graded basis; an
+    idempotent, self-adjoint but not diagonal P is refused as well."""
+    for p in (np.diag([0.5, 0.0]), np.diag([1.0, 1j]),
+              np.array([[1.0, 0.5], [0.0, 0.0]]),
+              np.array([[0.5, 0.5], [0.5, 0.5]])):
+        with pytest.raises(ValueError,
+                           match="^P must be diagonal with entries 0 and 1$"):
+            toy_unitarity_check(np.eye(2, dtype=complex), p)
 
 
 def test_vacuum_and_one_particle_invariance():
@@ -498,12 +505,10 @@ def test_one_particle_mixing_flagged():
 
 
 def _svd_unitarity_report(s, p, tol):
-    """The unitarity check with every norm taken by SVD: the reference for
-    the Frobenius screen."""
+    """The unitarity check with every norm taken by SVD of a dense matrix:
+    the reference for the Frobenius screen."""
     failures = []
     for name, residual in (("S not unitary", s.conj().T @ s - np.eye(len(s))),
-                           ("P not idempotent", p @ p - p),
-                           ("P not self-adjoint", p.conj().T - p),
                            ("SP != PS", s @ p - p @ s)):
         norm = np.linalg.norm(residual, 2)
         if norm > tol:
@@ -513,21 +518,37 @@ def _svd_unitarity_report(s, p, tol):
     return (), float(np.linalg.norm(p @ s.conj().T @ s @ p - p, 2))
 
 
+def _same_report(got, want) -> bool:
+    """Equal failures, and equal conclusion norms up to the last bits: the
+    SVD of the physical block and that of the dense matrix, the block padded
+    with zeros, round apart by an ulp or two."""
+    if got[0] != want[0] or (got[1] is None) != (want[1] is None):
+        return False
+    return got[1] is None or got[1] == pytest.approx(want[1], rel=4 * _EPS, abs=0)
+
+
+_EPS = np.finfo(float).eps
+
+
 def _broken_copies(s, p, size):
     """Copies of an admissible instance in which each precondition in turn
     fails by a residual of about `size`."""
     n = len(s)
-    phys = int(round(np.trace(p).real))
     yield s * (1 + size / 2), p                              # S not unitary
-    yield s, p * (1 + size)                                  # P not idempotent
-    skew = np.zeros((n, n))
-    if phys < n:
-        skew[0, n - 1] = size                                # P not self-adjoint
-    yield s, p + skew
     c, si = np.cos(size), np.sin(size)                       # SP != PS
     mix = np.eye(n, dtype=complex)
     mix[[0, 0, n - 1, n - 1], [0, n - 1, 0, n - 1]] = c, -si, si, c
     yield s @ mix, p
+
+
+def _bad_projectors(p, size):
+    """Copies of a 0/1 diagonal P that are not idempotent, and not
+    self-adjoint: once preconditions of the check, now refused."""
+    n = len(p)
+    yield p * (1 + size)
+    skew = np.zeros((n, n))
+    skew[0, n - 1] = size
+    yield p + skew
 
 
 def test_frobenius_screen_matches_svd_reports():
@@ -538,18 +559,20 @@ def test_frobenius_screen_matches_svd_reports():
     for dim in (2, 4, 16):
         for _ in range(10):
             (s,), (p,) = random_toy_instances(rng, dim, 1)
-            assert toy_unitarity_check(s, p, tol) == _svd_unitarity_report(s, p, tol)
+            assert _same_report(toy_unitarity_check(s, p, tol),
+                                _svd_unitarity_report(s, p, tol))
             for size in tol * np.array([0.1, 0.45, 0.55, 0.9, 1.1, 3.0, 1e6]):
                 for broken in _broken_copies(s, p, size):
                     rep = toy_unitarity_check(*broken, tol)
-                    assert rep == _svd_unitarity_report(*broken, tol)
+                    assert _same_report(rep, _svd_unitarity_report(*broken, tol))
                     seen.update(f.split(" (")[0] for f in rep[0])
-    assert seen == {"S not unitary", "P not idempotent", "P not self-adjoint",
-                    "SP != PS"}
+                for bad in _bad_projectors(p, size):
+                    with pytest.raises(ValueError):
+                        toy_unitarity_check(s, bad, tol)
+    assert seen == {"S not unitary", "SP != PS"}
 
 
-_PRECONDITIONS = ("S not unitary", "P not idempotent", "P not self-adjoint",
-                  "SP != PS")
+_PRECONDITIONS = ("S not unitary", "SP != PS")
 
 
 def _report_of_instances(s, p, tol):
@@ -579,19 +602,56 @@ def test_stack_check_agrees_with_per_instance_calls():
             s2, p2 = s.copy(), p.copy()      # one instance fails
             s2[k + 1], p2[k + 1] = bs, bp
             stacks.append((s2, p2))
-        s2, p2 = s.copy(), p.copy()
+        s2 = s.copy()
         s2[1] *= 1 + 5 * tol                 # two fail, by different norms
         s2[2] *= 1 + 20 * tol
-        s2[4] *= 1 + 5 * tol                 # fails, then passes a screen
-        p2[4] *= 1 + 0.7 * tol               # that another instance fails
-        p2[5] *= 1 + 10 * tol
-        stacks.append((s2, p2))
+        # SP != PS by 0.7 tol passes a screen that SP != PS by 10 tol fails
+        _, (s2[4], _) = _broken_copies(s[4], p[4], 0.7 * tol)
+        _, (s2[5], _) = _broken_copies(s[5], p[5], 10 * tol)
+        stacks.append((s2, p))
         for s2, p2 in stacks:
             want = _report_of_instances(s2, p2, tol)
             assert toy_unitarity_check(s2, p2, tol) == want
             assert toy_unitarity_check(s2.reshape(2, 3, dim, dim),
                                        p2.reshape(2, 3, dim, dim), tol) == want
         assert toy_unitarity_check(2 * s, p, tol)[1] is None
+        with pytest.raises(ValueError):      # one refused P refuses the stack
+            toy_unitarity_check(s, np.concatenate([p[:5], 0.5 * p[5:]]), tol)
+
+
+def test_block_check_equals_the_dense_oracle():
+    """The block check reports what the earlier check with dense products
+    of P reported, on the instances of seeds 0-39: single instances and
+    stacks, admissible and broken in S or in SP = PS, at tolerances above
+    and below the rounding of the conclusion."""
+    from innerqft.suites import random_toy_instances
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for dim, count in ((2, 6), (4, 6), (16, 3), (64, 1)):
+            s, p = random_toy_instances(rng, dim, count)
+            cases = [(s, p), (s[0], p[0])]
+            for size in (1e-13, 1e-9, 1e-3):
+                for bs, bp in _broken_copies(s[-1], p[-1], size):
+                    s2, p2 = s.copy(), p.copy()
+                    s2[-1], p2[-1] = bs, bp
+                    cases += [(s2, p2), (bs, bp)]
+            for s2, p2 in cases:
+                for tol in (1e-12, 1e-15):
+                    assert _same_report(toy_unitarity_check(s2, p2, tol),
+                                        oracle.toy_unitarity_check(s2, p2, tol))
+
+
+def test_stacked_propagator_suite_equals_the_per_sample_loops():
+    """`suite_propagators` and the numerator residuals report what their
+    earlier per-sample loops reported, seeds 0-39."""
+    from innerqft import numeric
+    from innerqft.suites import suite_propagators
+    for kind in ("scalar", "dirac", "gauge"):
+        assert numeric._numerator_residual(kind) == oracle.numerator_residual(kind)
+    for seed in range(40):
+        for tol in (1e-12, 1e-17):
+            cfg = RunConfig(seed=seed, tolerance=tol)
+            assert suite_propagators(cfg) == oracle.suite_propagators(cfg)
 
 
 def _one_toy_instance(rng, dim):

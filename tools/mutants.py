@@ -45,13 +45,13 @@ MUTANTS = (
     ("_quantum_weight reads ETA for eta", "fock.py",
      'ATOMS["eta"].sign(op.pol)', 'ATOMS["ETA"].sign(op.pol)'),
     ("boost frame keeps a past-pointing K", "kinematics.py",
-     "_boost_frame(u if u[0] > 0 else -u)", "_boost_frame(u)"),
+     "np.where(u[..., :1] > 0, u, -u)", "u"),
     ("boost frame divides by 1 - u_0", "kinematics.py",
-     "/ (1 + u[0])", "/ (1 - u[0])"),
+     "/ (1 + u[..., 0, None, None])", "/ (1 - u[..., 0, None, None])"),
     ("gamma^1 lower block sign flipped", "kinematics.py",
      "_SIGMA[0], -_SIGMA[0]", "_SIGMA[0], _SIGMA[0]"),
     ("completeness target +eta", "kinematics.py",
-     "-ETA + np.outer(k, k) / k2", "ETA + np.outer(k, k) / k2"),
+     "-ETA + _outer(k, k)", "ETA + _outer(k, k)"),
     ("spin-sum targets of u and v swapped", "kinematics.py",
      'ksl + m1 if kind == "u" else ksl - m1',
      'ksl - m1 if kind == "u" else ksl + m1'),
@@ -61,6 +61,19 @@ MUTANTS = (
      'DIRAC_ANTIPARTICLE: (("spin",),', 'DIRAC_ANTIPARTICLE: ((),'),
     ("pol and ipol swapped in the gauge row", "opalg.py",
      'GAUGE: (("pol", "ipol"),', 'GAUGE: (("ipol", "pol"),'),
+    ("inverted physical mask", "numeric.py",
+     "== 1).reshape(-1, n)", "== 0).reshape(-1, n)"),
+    ("stacked completeness target without k k^T/k^2", "kinematics.py",
+     "_outer(k, k) / np.expand_dims(k2, (-2, -1))",
+     "0 * np.expand_dims(k2, (-2, -1))"),
+    ("stacked spin sum reduced over the sample axis", "kinematics.py",
+     "return sum(_outer(sp, bar(sp)) for sp in spinors)",
+     "return np.sum([_outer(sp, bar(sp)) for sp in spinors], axis=-3)"),
+    ("residual maximum taken over the whole stack", "kinematics.py",
+     "np.max(np.abs(got - target), axis=(-2, -1))",
+     "np.max(np.abs(got - target))"),
+    ("repeated label reported at the operator", "grammar.py",
+     'f"repeated label {key!r}", key_pos', 'f"repeated label {key!r}", pos'),
 )
 
 _IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
