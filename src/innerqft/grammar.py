@@ -26,7 +26,8 @@ types of `opalg` (MOM, INNER, DISC), read by one rule, `parse_label`, and
 checked by one, `opalg.check_label`, where the operator or atom is built.
 Malformed text, a repeated label, a zero denominator, a bound vector of
 the wrong size or a bound `kd`/`eta`/`ETA` index outside the range of its
-operator label included, raises ParseError.
+operator label included, raises ParseError at the offending token: a label
+at its key, or at its operator when one is missing or out of range.
 
 There is one printer: `str(e)`, defined in `opalg`, which
 `print_expression` returns. It emits canonical text, and

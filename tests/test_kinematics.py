@@ -12,6 +12,7 @@ from innerqft import suites
 from innerqft.config import RunConfig
 from innerqft.fock import on_shell_energy
 from innerqft.kinematics import ETA, MassShellMomentum
+from innerqft.numeric import inner_transversal_projector
 from innerqft.suites import _random_timelike, _shell_stack
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
@@ -206,11 +207,6 @@ def test_spinor_orthogonality():
 # -- stacks of samples against the per-sample oracles -------------------------
 
 
-def _each(stack):
-    """The samples of a stack (n, ...) as a list."""
-    return list(stack)
-
-
 def _equal(stacked, per_sample) -> bool:
     """Bit-for-bit equality of a stacked result and the per-sample results."""
     return np.array_equal(stacked, np.array(per_sample))
@@ -239,13 +235,13 @@ def test_stacked_kinematics_equal_the_per_sample_oracle(mass, spatial):
         k2 = k.mass**2
         assert _equal(kin.completeness_residual(eps[1:], k4, k2),
                       [oracle.completeness_residual(e[1:], v, m2)
-                       for e, v, m2 in zip(eps1, _each(k4), k2.tolist())])
-        assert _equal(kin.slash(k4), [oracle.slash(v) for v in _each(k4)])
+                       for e, v, m2 in zip(eps1, k4, k2.tolist())])
+        assert _equal(kin.slash(k4), [oracle.slash(v) for v in k4])
         for kind in ("u", "v"):
             for s in (1, 2):
                 sp = kin.dirac_spinor(k, s, kind)
                 assert _equal(sp, [oracle.dirac_spinor(one, s, kind) for one in ks])
-                assert _equal(kin.bar(sp), [oracle.bar(x) for x in _each(sp)])
+                assert _equal(kin.bar(sp), [oracle.bar(x) for x in sp])
             assert _equal(kin.spin_sum(k, kind),
                           [oracle.spin_sum(one, kind) for one in ks])
             assert _equal(kin.spin_sum_residual(k, kind),
@@ -253,6 +249,8 @@ def test_stacked_kinematics_equal_the_per_sample_oracle(mass, spatial):
 
 
 def test_stacked_inner_bases_equal_the_per_sample_oracle():
+    """The inner bases and the transversal projector, per sample, on the
+    `_random_timelike` draws of seeds 0-39."""
     for seed in range(40):
         rng = random.Random(seed)
         K = np.array([_random_timelike(rng) for _ in range(100)])
@@ -266,6 +264,8 @@ def test_stacked_inner_bases_equal_the_per_sample_oracle():
                       [oracle.completeness_residual(b, one,
                                                     oracle.minkowski_dot(one, one))
                        for b, one in zip(basis1, K)])
+        assert _equal(inner_transversal_projector(K),
+                      [oracle.inner_transversal_projector(one) for one in K])
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-17])
