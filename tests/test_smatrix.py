@@ -518,6 +518,9 @@ def _svd_unitarity_report(s, p, tol):
     return (), float(np.linalg.norm(p @ s.conj().T @ s @ p - p, 2))
 
 
+_EPS = np.finfo(float).eps
+
+
 def _same_report(got, want) -> bool:
     """Equal failures, and equal conclusion norms up to the last bits: the
     SVD of the physical block and that of the dense matrix, the block padded
@@ -525,9 +528,6 @@ def _same_report(got, want) -> bool:
     if got[0] != want[0] or (got[1] is None) != (want[1] is None):
         return False
     return got[1] is None or got[1] == pytest.approx(want[1], rel=4 * _EPS, abs=0)
-
-
-_EPS = np.finfo(float).eps
 
 
 def _broken_copies(s, p, size):
@@ -542,8 +542,8 @@ def _broken_copies(s, p, size):
 
 
 def _bad_projectors(p, size):
-    """Copies of a 0/1 diagonal P that are not idempotent, and not
-    self-adjoint: once preconditions of the check, now refused."""
+    """Copies of a 0/1 diagonal P that are not idempotent, or not
+    self-adjoint, which the check refuses."""
     n = len(p)
     yield p * (1 + size)
     skew = np.zeros((n, n))
