@@ -93,7 +93,7 @@ def _read_lines(path: str, what: str):
     """Yield ('path:lineno', line) for each line of a text input file, with
     '#' comments and surrounding blanks stripped and empty lines skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read {what} file: {exc}") from exc

@@ -13,6 +13,7 @@ check a tuple of violations.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -98,10 +99,10 @@ _TWO_POINT = {
 def _numerator_residual(kind: str) -> float:
     if kind == "scalar":
         return 0.0
-    rng = np.random.default_rng(20240824)
+    rng = random.Random(20240824)
     # eight samples at unit mass, each gauge one drawing K after k
-    draws = [(rng.uniform(-2, 2, size=3),
-              None if kind == "dirac" else rng.uniform(-1, 1, size=3))
+    draws = [([rng.uniform(-2, 2) for _ in range(3)],
+              None if kind == "dirac" else [rng.uniform(-1, 1) for _ in range(3)])
              for _ in range(8)]
     k = MassShellMomentum.of([p for p, _ in draws], 1.0)
     if kind == "dirac":

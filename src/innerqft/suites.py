@@ -421,27 +421,36 @@ def suite_lsz(cfg: RunConfig) -> list[Case]:
     return cases
 
 
-def random_toy_instances(rng: np.random.Generator, dim: int, count: int
-                         ) -> tuple:
+def _complex_normals(rng: random.Random, count: int):
+    """`count` standard complex Gaussians (E|z|^2 = 2) from one
+    `rng.getrandbits` call: per entry two 32-bit words, as u, v in (0, 1),
+    give sqrt(-2 ln u) e^{2 pi i v}, the Box-Muller (1958) pair as one complex
+    number; its phase in single precision, over ten times faster than double."""
+    import numpy as np
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    u, v = (np.frombuffer(words, "<u4").reshape(-1, 2).T + 0.5) / 2**32
+    t = (2 * np.pi * v).astype(np.float32)
+    return np.sqrt(-2 * np.log(u)) * (np.cos(t) + 1j * np.sin(t))
+
+
+def random_toy_instances(rng: random.Random, dim: int, count: int) -> tuple:
     """(S, P), stacks of shape (count, dim, dim): in each instance a
     block-diagonal unitary commuting with a diagonal projector.
 
     The draws are those of `count` instances drawn one at a time: each its
-    physical dimension, then the real and imaginary parts of its physical
-    block and of its unphysical one. Blocks of equal size are made unitary
-    by one stacked QR factorization with the phases of R's diagonal taken
-    out (a Haar unitary).
+    physical dimension, then the entries of its two blocks. Blocks of equal
+    size are made unitary by one stacked QR factorization with the phases of
+    R's diagonal taken out: Haar unitaries (Mezzadri 2007).
     """
     import numpy as np
     physes, blocks = [], {}
     for i in range(count):
-        phys = int(rng.integers(1, dim))
+        phys = rng.randrange(1, dim)
         physes.append(phys)
+        z = _complex_normals(rng, phys * phys + (dim - phys) ** 2)
         for at, n in ((0, phys), (phys, dim - phys)):
-            z = np.empty((n, n), dtype=complex)
-            z.real = rng.normal(size=(n, n))
-            z.imag = rng.normal(size=(n, n))
-            blocks.setdefault(n, []).append((i, at, z))
+            blocks.setdefault(n, []).append((i, at, z[:n * n].reshape(n, n)))
+            z = z[n * n:]
     s = np.zeros((count, dim, dim), dtype=complex)
     for n, group in blocks.items():
         q, r = np.linalg.qr(np.array([z for _, _, z in group]))
@@ -464,7 +473,7 @@ TOY_STACK_BYTES = 96 * 1024
 def suite_unitarity(cfg: RunConfig) -> list[Case]:
     import numpy as np
     from . import numeric
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     tol = cfg.tolerance
     sectors = numeric.vacuum_and_one_particle_checks
     cases = []

@@ -217,7 +217,7 @@ def test_07_lsz_free_theory():
 
 def test_08_projected_unitarity():
     """300 random block instances satisfy projected unitarity at 1e-12."""
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     ok = True
     for dim in (4, 16, 64):
         for _ in range(100):

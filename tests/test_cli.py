@@ -408,6 +408,26 @@ def test_only_verify_imports_numpy(tmp_path):
         ["verify unitarity", True]]
 
 
+# The modules that a `verify --suite all` run leaves loaded: its samples come
+# from `random.Random`, so neither numpy's generators nor, through their
+# `secrets` import, OpenSSL's hashlib are loaded.
+RANDOM_STEPS = r"""
+import contextlib, io, json, sys
+import innerqft.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert innerqft.cli.main(["verify", "--suite", "all"]) == 0
+print(json.dumps([name for name in ("numpy", "numpy.random", "hashlib", "secrets")
+                  if name in sys.modules]))
+"""
+
+
+def test_verify_loads_no_numpy_random_or_hashlib():
+    proc = subprocess.run([sys.executable, "-c", RANDOM_STEPS],
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["numpy"]
+
+
 # The collector state around three `verify` calls in one fresh
 # interpreter: frozen objects and whether the collector runs. An exact
 # suite imports no numeric stack and freezes nothing; the first numeric
@@ -750,6 +770,19 @@ def test_file_that_is_not_utf8_exits_2(which, what, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot read {what} file: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["legs", "greens", "config"])
+def test_byte_order_mark_is_skipped(which, tmp_path, capsys):
+    """A file saved with a UTF-8 byte order mark prints what the same file
+    without one prints."""
+    files = {"legs": "in scalar p=1,0,0\nout scalar p=1,0,0\n",
+             "greens": "vertex 2\n", "config": "lambda = 2\n"}
+    assert _reduce(tmp_path, **files) == 0
+    want = capsys.readouterr()
+    files[which] = "\ufeff" + files[which]
+    assert _reduce(tmp_path, **files) == 0
+    assert capsys.readouterr() == want
 
 
 _FOUR_DISTINCT_PAIRS = "".join(f"{d} scalar p={n},0,0\n"

@@ -443,7 +443,7 @@ def test_unitarity_identity():
 
 def test_unitarity_random_instances():
     from innerqft.suites import random_toy_instances
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for dim in (4, 16):
         for _ in range(25):
             (s,), (p,) = random_toy_instances(rng, dim, 1)
@@ -553,7 +553,7 @@ def _bad_projectors(p, size):
 
 def test_frobenius_screen_matches_svd_reports():
     from innerqft.suites import random_toy_instances
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     tol = 1e-9
     seen = set()
     for dim in (2, 4, 16):
@@ -593,7 +593,7 @@ def _report_of_instances(s, p, tol):
 
 def test_stack_check_agrees_with_per_instance_calls():
     from innerqft.suites import random_toy_instances
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     tol = 1e-9
     for dim in (2, 4, 16):
         s, p = random_toy_instances(rng, dim, 6)
@@ -626,7 +626,7 @@ def test_block_check_equals_the_dense_oracle():
     and below the rounding of the conclusion."""
     from innerqft.suites import random_toy_instances
     for seed in range(40):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         for dim, count in ((2, 6), (4, 6), (16, 3), (64, 1)):
             s, p = random_toy_instances(rng, dim, count)
             cases = [(s, p), (s[0], p[0])]
@@ -655,29 +655,48 @@ def test_stacked_propagator_suite_equals_the_per_sample_loops():
 
 
 def _one_toy_instance(rng, dim):
-    """One (S, P), drawn and built one block at a time: the reference for
-    the stacked draws."""
-    phys = int(rng.integers(1, dim))
+    """One (S, P), drawn alone and built one block at a time: the reference
+    for the stacked draws."""
+    from innerqft.suites import _complex_normals
+    phys = rng.randrange(1, dim)
+    z = _complex_normals(rng, phys * phys + (dim - phys) ** 2)
     s = np.zeros((dim, dim), dtype=complex)
     for at, n in ((0, phys), (phys, dim - phys)):
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = np.linalg.qr(z)
+        q, r = np.linalg.qr(z[:n * n].reshape(n, n))
         s[at:at + n, at:at + n] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        z = z[n * n:]
     return s, np.diag([1.0] * phys + [0.0] * (dim - phys))
 
 
 def test_stacked_draws_equal_one_at_a_time_draws():
     from innerqft.suites import random_toy_instances
     for dim in (2, 5, 16):
-        one, many = np.random.default_rng(dim), np.random.default_rng(dim)
+        one, many = random.Random(dim), random.Random(dim)
         pairs = [_one_toy_instance(one, dim) for _ in range(30)]
         s, p = random_toy_instances(many, dim, 30)
         assert np.array_equal(s, [a for a, _ in pairs])
         assert np.array_equal(p, [b for _, b in pairs])
-        assert one.bit_generator.state == many.bit_generator.state
+        assert one.getstate() == many.getstate()
         (s,), (p,) = random_toy_instances(many, dim, 1)
         assert all(np.array_equal(a, b) for a, b in
                    zip(_one_toy_instance(one, dim), (s, p)))
+
+
+def test_complex_normals_are_standard_and_circular():
+    """2 * 10^5 seeded draws: finite, mean 0, E|z|^2 = 2 and E z^2 = 0 (the
+    real and imaginary parts are independent unit normals), each within
+    five standard errors; and the draws take one `getrandbits` call."""
+    from innerqft.suites import _complex_normals
+    n = 200_000
+    rng = random.Random(2007)
+    z = _complex_normals(rng, n)
+    assert z.shape == (n,) and np.isfinite(z).all()
+    assert abs(z.mean()) < 5 * math.sqrt(2 / n)
+    assert abs(np.mean(abs(z) ** 2) - 2) < 5 * math.sqrt(4 / n)
+    assert abs(np.mean(z * z)) < 5 * math.sqrt(8 / n)
+    ref = random.Random(2007)
+    ref.getrandbits(64 * n)
+    assert rng.getstate() == ref.getstate()
 
 
 def _scaled_identity(n, two_norm):

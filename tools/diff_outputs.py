@@ -2,6 +2,7 @@
 revision and under the working tree, compared byte for byte.
 
     python tools/diff_outputs.py <rev>
+    python tools/diff_outputs.py --hash-seeds
 
 The script exports `src/` of <rev> with `git archive` into a temporary
 directory, writes the corpus's input files next to it, and runs every
@@ -25,6 +26,12 @@ The corpus:
   - `vev` on operators with an unknown, repeated, missing, out-of-range or
     foreign discrete label, and `reduce` on legs lines with an unknown or
     repeated key.
+
+With --hash-seeds it runs, instead, the working tree's `verify --suite all
+--format json` for seeds 0-3 and the vev-ladder invocations above in four
+child processes, one for each PYTHONHASHSEED of 0-3, and compares each
+child's results with those of hash seed 0, so that an output that depends
+on the order of a set or dict of strings shows.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -63,6 +71,7 @@ Path(results).write_text(json.dumps(out))
 """
 
 _SEEDS = (0, 1, 2, 3, 11)
+_HASH_SEEDS = ("0", "1", "2", "3")
 
 _LEGS = ("in scalar p=1,0,0\nin scalar p=0,1,0\n"
          "out scalar p=1,0,0\nout scalar p=0,1,0\n")
@@ -119,14 +128,14 @@ def _verify() -> list:
     return corpus
 
 
-def _workloads(work: Path) -> list:
+def _workloads(work: Path, names=("vev-ladder", "lsz-legs")) -> list:
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules["workloads"] = workloads  # dataclasses look the module up
     spec.loader.exec_module(workloads)
     corpus = []
-    for name in ("vev-ladder", "lsz-legs"):
+    for name in names:
         for seed in _SEEDS:
             where = work / f"{name}-{seed}"
             where.mkdir()
@@ -158,10 +167,11 @@ def _probes(work: Path) -> list:
     return corpus
 
 
-def _run(src: Path, corpus_file: Path, work: Path) -> list:
+def _run(src: Path, corpus_file: Path, work: Path, env=None) -> list:
     results = work / "results.json"
     subprocess.run([sys.executable, "-B", "-c", _CHILD, str(src),
-                    str(corpus_file), str(results)], cwd=work, check=True)
+                    str(corpus_file), str(results)], cwd=work, env=env,
+                   check=True)
     return json.loads(results.read_text())
 
 
@@ -180,8 +190,35 @@ def _first_difference(old, new) -> str | None:
     return None
 
 
+def _report(corpus: list, differ: list, under: str = "") -> int:
+    print(f"compared {len(corpus)} invocations{under}: {len(differ)} differ")
+    for args, where, why in differ:
+        print(f"  {' '.join(args)[:200]}\n    {where}: {why}")
+    return 1 if differ else 0
+
+
+def _hash_seeds() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        corpus = [["verify", "--suite", "all", "--seed", str(seed),
+                   "--format", "json"] for seed in range(4)]
+        corpus += _workloads(work, ("vev-ladder",))
+        corpus_file = work / "corpus.json"
+        corpus_file.write_text(json.dumps(corpus))
+        runs = [_run(ROOT / "src", corpus_file, work,
+                     dict(os.environ, PYTHONHASHSEED=seed))
+                for seed in _HASH_SEEDS]
+    differ = [(args, f"hash seed {_HASH_SEEDS[0]} vs {seed}", why)
+              for seed, run in zip(_HASH_SEEDS[1:], runs[1:])
+              for args, a, b in zip(corpus, runs[0], run)
+              if (why := _first_difference(a, b))]
+    return _report(corpus, differ, f" under {len(_HASH_SEEDS)} hash seeds")
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if argv == ["--hash-seeds"]:
+        return _hash_seeds()
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     (rev,) = argv
@@ -203,12 +240,9 @@ def main(argv: list[str]) -> int:
         corpus_file.write_text(json.dumps(corpus))
         old = _run(tmp / "rev" / "src", corpus_file, work)
         new = _run(ROOT / "src", corpus_file, work)
-    differ = [(args, why) for args, a, b in zip(corpus, old, new)
-              if (why := _first_difference(a, b))]
-    print(f"compared {len(corpus)} invocations: {len(differ)} differ")
-    for args, why in differ:
-        print(f"  {' '.join(args)[:200]}\n    {rev} vs working tree: {why}")
-    return 1 if differ else 0
+    return _report(corpus, [(args, f"{rev} vs working tree", why)
+                            for args, a, b in zip(corpus, old, new)
+                            if (why := _first_difference(a, b))])
 
 
 if __name__ == "__main__":

@@ -74,6 +74,14 @@ MUTANTS = (
      "np.max(np.abs(got - target))"),
     ("repeated label reported at the operator", "grammar.py",
      'f"repeated label {key!r}", key_pos', 'f"repeated label {key!r}", pos'),
+    # the three sampler mutants leave every S unitary; the first two are
+    # killed only by test_smatrix.py::test_complex_normals_are_standard_and_circular
+    ("Box-Muller phase over half the circle", "suites.py",
+     "t = (2 * np.pi * v)", "t = (1 * np.pi * v)"),
+    ("Box-Muller radius sqrt(-ln u)", "suites.py",
+     "np.sqrt(-2 * np.log(u))", "np.sqrt(-1 * np.log(u))"),
+    ("toy instances without a one-state physical block", "suites.py",
+     "phys = rng.randrange(1, dim)", "phys = rng.randrange(2, dim)"),
 )
 
 _IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
