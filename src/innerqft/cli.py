@@ -104,8 +104,8 @@ def _read_lines(path: str, what: str):
 
 
 def load_config(path: str) -> dict:
-    """The RunConfig fields that a flat key=value file sets; '#' starts a
-    comment."""
+    """The RunConfig fields that a flat key=value file sets, each key at
+    most once; '#' starts a comment."""
     values: dict = {}
     for where, line in _read_lines(path, "config"):
         if "=" not in line:
@@ -114,6 +114,8 @@ def load_config(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _FIELD_OF or key.startswith("-"):
             raise ConfigError(f"{where}: unknown key '{key}'")
+        if _FIELD_OF[key] in values:
+            raise ConfigError(f"{where}: repeated key '{key}'")
         _set_field(values, key, val, where)
     return values
 
@@ -190,8 +192,7 @@ def cmd_expression(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-_LEG_FIELDS = {"scalar": opalg.SCALAR, "dirac": opalg.DIRAC_PARTICLE,
-               "antidirac": opalg.DIRAC_ANTIPARTICLE, "gauge": opalg.GAUGE}
+_LEG_FIELDS = {row.legs: field for field, row in opalg.FIELD_TABLE.items()}
 # leg tokens: key -> (Leg field, number type, or None for p=x,y,z)
 _LEG_KEYS = {"p": ("mom", None),
              **{key: (name, int) for name, (key, _) in opalg.LABEL_TEXT.items()},
@@ -211,9 +212,8 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
     for where, line in _read_lines(path, "legs"):
         tokens = line.split()
         if len(tokens) < 3 or tokens[1] not in _LEG_FIELDS:
-            raise ConfigError(
-                f"{where}: expected "
-                "'<in|out> <scalar|dirac|antidirac|gauge> p=x,y,z [...]'")
+            raise ConfigError(f"{where}: expected "
+                              f"'<in|out> <{'|'.join(_LEG_FIELDS)}> p=x,y,z [...]'")
         values: dict = {}
         for tok in tokens[2:]:
             if "=" not in tok:

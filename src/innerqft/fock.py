@@ -105,31 +105,27 @@ def on_shell_energy(spatial, mass: float) -> float:
     return math.sqrt(kx * kx + ky * ky + kz * kz + mass * mass)
 
 
+# the mass of every field: the engine works on the unit-mass shell
+UNIT_MASS = 1.0
+
+
 class FieldMasses(Record):
-    """Mass of each field species, used wherever an on-shell energy is needed."""
+    """The unused `masses` argument of `smatrix.wick_pairing_oracle`."""
 
     scalar: float = 1.0
     dirac: float = 1.0
     gauge: float = 1.0
 
-    def of(self, field: str) -> float:
-        if field == opalg.SCALAR:
-            return self.scalar
-        if field == opalg.GAUGE:
-            return self.gauge
-        return self.dirac
 
-
-def momentum_action(which: str, s: FockState,
-                    masses: FieldMasses = FieldMasses()) -> list:
+def momentum_action(which: str, s: FockState) -> list:
     """Per-ket eigenvalues of the inertial (p) or inner (P) momentum.
 
     Returns [(monomial, eigenvalue 4-tuple), ...]; gauge quanta contribute
     with their eta^{gg} eta^{GG} weight. Labels must be bound. A quantum's p
     is the on-shell four-vector ~k of its momentum, so the p action of a ket
     is the P action of its barred ket (gravlimit.project_state); an on-shell
-    inner label ~k takes its energy from the mass of the quantum's field; an
-    energy beyond float range raises ValueError.
+    inner label ~k takes its energy from the unit mass; an energy beyond
+    float range raises ValueError.
     """
     if which not in ("p", "P"):
         raise ValueError("which must be 'p' or 'P'")
@@ -141,7 +137,7 @@ def momentum_action(which: str, s: FockState,
             vec = OnShell(op.mom) if which == "p" else op.inner
             if isinstance(vec, OnShell) and isinstance(vec.mom, tuple):
                 try:
-                    energy = on_shell_energy(vec.mom, masses.of(op.field))
+                    energy = on_shell_energy(vec.mom, UNIT_MASS)
                 except OverflowError:
                     energy = math.inf
                 if not math.isfinite(energy):

@@ -21,9 +21,12 @@ A term is a list of factors, each a bare monomial or the terms of a
 parenthesised sum; `opalg.product` canonicalizes each term of their product
 once. The dagger is the apostrophe suffix; numbers are exact rationals
 (`2`, `-3/2`, `0.25`); `~k` marks an inner label pinned to the on-shell
-four-vector of momentum `k`. `mom`, `inner` and `disc` are the three label
-types of `opalg` (MOM, INNER, DISC), read by one rule, `parse_label`, and
-checked by one, `opalg.check_label`, where the operator or atom is built.
+four-vector of momentum `k`. An operator's head and the discrete labels
+it carries are read from its field's row of `opalg.FIELD_TABLE`, the keys
+`s`, `g` and `G` from `opalg.LABEL_TEXT`. `mom`, `inner` and `disc` are the
+three label types of `opalg` (MOM, INNER, DISC), read by one rule,
+`parse_label`, and checked by one, `opalg.check_label`, where the operator
+or atom is built.
 Malformed text, a repeated label, a zero denominator, a bound vector of
 the wrong size or a bound `kd`/`eta`/`ETA` index outside the range of its
 operator label included, raises ParseError at the offending token: a label
@@ -42,9 +45,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .opalg import (ATOMS, DISC, FIELD_HEAD, FIELD_LABELS, INNER, LABEL_TEXT,
-                    MOM, ONE, Atom, CRat, LadderOperator, Monomial, OnShell,
-                    OperatorExpr, product)
+from .opalg import (ATOMS, DISC, FIELD_TABLE, INNER, LABEL_TEXT, MOM, ONE, Atom,
+                    CRat, LadderOperator, Monomial, OnShell, OperatorExpr, product)
 
 
 class ParseError(ValueError):
@@ -61,7 +63,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE)
 
-_HEADS = {head: field for field, head in FIELD_HEAD.items()}
+_HEADS = {row.head: field for field, row in FIELD_TABLE.items()}
 # (key, the label it follows) -> the operator slot of a discrete label
 _LABEL_KEYS = {text: name for name, text in LABEL_TEXT.items()}
 
@@ -240,7 +242,7 @@ class _Parser:
             dagger = True
         self.expect("sym", "(")
         labels: dict = {}
-        carried, message = FIELD_LABELS[field]
+        row = FIELD_TABLE[field]
         for follows, where, end in ((MOM, "before", ";"), (INNER, "after", ")")):
             labels[follows] = self.parse_label(follows)
             while self.peek()[:2] == ("sym", ","):
@@ -251,8 +253,8 @@ class _Parser:
                     raise ParseError(f"unknown label {key!r} {where} ';'", key_pos)
                 if name in labels:
                     raise ParseError(f"repeated label {key!r}", key_pos)
-                if name not in carried:
-                    raise ParseError(message, key_pos)
+                if name not in row.labels:
+                    raise ParseError(row.message, key_pos)
                 self.expect("sym", "=")
                 labels[name] = self.parse_label(DISC)
             self.expect("sym", end)

@@ -199,21 +199,39 @@ INDEX_RANGES = {
 # it follows, the momentum (MOM, before ';') or the inner label (INNER).
 LABEL_TEXT = {"spin": ("s", MOM), "pol": ("g", MOM), "ipol": ("G", INNER)}
 
-# The discrete labels each field's operators carry, in print order, and the
-# message that rejects any other set.
-FIELD_LABELS = {
-    SCALAR: ((), "scalar operators carry no discrete labels"),
-    DIRAC_PARTICLE: (("spin",), "Dirac operators carry a spin label only"),
-    DIRAC_ANTIPARTICLE: (("spin",), "Dirac operators carry a spin label only"),
-    GAUGE: (("pol", "ipol"), "gauge operators carry both polarization labels"),
+
+class FieldRow(Record):
+    """A field kind's row of FIELD_TABLE: every decision that depends on
+    the field."""
+
+    head: str         # the operator's text head
+    legs: str         # the field's name in a legs file
+    fermionic: bool   # whether its operators anticommute
+    factor: int       # its contact term: the scalar,
+    lam: int          #   the power of L
+    energy: str       #   and the kind of the energy atom, `w` or `E/m`
+    z: str            # the LSZRecipe field of its Z
+    labels: tuple     # the discrete labels its operators carry, in print order,
+    message: str      #   and the message that rejects any other set
+
+
+_SPIN_ONLY = "Dirac operators carry a spin label only"
+FIELD_TABLE = {
+    SCALAR: FieldRow("a", "scalar", False, 2, -4, "w", "z", (),
+                     "scalar operators carry no discrete labels"),
+    DIRAC_PARTICLE: FieldRow("b", "dirac", True, 1, -4, "E/m", "z2", ("spin",),
+                             _SPIN_ONLY),
+    DIRAC_ANTIPARTICLE: FieldRow("d", "antidirac", True, 1, -4, "E/m", "z2", ("spin",),
+                                 _SPIN_ONLY),
+    GAUGE: FieldRow("A", "gauge", False, 2, -2, "w", "z3", ("pol", "ipol"),
+                    "gauge operators carry both polarization labels"),
 }
 # per field, whether each discrete slot is set, in INDEX_RANGES order
-_SLOTS_SET = {f: tuple(name in names for name in INDEX_RANGES)
-              for f, (names, _) in FIELD_LABELS.items()}
+_SLOTS_SET = {f: tuple(name in row.labels for name in INDEX_RANGES)
+              for f, row in FIELD_TABLE.items()}
 
-FIELDS = tuple(FIELD_LABELS)
+FIELDS = tuple(FIELD_TABLE)
 _FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
-FIELD_HEAD = {SCALAR: "a", DIRAC_PARTICLE: "b", DIRAC_ANTIPARTICLE: "d", GAUGE: "A"}
 
 
 class LadderOperator(Record):
@@ -236,13 +254,13 @@ class LadderOperator(Record):
     def __post_init__(self):
         if self.field not in FIELDS:
             raise ValueError(f"unknown field kind {self.field!r}")
-        names, message = FIELD_LABELS[self.field]
+        row = FIELD_TABLE[self.field]
         if (self.spin is not None, self.pol is not None,
                 self.ipol is not None) != _SLOTS_SET[self.field]:
-            raise ValueError(message)
+            raise ValueError(row.message)
         check_label(self.mom, MOM)
         check_label(self.inner, INNER)
-        for name in names:
+        for name in row.labels:
             check_label(getattr(self, name), DISC, name)
         # a None slot is None on every operator of the field, so it never
         # decides an order
@@ -253,7 +271,7 @@ class LadderOperator(Record):
 
     @property
     def fermionic(self) -> bool:
-        return self.field in (DIRAC_PARTICLE, DIRAC_ANTIPARTICLE)
+        return FIELD_TABLE[self.field].fermionic
 
     def adjoint(self) -> "LadderOperator":
         return LadderOperator(self.field, not self.dagger, self.mom, self.inner,
@@ -265,9 +283,10 @@ class LadderOperator(Record):
             for l in (self.mom, self.inner, self.spin, self.pol, self.ipol)))
 
     def __str__(self) -> str:
-        head = FIELD_HEAD[self.field] + ("'" if self.dagger else "")
+        row = FIELD_TABLE[self.field]
+        head = row.head + ("'" if self.dagger else "")
         texts = {MOM: [label_str(self.mom)], INNER: [label_str(self.inner)]}
-        for name in FIELD_LABELS[self.field][0]:
+        for name in row.labels:
             key, follows = LABEL_TEXT[name]
             texts[follows].append(f"{key}={label_str(getattr(self, name))}")
         return f"{head}({','.join(texts[MOM])};{','.join(texts[INNER])})"
@@ -604,14 +623,12 @@ def _contact_factors(lo: LadderOperator, hi: LadderOperator):
     Returns (scalar, lam, twopi, atoms); the energy atom uses the
     annihilator's momentum label, as printed.
     """
+    row = FIELD_TABLE[lo.field]
     pairs = tuple(Atom(_PAIR_ATOM[name], (getattr(lo, name), getattr(hi, name)))
-                  for name in FIELD_LABELS[lo.field][0])
-    pairs += (Delta4(lo.inner, hi.inner), Delta3(lo.mom, hi.mom))
-    if lo.field == SCALAR:
-        return CRat.of(2), -4, 7, (OmegaPow(lo.mom),) + pairs
-    if lo.fermionic:
-        return ONE, -4, 7, (ERatioPow(lo.mom),) + pairs
-    return CRat.of(2), -2, 7, (OmegaPow(lo.mom),) + pairs
+                  for name in row.labels)
+    atoms = (Atom(row.energy, (lo.mom,)), *pairs,
+             Delta4(lo.inner, hi.inner), Delta3(lo.mom, hi.mom))
+    return CRat.of(row.factor), row.lam, 7, atoms
 
 
 _MERGING = frozenset(k for k, spec in ATOMS.items() if spec.merges)
@@ -828,16 +845,3 @@ def delta_resolve(e: OperatorExpr) -> OperatorExpr:
 
 def a(mom, inner, dagger=False) -> OperatorExpr:
     return OperatorExpr.from_op(LadderOperator(SCALAR, dagger, mom, inner))
-
-
-def b(mom, spin, inner, dagger=False) -> OperatorExpr:
-    return OperatorExpr.from_op(LadderOperator(DIRAC_PARTICLE, dagger, mom, inner, spin=spin))
-
-
-def d(mom, spin, inner, dagger=False) -> OperatorExpr:
-    return OperatorExpr.from_op(LadderOperator(DIRAC_ANTIPARTICLE, dagger, mom, inner, spin=spin))
-
-
-def gauge(mom, pol, inner, ipol, dagger=False) -> OperatorExpr:
-    return OperatorExpr.from_op(LadderOperator(GAUGE, dagger, mom, inner,
-                                               pol=pol, ipol=ipol))

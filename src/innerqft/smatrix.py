@@ -15,9 +15,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import opalg
-from .fock import FieldMasses
+from .fock import UNIT_MASS, FieldMasses
 from .gravlimit import RegularizationConfig, grav_limit_expr
-from .opalg import (GAUGE, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, SCALAR,
+from .opalg import (GAUGE, DIRAC_PARTICLE, DIRAC_ANTIPARTICLE, FIELD_TABLE,
                     Delta3, ERatioPow, Metric, OmegaPow, OnShell,
                     OperatorExpr, SpinDelta, make_monomial, vev)
 from .record import Record
@@ -85,13 +85,6 @@ class LSZRecipe(Record):
             if not 0 < z <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
 
-    def z_of(self, fld: str) -> float:
-        if fld == SCALAR:
-            return self.z
-        if fld == GAUGE:
-            return self.z3
-        return self.z2
-
 
 class Amplitude(Record):
     connected: complex
@@ -103,19 +96,18 @@ class Amplitude(Record):
 SHELL_TOL = 1e-9
 
 
-def _check_on_shell(leg: Leg, masses: FieldMasses, tol: float) -> None:
-    """k^2 = m^2 within tol relative to the largest of 1, m^2 and E^2, in
-    exact arithmetic, so that no square overflows and a correctly rounded
-    energy passes at any |p|."""
+def _check_on_shell(leg: Leg, tol: float) -> None:
+    """k^2 = m^2 at the unit mass m, within tol relative to the largest of
+    1, m^2 and E^2, in exact arithmetic, so that no square overflows and a
+    correctly rounded energy passes at any |p|."""
     if leg.energy is None:
         return
-    m = masses.of(leg.field)
-    m2 = Fraction(m) ** 2
+    m2 = Fraction(UNIT_MASS) ** 2
     e2 = Fraction(leg.energy) ** 2
     k2 = e2 - sum(Fraction(c) ** 2 for c in leg.mom)
     if abs(k2 - m2) > Fraction(tol) * max(1, m2, e2):
         raise ValueError(f"off-shell leg: E^2 - |p|^2 differs from "
-                         f"m^2 = {m * m}")
+                         f"m^2 = {UNIT_MASS * UNIT_MASS}")
 
 
 def elastic_overlap(legs: Sequence[Leg], cfg: RegularizationConfig
@@ -160,9 +152,8 @@ def lsz_reduce(legs: Sequence[Leg], vertices: Sequence[tuple] = (),
     once to a complex. The elastic contribution is assembled independently
     from the free barred overlap.
     """
-    masses = FieldMasses()
     for leg in legs:
-        _check_on_shell(leg, masses, SHELL_TOL)
+        _check_on_shell(leg, SHELL_TOL)
     re = sum(_exact_part(v) for v, _ in vertices)
     im = sum(_exact_part(v) for _, v in vertices)
     if re == im == 0:
@@ -170,7 +161,7 @@ def lsz_reduce(legs: Sequence[Leg], vertices: Sequence[tuple] = (),
     else:
         prefactor = 1.0 + 0j
         for leg in legs:
-            prefactor *= 1j / math.sqrt(recipe.z_of(leg.field))
+            prefactor *= 1j / math.sqrt(getattr(recipe, FIELD_TABLE[leg.field].z))
         connected = prefactor * complex(_to_float(re), _to_float(im))
     if not cmath.isfinite(connected):
         raise ValueError(f"connected amplitude {connected} is not finite")

@@ -153,8 +153,12 @@ def suite_ccr(cfg: RunConfig) -> list[Case]:
 
 
 def suite_car(cfg: RunConfig) -> list[Case]:
-    b = opalg.b("k", "s", "K")
-    bd = opalg.b("h", "t", "H", dagger=True)
+    # built from the operators: parsing "b(k,s=s;K)*b'(h,s=t;H)" would make
+    # two fewer make_monomial calls, which tests/test_costs.py pins
+    b = OperatorExpr.from_op(
+        opalg.LadderOperator(opalg.DIRAC_PARTICLE, False, "k", "K", spin="s"))
+    bd = OperatorExpr.from_op(
+        opalg.LadderOperator(opalg.DIRAC_PARTICLE, True, "h", "H", spin="t"))
     return _table(EXACT_CASES["car"]) + [
         _exact("car.normal_order_sign", opalg.normal_order(b * bd),
                reduce_to_normal_form(bd * b).scale(-1))]
@@ -264,7 +268,7 @@ def _random_ket(rng: random.Random, max_quanta: int = 5):
         t = sum(abs(c) for c in spatial) + rng.randint(1, 3)  # timelike by L1 bound
         inner = (t, *spatial)
         discrete = {name: rng.choice(opalg.INDEX_RANGES[name][0])
-                    for name in opalg.FIELD_LABELS[kind][0]}
+                    for name in opalg.FIELD_TABLE[kind].labels}
         ops.append(opalg.LadderOperator(kind, True, mom, inner, **discrete))
     return ops
 
@@ -273,7 +277,6 @@ def suite_fock(cfg: RunConfig) -> list[Case]:
     rng = random.Random(cfg.seed)
     cases = _table(EXACT_CASES["fock"])
     # additivity of eigen-actions on random bound kets
-    masses = FieldMasses(1.0, 1.0, 1.0)
     additive = True
     for _ in range(100):
         ops = _random_ket(rng)
@@ -282,8 +285,8 @@ def suite_fock(cfg: RunConfig) -> list[Case]:
             continue
         singles = [FockState.ket(op) for op in ops]
         for which in ("p", "P"):
-            ((_, total),) = fock.momentum_action(which, ket, masses)
-            parts = [fock.momentum_action(which, one, masses)[0][1]
+            ((_, total),) = fock.momentum_action(which, ket)
+            parts = [fock.momentum_action(which, one)[0][1]
                      for one in singles]
             expect = tuple(sum(p[i] for p in parts) for i in range(4))
             # energies are floats and may be summed in a different order
@@ -295,8 +298,8 @@ def suite_fock(cfg: RunConfig) -> list[Case]:
     # on eigenkets (all actions are diagonal, so the commutator is zero
     # exactly when both eigenvalue assignments agree on the same ket)
     ket = FockState.ket(*_random_ket(rng, 3))
-    pa = fock.momentum_action("p", ket, masses)
-    pb = fock.momentum_action("P", ket, masses)
+    pa = fock.momentum_action("p", ket)
+    pb = fock.momentum_action("P", ket)
     same_kets = ([m for m, _ in pa] == [m for m, _ in pb]
                  == list(ket.expr.terms))
     cases.append(Case("fock.diagonal_actions_commute", same_kets,

@@ -35,10 +35,10 @@ def test_01_generator_algebra_table():
     """Every ordered generator pair reduces to its exact contact relation."""
     gens = {
         "a": opalg.a("k", "K"), "a'": opalg.a("h", "H", dagger=True),
-        "b": opalg.b("k", "s", "K"), "b'": opalg.b("h", "t", "H", dagger=True),
-        "d": opalg.d("k", "s", "K"), "d'": opalg.d("h", "t", "H", dagger=True),
-        "A": opalg.gauge("k", "g", "K", "G"),
-        "A'": opalg.gauge("h", "g2", "H", "G2", dagger=True),
+        "b": parse_expression("b(k,s=s;K)"), "b'": parse_expression("b'(h,s=t;H)"),
+        "d": parse_expression("d(k,s=s;K)"), "d'": parse_expression("d'(h,s=t;H)"),
+        "A": parse_expression("A(k,g=g;K,G=G)"),
+        "A'": parse_expression("A'(h,g=g2;H,G=G2)"),
     }
     fermionic = {"b", "b'", "d", "d'"}
     texts = {row[0]: row[3] for rows in EXACT_CASES.values() for row in rows}
@@ -87,7 +87,6 @@ def test_02_norm_sign_table():
 def test_03_eigenvalue_additivity():
     """Momentum eigenvalues add over quanta for 100 random kets."""
     rng = random.Random(11)
-    masses = FieldMasses()
     ok = True
     checked = 0
     while checked < 100:
@@ -111,8 +110,8 @@ def test_03_eigenvalue_additivity():
             continue
         checked += 1
         for which in ("p", "P"):
-            ((_, total),) = fock.momentum_action(which, ket, masses)
-            parts = [fock.momentum_action(which, FockState.ket(op), masses)[0][1]
+            ((_, total),) = fock.momentum_action(which, ket)
+            parts = [fock.momentum_action(which, FockState.ket(op))[0][1]
                      for op in ops]
             ok &= abs(total[0] - sum(p[0] for p in parts)) <= TOL
             ok &= total[1:] == tuple(sum(p[i] for p in parts)
@@ -170,10 +169,10 @@ def test_06_on_shell_reduction():
     """Barred brackets reduce to the printed limits; projection idempotent."""
     e_s = commutator(barred(opalg.a("k", "K")),
                      barred(opalg.a("h", "H", dagger=True)))
-    e_d = anticommutator(barred(opalg.b("k", "s", "K")),
-                         barred(opalg.b("h", "t", "H", dagger=True)))
-    e_g = commutator(barred(opalg.gauge("k", "g", "K", "G")),
-                     barred(opalg.gauge("h", "g2", "H", "G2", dagger=True)))
+    e_d = anticommutator(barred(parse_expression("b(k,s=s;K)")),
+                         barred(parse_expression("b'(h,s=t;H)")))
+    e_g = commutator(barred(parse_expression("A(k,g=g;K,G=G)")),
+                     barred(parse_expression("A'(h,g=g2;H,G=G2)")))
     want_s = OperatorExpr.from_monomials([make_monomial(
         2, twopi=3, atoms=(OmegaPow("k"), Delta3("k", "h")))])
     want_d = OperatorExpr.from_monomials([make_monomial(

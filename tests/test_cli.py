@@ -294,6 +294,22 @@ def test_flags_override_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 4
 
 
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    """A config key written twice is an error, not the last value; a flag
+    still overrides the file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 9\nlambda = 2\n# lambda = 5\nlambda = 3\n")
+    assert main(["verify", "--suite", "ccr", "--config", str(cfg),
+                 "--seed", "4"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {cfg}:4: repeated key 'lambda'\n")
+    cfg.write_text("seed = 9\nlambda = 2\n")
+    assert main(["verify", "--suite", "ccr", "--config", str(cfg),
+                 "--seed", "4", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["seed"], doc["config"]["lam"]) == (4, 2.0)
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")

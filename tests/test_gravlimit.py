@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from innerqft import fock, gravlimit, opalg, suites
 from innerqft.config import RunConfig
-from innerqft.fock import FieldMasses, FockState
+from innerqft.fock import FockState
 from innerqft.grammar import parse_expression
 from innerqft.gravlimit import (RegularizationConfig, barred, grav_limit_expr,
                                 project_state)
@@ -43,8 +43,8 @@ def test_scalar_barred_commutator():
 
 def test_dirac_barred_anticommutator():
     lhs = grav_limit_expr(anticommutator(
-        barred(opalg.b("k", "s", "K")),
-        barred(opalg.b("h", "t", "H", dagger=True))))
+        barred(parse_expression("b(k,s=s;K)")),
+        barred(parse_expression("b'(h,s=t;H)"))))
     want = expr_of(make_monomial(1, twopi=3,
                                  atoms=(ERatioPow("k"), SpinDelta("s", "t"),
                                         Delta3("k", "h"))))
@@ -53,8 +53,8 @@ def test_dirac_barred_anticommutator():
 
 def test_gauge_barred_commutator_keeps_scale_factor():
     lhs = grav_limit_expr(commutator(
-        barred(opalg.gauge("k", "g", "K", "G")),
-        barred(opalg.gauge("h", "g2", "H", "G2", dagger=True))))
+        barred(parse_expression("A(k,g=g;K,G=G)")),
+        barred(parse_expression("A'(h,g=g2;H,G=G2)"))))
     want = expr_of(make_monomial(2, lam=2, twopi=3,
                                  atoms=(OmegaPow("k"), Metric(True, "g", "g2"),
                                         Metric(False, "G", "G2"),
@@ -169,7 +169,7 @@ def test_projection_sets_on_shell_inner():
     projected = project_state(FockState.ket(op))
     ((m,),) = [projected.expr.terms]
     assert m.ops[0].inner == OnShell((2, 2, 0))
-    ((_, P),) = fock.momentum_action("P", projected, FieldMasses(scalar=1.0))
+    ((_, P),) = fock.momentum_action("P", projected)
     assert P == (3.0, 2, 2, 0)
 
 

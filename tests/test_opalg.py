@@ -60,8 +60,8 @@ def test_scalar_contact_term():
 
 
 def test_dirac_contact_term():
-    got = anticommutator(opalg.b("k", "s", "K"),
-                         opalg.b("h", "t", "H", dagger=True))
+    got = anticommutator(parse_expression("b(k,s=s;K)"),
+                         parse_expression("b'(h,s=t;H)"))
     want = expr_of(make_monomial(1, lam=-4, twopi=7,
                                  atoms=(ERatioPow("k"), SpinDelta("s", "t"),
                                         Delta4("K", "H"), Delta3("k", "h"))))
@@ -69,8 +69,8 @@ def test_dirac_contact_term():
 
 
 def test_gauge_contact_term():
-    got = commutator(opalg.gauge("k", "g", "K", "G"),
-                     opalg.gauge("h", "g2", "H", "G2", dagger=True))
+    got = commutator(parse_expression("A(k,g=g;K,G=G)"),
+                     parse_expression("A'(h,g=g2;H,G=G2)"))
     want = expr_of(make_monomial(2, lam=-2, twopi=7,
                                  atoms=(OmegaPow("k"), Metric(True, "g", "g2"),
                                         Metric(False, "G", "G2"),
@@ -82,18 +82,18 @@ def test_same_type_brackets_vanish():
     assert commutator(opalg.a("k", "K"), opalg.a("h", "H")).is_zero()
     assert commutator(opalg.a("k", "K", dagger=True),
                       opalg.a("h", "H", dagger=True)).is_zero()
-    assert anticommutator(opalg.b("k", "s", "K"),
-                          opalg.b("h", "t", "H")).is_zero()
-    assert anticommutator(opalg.d("k", "s", "K", dagger=True),
-                          opalg.d("h", "t", "H", dagger=True)).is_zero()
+    assert anticommutator(parse_expression("b(k,s=s;K)"),
+                          parse_expression("b(h,s=t;H)")).is_zero()
+    assert anticommutator(parse_expression("d'(k,s=s;K)"),
+                          parse_expression("d'(h,s=t;H)")).is_zero()
 
 
 def test_distinct_species_commute_freely():
     pairs = [
-        (opalg.a("k", "K"), opalg.b("h", "t", "H", dagger=True)),
-        (opalg.a("k", "K"), opalg.gauge("h", "g", "H", "G", dagger=True)),
-        (opalg.b("k", "s", "K"), opalg.d("h", "t", "H", dagger=True)),
-        (opalg.d("k", "s", "K"), opalg.gauge("h", "g", "H", "G", dagger=True)),
+        (opalg.a("k", "K"), parse_expression("b'(h,s=t;H)")),
+        (opalg.a("k", "K"), parse_expression("A'(h,g=g;H,G=G)")),
+        (parse_expression("b(k,s=s;K)"), parse_expression("d'(h,s=t;H)")),
+        (parse_expression("d(k,s=s;K)"), parse_expression("A'(h,g=g;H,G=G)")),
     ]
     for x, y in pairs:
         fermi = (x.terms[0].ops[0].fermionic and y.terms[0].ops[0].fermionic)
@@ -102,42 +102,43 @@ def test_distinct_species_commute_freely():
 
 
 def test_bound_spin_mismatch_kills_term():
-    got = anticommutator(opalg.b("k", 1, "K"), opalg.b("h", 2, "H", dagger=True))
+    got = anticommutator(parse_expression("b(k,s=1;K)"),
+                         parse_expression("b'(h,s=2;H)"))
     assert got.is_zero()
 
 
 def test_bound_gauge_metric_signs():
     # eta^{00} = +1, eta^{jj} = -1; inner metric is purely negative
-    lhs = commutator(opalg.gauge("k", 0, "K", 1),
-                     opalg.gauge("h", 0, "H", 1, dagger=True))
+    lhs = commutator(parse_expression("A(k,g=0;K,G=1)"),
+                     parse_expression("A'(h,g=0;H,G=1)"))
     want = expr_of(make_monomial(-2, lam=-2, twopi=7,
                                  atoms=(OmegaPow("k"), Delta4("K", "H"),
                                         Delta3("k", "h"))))
     assert lhs == want
-    lhs = commutator(opalg.gauge("k", 2, "K", 3),
-                     opalg.gauge("h", 2, "H", 3, dagger=True))
+    lhs = commutator(parse_expression("A(k,g=2;K,G=3)"),
+                     parse_expression("A'(h,g=2;H,G=3)"))
     want = expr_of(make_monomial(2, lam=-2, twopi=7,
                                  atoms=(OmegaPow("k"), Delta4("K", "H"),
                                         Delta3("k", "h"))))
     assert lhs == want
-    assert commutator(opalg.gauge("k", 1, "K", 1),
-                      opalg.gauge("h", 2, "H", 1, dagger=True)).is_zero()
+    assert commutator(parse_expression("A(k,g=1;K,G=1)"),
+                      parse_expression("A'(h,g=2;H,G=1)")).is_zero()
 
 
 def test_pauli_exclusion():
-    b = opalg.b("k", 1, "K")
+    b = parse_expression("b(k,s=1;K)")
     assert reduce_to_normal_form(b * b).is_zero()
-    bd = opalg.b("k", 1, "K", dagger=True)
+    bd = parse_expression("b'(k,s=1;K)")
     assert reduce_to_normal_form(bd * bd).is_zero()
 
 
 def test_gauge_polarization_validation():
     with pytest.raises(ValueError):
-        opalg.gauge("k", 4, "K", 1)
+        parse_expression("A(k,g=4;K,G=1)")
     with pytest.raises(ValueError):
-        opalg.gauge("k", 1, "K", 0)  # inner index 0 is not a valid mode
+        parse_expression("A(k,g=1;K,G=0)")  # inner index 0 is not a valid mode
     with pytest.raises(ValueError):
-        opalg.b("k", 3, "K")
+        parse_expression("b(k,s=3;K)")
 
 
 # -- reduction properties ----------------------------------------------------
@@ -214,9 +215,8 @@ def test_normal_order_drops_contact_terms():
 
 
 def test_normal_order_keeps_fermionic_sign():
-    e = opalg.b("k", "s", "K") * opalg.b("h", "t", "H", dagger=True)
-    swapped = reduce_to_normal_form(
-        opalg.b("h", "t", "H", dagger=True) * opalg.b("k", "s", "K"))
+    e = parse_expression("b(k,s=s;K) b'(h,s=t;H)")
+    swapped = reduce_to_normal_form(parse_expression("b'(h,s=t;H) b(k,s=s;K)"))
     assert normal_order(e) == -swapped
 
 
@@ -813,9 +813,8 @@ def test_delta_resolve_symbols_shared_by_momenta_and_inner_labels():
 def test_delta_resolve_makes_one_monomial_per_term(monkeypatch):
     """One make_monomial call per term that has deltas to consume, however
     many it has; a term without any is kept as it is."""
-    e = reduce_to_normal_form(opalg.b("k", "s", "K") * opalg.b("h", "t", "H")
-                              * opalg.b("q", "t", "Q", dagger=True)
-                              * opalg.b("p", "s", "P", dagger=True))
+    e = reduce_to_normal_form(parse_expression(
+        "b(k,s=s;K) b(h,s=t;H) b'(q,s=t;Q) b'(p,s=s;P)"))
     e = e * e
     with_deltas = [m for m in e.terms if any(a.kind == "d3" for a in m.atoms)]
     assert 0 < len(with_deltas) < len(e.terms)
@@ -851,10 +850,10 @@ def test_equal_symbol_pairs_are_canonical():
     assert str(atoms(Metric(True, "g", "g"))) == "1*eta[g,g]"
     assert atoms(Metric(True, 2, 2)) == OperatorExpr.number(-1)
     # the pair delta_resolve drops as 1 is 1 already
-    e = opalg.vev(opalg.b("k", "s", "K") * opalg.b("h", "s", "H", dagger=True))
+    e = opalg.vev(parse_expression("b(k,s=s;K) b'(h,s=s;H)"))
     assert "kd" not in str(e)
     assert delta_resolve(e) == delta_resolve(opalg.vev(
-        opalg.b("k", 1, "K") * opalg.b("h", 1, "H", dagger=True)))
+        parse_expression("b(k,s=1;K) b'(h,s=1;H)")))
 
 
 def test_atoms_print_in_canonical_order():

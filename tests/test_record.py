@@ -151,6 +151,7 @@ SAMPLES = {
     "opalg.LadderOperator": lambda: LadderOperator(opalg.GAUGE, True, "k", "K",
                                                    pol=0, ipol="G"),
     "opalg.AtomSpec": lambda: opalg.ATOMS["eta"],
+    "opalg.FieldRow": lambda: opalg.FIELD_TABLE[opalg.GAUGE],
     "opalg.Atom": lambda: Atom("w", ("k",), -1),
     "opalg.Monomial": lambda: make_monomial(
         2, 1, 3, atoms=(Atom("d3(0)"),),

@@ -209,18 +209,30 @@ def test_leg_attachment_validation():
 
 
 def test_on_shell_check_is_exact_and_cannot_overflow():
-    masses, shell = FieldMasses(), 1e-9
+    shell = 1e-9
     smatrix._check_on_shell(Leg("in", opalg.SCALAR, (0, 0, 0), energy=1.0),
-                            masses, shell)
+                            shell)
     # the tolerance is relative to E^2: the nearest float to 10^200 is on
     # shell at |p| = 10^200, twice it is not
     smatrix._check_on_shell(Leg("in", opalg.SCALAR, (Fraction(10**200), 0, 0),
-                                energy=1e200), masses, shell)
+                                energy=1e200), shell)
     for mom, energy in [((0, 0, 0), 1e300), ((10**200, 0, 0), 1.0),
                         ((Fraction(10**200), 0, 0), 2e200)]:
         with pytest.raises(ValueError, match="off-shell"):
             smatrix._check_on_shell(Leg("in", opalg.SCALAR, mom,
-                                        energy=energy), masses, shell)
+                                        energy=energy), shell)
+
+
+@pytest.mark.parametrize("field, labels, z", [
+    (opalg.SCALAR, {}, 1 / 4), (opalg.DIRAC_PARTICLE, {"spin": 1}, 1 / 16),
+    (opalg.DIRAC_ANTIPARTICLE, {"spin": 2}, 1 / 16),
+    (opalg.GAUGE, {"pol": 1, "ipol": 3}, 1 / 64)])
+def test_each_field_reads_its_own_z(field, labels, z):
+    """connected = vertex (i/sqrt(Z))^2 for one in/out pair of a field, with
+    z, z2 and z3 distinct powers of 2, so that every factor is exact."""
+    legs = [Leg(direction, field, (1, 0, 0), **labels) for direction in ("in", "out")]
+    amp = lsz_reduce(legs, [(3, 0)], LSZRecipe(1 / 4, 1 / 16, 1 / 64))
+    assert amp.connected == 3 * (1j / math.sqrt(z)) ** 2
 
 
 def test_four_point_elastic_matches_pairing_oracle():

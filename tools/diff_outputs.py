@@ -24,8 +24,9 @@ The corpus:
   - `reduce`, in text and JSON, on vertex files with non-finite, malformed,
     overflowing and exactly cancelling factors;
   - `vev` on operators with an unknown, repeated, missing, out-of-range or
-    foreign discrete label, and `reduce` on legs lines with an unknown or
-    repeated key.
+    foreign discrete label, `reduce` on legs lines with an unknown or
+    repeated key, and `verify` and `reduce` with a config file that
+    repeats a key.
 
 With --hash-seeds it runs, instead, the working tree's `verify --suite all
 --format json` for seeds 0-3 and the vev-ladder invocations above in four
@@ -102,6 +103,12 @@ _LEG_PROBES = ("scalar p=1,0,0 p=2,0,0", "dirac p=1,0,0 s=1 s=2",
                "scalar p=1,0,0 E=2 E=3", "scalar p=1,0,0 x=1",
                "scalar p=1,0,0 s=1")
 
+# (config file text, the command it configures); the reduce probe reads
+# two of the files that `_vertices` writes
+_CONFIG_PROBES = (("lambda = 2\nlambda = 3\n", ["verify", "--suite", "gravlimit"]),
+                  ("z = 1/2\nz2 = 1\nz = 1/4\n",
+                   ["reduce", "vertex_complex.txt", "--legs", "vertex_legs.txt"]))
+
 
 def _pinned(work: Path) -> list:
     """The pinned commands, with their input files written to `work`."""
@@ -164,6 +171,9 @@ def _probes(work: Path) -> list:
             f"in scalar p=1,0,0\nout {leg}\n")
         corpus.append(["reduce", "probe_greens.txt",
                        "--legs", f"probe_legs_{i}.txt"])
+    for i, (text, argv) in enumerate(_CONFIG_PROBES):
+        (work / f"probe_{i}.cfg").write_text(text)
+        corpus.append([*argv, "--config", f"probe_{i}.cfg"])
     return corpus
 
 
