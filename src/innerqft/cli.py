@@ -240,8 +240,8 @@ def load_legs(path: str) -> tuple[smatrix.Leg, ...]:
 
 def load_greens(path: str) -> tuple[tuple, ...]:
     """The exact (re, im) parts of each vertex factor, the imaginary part 0
-    when it is left out; the one check of vertex input rejects a factor
-    that is not finite at its line."""
+    when it is left out; a factor that is not finite is rejected at its
+    line (`lsz_reduce` rejects one too, without a line)."""
     vertices = []
     for where, line in _read_lines(path, "green-function"):
         tokens = line.split()

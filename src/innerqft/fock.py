@@ -11,8 +11,8 @@ import math
 from operator import add
 
 from . import opalg
-from .opalg import (ATOMS, GAUGE, LadderOperator, Monomial, OnShell, OperatorExpr,
-                    reduce_to_normal_form, vev)
+from .opalg import (_PAIR_ATOM, ATOMS, FIELD_TABLE, LadderOperator, Monomial, OnShell,
+                    OperatorExpr, reduce_to_normal_form, vev)
 from .record import Record
 
 
@@ -65,13 +65,12 @@ def inner_product(bra: FockState, ket: FockState) -> OperatorExpr:
 
 
 def _quantum_weight(op: LadderOperator) -> int:
-    """eta^{gg} eta^{GG} of a gauge quantum, by the metric signs that
-    `make_monomial` applies; +1 for matter."""
-    if op.field != GAUGE:
-        return 1
-    if not isinstance(op.pol, int) or not isinstance(op.ipol, int):
-        raise ValueError("gauge quanta need bound polarization labels here")
-    return ATOMS["eta"].sign(op.pol) * ATOMS["ETA"].sign(op.ipol)
+    """The product, over its field row's discrete labels, of the sign that each
+    label's pair atom (kd, eta or ETA) leaves; the labels must be bound."""
+    names = FIELD_TABLE[op.field].labels
+    if any(isinstance(getattr(op, name), str) for name in names):
+        raise ValueError("norm signs and eigenvalues need bound discrete labels")
+    return math.prod(ATOMS[_PAIR_ATOM[name]].sign(getattr(op, name)) for name in names)
 
 
 def norm_sign(ket: FockState) -> int:
@@ -83,15 +82,14 @@ def norm_sign(ket: FockState) -> int:
 
 
 def physical_filter(s: FockState) -> FockState:
-    """Drop every ket containing a gauge quantum with spacetime pol 0."""
+    """Drop every ket with a quantum of spacetime pol 0; matter has pol None."""
     kept = []
     for m in s.expr.terms:
         for op in m.ops:
-            if op.field == GAUGE:
-                if not isinstance(op.pol, int):
-                    raise ValueError("physical filter needs bound polarizations")
-                if op.pol == 0:
-                    break
+            if isinstance(op.pol, str):
+                raise ValueError("physical filter needs bound polarizations")
+            if op.pol == 0:
+                break
         else:
             kept.append(m)
     return FockState(OperatorExpr.from_monomials(kept))

@@ -46,6 +46,15 @@ class MassShellMomentum(Record):
         if not np.isfinite(self.spatial).all():
             raise ValueError("spatial momentum components must be finite")
 
+    def __eq__(self, other):
+        """Equal when both arrays are equal in shape and in every value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self._values(self), self._values(other)))
+
+    def __hash__(self):
+        return hash(tuple((np.shape(x), *np.ravel(x)) for x in self._values(self)))
+
     @classmethod
     def of(cls, spatial, mass) -> "MassShellMomentum":
         return cls(np.asarray(spatial, dtype=float), np.asarray(mass, dtype=float))

@@ -214,18 +214,16 @@ def toy_unitarity_check(s: np.ndarray, p: np.ndarray, tol: float = DEFAULT_TOL
     return tuple(failures), float(worst)
 
 
-def vacuum_and_one_particle_checks(s: np.ndarray, vacuum_index: int,
-                                   one_particle_indices: tuple,
+def vacuum_and_one_particle_checks(s: np.ndarray, one_particle_indices: tuple,
                                    tol: float = DEFAULT_TOL) -> tuple:
-    """The ways S fails to fix the vacuum with zero phase or to act as the
-    identity on the one-particle sector; empty when it passes."""
+    """The ways S fails to fix the vacuum, basis state 0, with zero phase or
+    to act as the identity on the one-particle sector; empty when it passes."""
     violations = []
-    v = vacuum_index
-    col = s[:, v]
-    if abs(col[v] - 1.0) > tol:
-        violations.append(f"vacuum: S[{v},{v}] = {col[v]:.6g}, want 1 "
+    col = s[:, 0]
+    if abs(col[0] - 1.0) > tol:
+        violations.append(f"vacuum: S[0,0] = {col[0]:.6g}, want 1 "
                           "(zero-phase convention)")
-    off = np.delete(col, v)
+    off = col[1:]
     if off.size and np.max(np.abs(off)) > tol:
         violations.append("vacuum: S mixes the vacuum with other sectors")
     for i in one_particle_indices:

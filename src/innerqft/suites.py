@@ -17,8 +17,8 @@ from .config import RunConfig
 from .fock import FieldMasses, FockState
 from .grammar import parse_expression
 from .gravlimit import RegularizationConfig, grav_limit_expr
-from .opalg import (OperatorExpr, anticommutator, commutator, reduce_to_normal_form,
-                    vev)
+from .opalg import (OperatorExpr, anticommutator, commutator, normal_order,
+                    reduce_to_normal_form, vev)
 from .record import Record
 
 
@@ -78,6 +78,7 @@ _OPERATIONS = {
     "anticommutator": anticommutator,
     "vev": vev,
     "reduce": reduce_to_normal_form,
+    "normal_order": normal_order,
     "apply": lambda e: fock.apply(e, FockState.vacuum()).expr,
     "inner": _inner,
 }
@@ -94,6 +95,8 @@ EXACT_CASES = {
         ("ccr.vev_normalization", "vev", ("a(k;K)*a'(h;H)",), _SCALAR),
         ("ccr.vev_normal_ordered", "vev", ("a'(h;H)*a(k;K)",), "0"),
         ("ccr.cross_species_scalar_dirac", "commutator", ("a(k;K)", "b'(h,s=t;H)"), "0"),
+        ("ccr.idempotent_reduction", "reduce", (f"{_SCALAR} + a'(h;H)*a(k;K)",),
+         f"{_SCALAR} + a'(h;H)*a(k;K)"),
     ),
     "car": (
         ("car.b_bdag_contact", "anticommutator", ("b(k,s=s;K)", "b'(h,s=t;H)"), _DIRAC),
@@ -102,6 +105,8 @@ EXACT_CASES = {
         ("car.bdbd_vanishes", "anticommutator", ("b'(k,s=s;K)", "b'(h,s=t;H)"), "0"),
         ("car.b_ddag_vanishes", "anticommutator", ("b(k,s=s;K)", "d'(h,s=t;H)"), "0"),
         ("car.pauli_identical_labels", "reduce", ("b(k,s=s;K)*b(k,s=s;K)",), "0"),
+        ("car.normal_order_sign", "normal_order", ("b(k,s=s;K)*b'(h,s=t;H)",),
+         "-1*b'(h,s=t;H)*b(k,s=s;K)"),
     ),
     "gauge": (
         ("gauge.a_adag_contact", "commutator", ("A(k,g=g;K,G=G)", "A'(h,g=g2;H,G=G2)"),
@@ -145,23 +150,11 @@ def _table(rows, finish=lambda e: e, scale=1) -> list[Case]:
 
 
 def suite_ccr(cfg: RunConfig) -> list[Case]:
-    prod = opalg.a("k", "K") * opalg.a("h", "H", dagger=True)
-    return _table(EXACT_CASES["ccr"]) + [
-        _exact("ccr.idempotent_reduction",
-               reduce_to_normal_form(reduce_to_normal_form(prod)),
-               reduce_to_normal_form(prod))]
+    return _table(EXACT_CASES["ccr"])
 
 
 def suite_car(cfg: RunConfig) -> list[Case]:
-    # built from the operators: parsing "b(k,s=s;K)*b'(h,s=t;H)" would make
-    # two fewer make_monomial calls, which tests/test_costs.py pins
-    b = OperatorExpr.from_op(
-        opalg.LadderOperator(opalg.DIRAC_PARTICLE, False, "k", "K", spin="s"))
-    bd = OperatorExpr.from_op(
-        opalg.LadderOperator(opalg.DIRAC_PARTICLE, True, "h", "H", spin="t"))
-    return _table(EXACT_CASES["car"]) + [
-        _exact("car.normal_order_sign", opalg.normal_order(b * bd),
-               reduce_to_normal_form(bd * b).scale(-1))]
+    return _table(EXACT_CASES["car"])
 
 
 def suite_gauge(cfg: RunConfig) -> list[Case]:
@@ -499,7 +492,7 @@ def suite_unitarity(cfg: RunConfig) -> list[Case]:
     cases.append(Case("unitarity.identity_smatrix",
                       not failures and concl <= tol, ""))
     cases.append(Case("unitarity.vacuum_one_particle_identity",
-                      not sectors(ident, 0, (1,), tol), ""))
+                      not sectors(ident, (1,), tol), ""))
     # S unitary but SP != PS: precondition reported, conclusion not claimed
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     failures, concl = numeric.toy_unitarity_check(had, np.diag([1.0, 0.0]), tol)
@@ -507,13 +500,13 @@ def suite_unitarity(cfg: RunConfig) -> list[Case]:
                       bool(failures) and concl is None, "; ".join(failures)))
     phase = np.diag([np.exp(0.3j), 1.0, 1.0, 1.0])
     cases.append(Case("unitarity.vacuum_phase_reported",
-                      bool(sectors(phase, 0, (1, 2), tol)),
+                      bool(sectors(phase, (1, 2), tol)),
                       "nontrivial vacuum phase flagged"))
     mixing = np.eye(4, dtype=complex)
     mixing[1, 1] = mixing[3, 3] = 0
     mixing[1, 3] = mixing[3, 1] = 1
     cases.append(Case("unitarity.sector_mixing_reported",
-                      bool(sectors(mixing, 0, (1,), tol)),
+                      bool(sectors(mixing, (1,), tol)),
                       "one-particle/two-particle mixing flagged"))
     return cases
 

@@ -224,9 +224,9 @@ def test_08_projected_unitarity():
                 *random_toy_instances(rng, dim, 1), TOL)
             ok &= not failures and concl <= TOL
     ident = np.eye(4, dtype=complex)
-    ok &= not smatrix.vacuum_and_one_particle_checks(ident, 0, (1, 2), TOL)
+    ok &= not smatrix.vacuum_and_one_particle_checks(ident, (1, 2), TOL)
     phase = np.diag([np.exp(0.3j), 1.0, 1.0, 1.0])
-    ok &= bool(smatrix.vacuum_and_one_particle_checks(phase, 0, (1,), TOL))
+    ok &= bool(smatrix.vacuum_and_one_particle_checks(phase, (1,), TOL))
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     failures, concl = smatrix.toy_unitarity_check(had, np.diag([1.0, 0.0]),
                                                   TOL)

@@ -516,6 +516,15 @@ def test_suite_choices_are_the_suites():
     assert list(suite.choices) == sorted(suites.SUITES) + ["all"]
 
 
+def test_each_suite_is_its_own_module_function():
+    """perfbench's tracer wraps each suite by identity: it rebinds every
+    binding of `suites.suite_<name>`, so SUITES must hold those very
+    functions, and no two suites may share one."""
+    for name, fn in suites.SUITES.items():
+        assert fn is getattr(suites, f"suite_{name}"), name
+    assert len(set(suites.SUITES.values())) == len(suites.SUITES)
+
+
 def test_failed_exact_case_lists_term_differences(monkeypatch):
     texts = {row[0]: row[3] for rows in suites.EXACT_CASES.values() for row in rows}
     right = parse_expression(texts["ccr.a_adag_contact"])

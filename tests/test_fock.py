@@ -103,11 +103,25 @@ def test_norm_sign_needs_bound_polarizations():
             fock.norm_sign(FockState.ket(op))
 
 
-# momentum_action in a fresh interpreter that imported only innerqft.fock
+def test_norm_sign_and_eigenvalues_need_a_bound_spin():
+    """A Dirac quantum's weight reads its spin, like a gauge quantum's reads
+    its polarizations, so a symbolic spin is refused."""
+    for field in (opalg.DIRAC_PARTICLE, opalg.DIRAC_ANTIPARTICLE):
+        ket = FockState.ket(bound_op(field, spin="s"))
+        with pytest.raises(ValueError, match="bound discrete labels"):
+            fock.norm_sign(ket)
+        with pytest.raises(ValueError, match="bound discrete labels"):
+            fock.momentum_action("p", ket)
+        assert fock.norm_sign(FockState.ket(bound_op(field, spin=2))) == 1
+
+
+# momentum_action in a fresh interpreter that imported only innerqft.fock and
+# the innerqft.opalg it loads
 MOMENTUM_ACTION_STEPS = r"""
 import json, sys
 import innerqft.fock as fock
-op = fock.LadderOperator(fock.GAUGE, True, (3, 4, 0), (2, 0, 0, 0), pol=1, ipol=1)
+from innerqft.opalg import GAUGE
+op = fock.LadderOperator(GAUGE, True, (3, 4, 0), (2, 0, 0, 0), pol=1, ipol=1)
 before = "numpy" in sys.modules
 ((_, p),) = fock.momentum_action("p", fock.FockState.ket(op))
 print(json.dumps([before, p, "numpy" in sys.modules]))

@@ -286,3 +286,17 @@ def test_stacked_momenta_check_every_sample():
     K = np.array([[2.0, 0, 0, 0], [1.0, 1.0, 0, 0]])
     with pytest.raises(ValueError, match="^inner polarizations require K"):
         kin.build_inner_polarizations(K)
+
+
+def test_mass_shell_momenta_compare_and_hash_by_their_arrays():
+    k = MassShellMomentum.of((0.5, -0.0, 2.0), 1.5)
+    same = MassShellMomentum.of([0.5, 0.0, 2], 1.5)
+    assert k == same and not k != same
+    assert hash(k) == hash(same)
+    assert k == MassShellMomentum((0.5, 0.0, 2.0), 1.5)
+    assert k != MassShellMomentum.of((0.5, 0.0, 2.0), 1.25)
+    assert k != MassShellMomentum.of((0.5, 0.0, 2.0), [1.5, 1.5])
+    stack = MassShellMomentum.of([[1, 0, 0], [0, 1, 0]], [1.0, 2.0])
+    assert stack == MassShellMomentum.of([[1, 0, 0], [0, 1, 0]], [1.0, 2.0])
+    assert stack != MassShellMomentum.of([[1, 0, 0], [0, 1, 0]], [2.0, 1.0])
+    assert len({k, same, stack}) == 2

@@ -490,18 +490,17 @@ def test_unitarity_bad_projector():
 
 
 def test_vacuum_and_one_particle_invariance():
-    assert vacuum_and_one_particle_checks(np.eye(4, dtype=complex), 0,
-                                          (1, 2)) == ()
+    assert vacuum_and_one_particle_checks(np.eye(4, dtype=complex), (1, 2)) == ()
 
 
 def test_vacuum_phase_flagged():
     s = np.diag([np.exp(0.2j), 1.0, 1.0, 1.0])
-    assert vacuum_and_one_particle_checks(s, 0, (1,))
+    assert vacuum_and_one_particle_checks(s, (1,))
 
 
 def test_vacuum_mixing_flagged():
     s = np.eye(4, dtype=complex)[[1, 0, 2, 3]]  # S swaps the vacuum and state 1
-    assert vacuum_and_one_particle_checks(s, 0, (2,)) == (
+    assert vacuum_and_one_particle_checks(s, (2,)) == (
         "vacuum: S[0,0] = 0+0j, want 1 (zero-phase convention)",
         "vacuum: S mixes the vacuum with other sectors")
 
@@ -510,7 +509,7 @@ def test_one_particle_mixing_flagged():
     s = np.eye(4, dtype=complex)
     s[1, 1] = s[3, 3] = 0
     s[1, 3] = s[3, 1] = 1
-    assert vacuum_and_one_particle_checks(s, 0, (1,))
+    assert vacuum_and_one_particle_checks(s, (1,))
 
 
 # -- the Frobenius screen of the unitarity preconditions ----------------------

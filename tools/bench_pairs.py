@@ -19,7 +19,12 @@ the median and quartiles of <rev> ("parent") and of the working tree
 ("change"), the parent's IQR, the number of pairs the change wins (better
 in the metric's direction), the median gap, whether the benchmark's paired
 rule holds (wins in at least 9 of 10 pairs, and a median gap larger than
-the parent's IQR), and every pair's two values. The output file collects
+the parent's IQR), whether the benchmark's regression rule flags it (the
+change's median worse than the parent's by more than the metric's `bound`,
+a fraction of the parent's median), and every pair's two values. Each run
+also records each side's median number of timed passes, since a faster
+side fits more passes into the same seconds and its runner keeps more
+output in memory, which `peak_rss_mb` reads. The output file collects
 runs: a run of the same workload and seed replaces the one it holds. The
 output file is the only file the script writes outside its temporary
 directory.
@@ -99,6 +104,13 @@ def _quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4))
 
 
+def worse_than_bound(parent: float, change: float, metric: dict) -> bool:
+    """The regression rule: whether the change's median is worse than the
+    parent's by more than the metric's bound, a fraction of the parent's."""
+    worse = change - parent if metric["better"] == "lower" else parent - change
+    return worse > metric["bound"] * parent
+
+
 def _summary(pairs: list, spec: dict) -> dict:
     """Per metric: both medians and quartiles, the wins and the paired rule."""
     out = {}
@@ -121,9 +133,18 @@ def _summary(pairs: list, spec: dict) -> dict:
             "median_gap": gap,
             "change_pct": 100 * (stats["change"]["median"] / stats["parent"]["median"] - 1),
             "paired_rule_holds": wins >= WIN_SHARE * len(values) and gap > iqr,
+            "bound": metric["bound"],
+            "worse_than_bound": worse_than_bound(stats["parent"]["median"],
+                                                 stats["change"]["median"], metric),
             "values": values,
         }
     return out
+
+
+def _passes(pairs: list) -> dict:
+    """Each side's median number of timed passes per run."""
+    return {"parent": statistics.median(p["summary"]["passes"] for p, _ in pairs),
+            "change": statistics.median(c["summary"]["passes"] for _, c in pairs)}
 
 
 def _pairs(trees: dict, workload: str, seed: int, count: int, seconds: float) -> list:
@@ -176,6 +197,7 @@ def main(argv: list[str]) -> int:
                 "failed": {"parent": sum(p["failed"] for p, _ in pairs),
                            "change": sum(c["failed"] for _, c in pairs)},
                 "correct": all(p["correct"] and c["correct"] for p, c in pairs),
+                "passes": _passes(pairs),
                 "metrics": _summary(pairs, spec),
             })
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -193,7 +215,11 @@ def main(argv: list[str]) -> int:
                   f"{m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
                   f"({m['change_pct']:+.1f}%, {m['wins']}/{m['pairs']} wins, "
                   f"parent IQR {m['parent_iqr']:.3g}, "
-                  f"rule {'holds' if m['paired_rule_holds'] else 'fails'})")
+                  f"rule {'holds' if m['paired_rule_holds'] else 'fails'}, "
+                  f"{'WORSE than' if m['worse_than_bound'] else 'within'} "
+                  f"its {m['bound']:.0%} bound)")
+        print(f"{run['workload']} seed {run['seed']} passes per run: "
+              f"{run['passes']['parent']:g} -> {run['passes']['change']:g}")
     return 0
 
 

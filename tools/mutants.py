@@ -5,17 +5,18 @@
 Each mutant below is a text replacement in one file of `src/`, which must
 match that file exactly once, so that a mutant whose text went stale fails
 loudly, and the node id of a test that kills it. The script copies `src/`,
-`tests/`, `perfbench/` and `tools/` (which tests read) and `pyproject.toml`
-into a temporary directory outside the repository and runs the tier-1
-suite there, first unmutated (it must pass), then per mutant: the recorded
-killer first, and only when it passes, the rest of the suite with `-x`, so
-that a surviving mutant still runs the whole suite. `tests/test_mutants.py`
-is left out of these runs: it checks that each mutant's text is still in
-`src/` and that its killer exists, so it would fail on every mutant and
-hide the ones that survive. The script prints, per mutant, `killed` and
-the first failing test (marked when it is not the recorded killer) or
-`SURVIVED`, and exits 1 when a mutant survives, when a text does not match
-once or a killer is not found, or when the unmutated copy fails.
+`tests/`, `perfbench/` and `tools/` (which tests read), `pyproject.toml`
+and `BENCHMARK.json` into a temporary directory outside the repository
+and runs the tier-1 suite there, first unmutated (it must pass), then per
+mutant: the recorded killer first, and only when it passes, the rest of
+the suite with `-x`, so that a surviving mutant still runs the whole
+suite. `tests/test_mutants.py` is left out of these runs: it checks that
+each mutant's text is still in `src/` and that its killer exists, so it
+would fail on every mutant and hide the ones that survive. The script
+prints, per mutant, `killed` and the first failing test (marked when it is
+not the recorded killer) or `SURVIVED`, and exits 1 when a mutant
+survives, when a text does not match once or a killer is not found, or
+when the unmutated copy fails.
 """
 
 from __future__ import annotations
@@ -66,9 +67,13 @@ MUTANTS = (
     ("Pauli zero dropped", "opalg.py",
      "if x & 2 and y == x:", "if False:",
      "tests/test_acceptance.py::test_01_generator_algebra_table"),
+    # every label's sign, eta's among them, read from ETA, the ipol pair atom
     ("_quantum_weight reads ETA for eta", "fock.py",
-     'ATOMS["eta"].sign(op.pol)', 'ATOMS["ETA"].sign(op.pol)',
+     "ATOMS[_PAIR_ATOM[name]]", 'ATOMS[_PAIR_ATOM["ipol"]]',
      "tests/test_acceptance.py::test_02_norm_sign_table"),
+    ("physical_filter keeping pol 0", "fock.py",
+     "if op.pol == 0:", "if False:",
+     "tests/test_fock.py::test_physical_filter"),
     ("boost frame keeps a past-pointing K", "kinematics.py",
      "np.where(u[..., :1] > 0, u, -u)", "u",
      "tests/test_kinematics.py::test_inner_basis_is_shared_by_K_and_minus_K"),
@@ -150,7 +155,8 @@ def main() -> int:
         tree = Path(tmp)
         for name in ("src", "tests", "perfbench", "tools"):
             shutil.copytree(ROOT / name, tree / name, ignore=_IGNORE)
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "BENCHMARK.json"):
+            shutil.copy(ROOT / name, tree)
         base = _pytest(tree)
         if base.returncode:
             print(f"the unmutated copy fails: {_first_failure(base.stdout)}")
